@@ -365,7 +365,7 @@ def _parse_condition(form, what: str):
     eqs: list[tuple[str, str, bool]] = []
 
     def walk(f, positive=True):
-        if not isinstance(f, list) or not f:
+        if not isinstance(f, list) or not f or not isinstance(f[0], str):
             raise PddlError(f"malformed {what}: {f!r}")
         head = f[0]
         if head == "and":
@@ -400,18 +400,20 @@ def _parse_effect(form, ignore_costs: bool):
     dels: list[Atom] = []
 
     def walk(f):
-        if not isinstance(f, list) or not f:
+        if not isinstance(f, list) or not f or not isinstance(f[0], str):
             raise PddlError(f"malformed effect: {f!r}")
         head = f[0]
         if head == "and":
             for sub in f[1:]:
                 walk(sub)
         elif head == "not":
-            if len(f) != 2 or not isinstance(f[1], list):
+            if len(f) != 2 or not isinstance(f[1], list) or not f[1]:
                 raise PddlError("malformed delete effect")
             inner = f[1]
-            if inner and inner[0] in _REJECTED_HEADS:
+            if isinstance(inner[0], str) and inner[0] in _REJECTED_HEADS:
                 raise UnsupportedFeature(inner[0])
+            if not all(isinstance(x, str) for x in inner):
+                raise PddlError(f"malformed delete effect: {inner!r}")
             dels.append(Atom(inner[0], tuple(inner[1:])))
         elif head in ("increase", "decrease", "assign", "scale-up", "scale-down"):
             if ignore_costs and head == "increase":
@@ -427,6 +429,13 @@ def _parse_effect(form, ignore_costs: bool):
     if form:
         walk(form)
     return adds, dels
+
+
+def _name_of(section: list, what: str) -> str:
+    """The one name in a section such as (domain d) or (:domain d)."""
+    if len(section) != 2 or not isinstance(section[1], str):
+        raise PddlError(f"malformed {what}: {section!r}")
+    return section[1]
 
 
 def parse_domain(text: str) -> Domain:
@@ -450,9 +459,11 @@ def parse_domain(text: str) -> Domain:
             raise PddlError(f"malformed domain section: {section!r}")
         head = section[0]
         if head == "domain":
-            name = section[1]
+            name = _name_of(section, "domain name")
         elif head == ":requirements":
             for r in section[1:]:
+                if not isinstance(r, str):
+                    raise PddlError(f"malformed requirement: {r!r}")
                 if r == ":action-costs":
                     log.warning("action costs are parsed but ignored; all actions cost 1")
                     ignore_costs = True
@@ -484,6 +495,8 @@ def parse_domain(text: str) -> Domain:
 
 
 def _parse_action(section: list, ignore_costs: bool) -> TypedSchema:
+    if len(section) < 2 or not isinstance(section[1], str):
+        raise PddlError(f"action without a name: {section!r}")
     name = section[1]
     params: list[tuple[str, str]] = []
     pre: list[Atom] = []
@@ -493,7 +506,11 @@ def _parse_action(section: list, ignore_costs: bool) -> TypedSchema:
     i = 2
     while i < len(section):
         key = section[i]
+        if i + 1 == len(section):
+            raise PddlError(f"action {name}: {key} has no value")
         if key == ":parameters":
+            if not isinstance(section[i + 1], list):
+                raise PddlError(f"action {name}: malformed parameter list")
             params = _typed_list(section[i + 1], "parameters")
         elif key == ":precondition":
             pre, eqs = _parse_condition(section[i + 1], "precondition")
@@ -524,9 +541,9 @@ def parse_instance_text(text: str) -> Instance:
             raise PddlError(f"malformed problem section: {section!r}")
         head = section[0]
         if head == "problem":
-            name = section[1]
+            name = _name_of(section, "problem name")
         elif head == ":domain":
-            domain_name = section[1]
+            domain_name = _name_of(section, ":domain")
         elif head == ":objects":
             objects.extend(_typed_list(section[1:], "objects"))
         elif head == ":init":

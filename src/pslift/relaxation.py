@@ -3,10 +3,44 @@ transform that turns the FF heuristic into an action-set heuristic.
 
 Each action schema contributes one rule per add effect (head = add atom, body =
 preconditions); static atoms are preloaded facts and the state supplies the
-remaining facts per evaluation. Reachability runs as a semi-naive fixpoint in
-unit-cost layers, recording one best (first, lowest-layer) achiever per derived
-atom; the FF value is the number of distinct actions in the plan extracted by
-chasing achievers back from the goal.
+remaining facts per evaluation. Reachability runs as a fixpoint in unit-cost
+layers, recording one best (first, lowest-layer) achiever per derived atom; the
+FF value is the number of distinct actions in the plan extracted by chasing
+achievers back from the goal.
+
+The achiever of an atom is the first rule binding that derives it in its layer,
+so the order in which bindings are enumerated is part of the result. That
+order is: rules in program order, then seed position, then seed atom in commit
+order, then the remaining body atoms most-bound first (ties by position), each
+over its matches in commit order. Evaluation is compiled so that it finds the
+same first bindings while enumerating far fewer:
+
+* Join plans. The most-bound-first order depends only on which variables are
+  bound, i.e. on the rule and the seed position, so one plan per (rule, seed
+  position) is built with the program. Each step of a plan names the index
+  key (already bound or constant positions), the positions that bind new
+  variable slots, repeated-variable checks, and the equality literals that
+  become fully bound there. Index lists are filled in commit order, so a
+  multi-column key yields exactly the matches, in the same order, that
+  filtering any one-column list would.
+* Semi-naive seeding. With seed position k, body atoms before k match only
+  atoms committed before the previous layer. A binding skipped this way has
+  an atom from the previous layer at some position j < k, so it was already
+  enumerated with seed j earlier in the same rule and layer, and its head was
+  recorded then; skipping it leaves every first achiever in place. At layer 1
+  every fact is new, so only seed position 0 runs.
+* Head cut-off. Once a plan has bound every head variable, a head that is
+  already derived prunes the branch, and a head just derived by the branch's
+  first completion ends the branch. Every skipped completion would have
+  derived an atom that already has its achiever.
+* Fully ground rules (the goal rule and the temporary rules) fire at the
+  first layer that has all their body atoms, which is exactly when a join
+  would have bound them first.
+
+Static facts and `@object` facts are indexed once per program; each call
+indexes only the state and the derived atoms. Achievers are stored as (rule,
+binding) and expanded into action and body atoms only for the atoms that
+extraction visits.
 
 The action-set variant evaluates the transformed task in which a fresh 0-ary
 predicate gates every original schema and each action of the given set B is a
@@ -17,6 +51,8 @@ live only for the duration of one evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 
 from .lifted import GroundAction, PartialAction, State, instantiations
 from .pddl import ActionSchema, Atom, Predicate, Task
@@ -33,8 +69,47 @@ class EmptyActionSet(Exception):
     pass
 
 
+def _is_var(arg: str) -> bool:
+    return arg.startswith("?")
+
+
+def _no_key(seq):
+    return None
+
+
+def _key_getter(idx):
+    """Index key of a sequence at positions idx: None, a value or a tuple."""
+    return itemgetter(*idx) if idx else _no_key
+
+
+@lru_cache(maxsize=1024)
+def _eqs_test(eqs):
+    """A test of equality literals ((slot, slot, want_equal), ...) on a
+    binding, compiled to one expression; None when there are none. Cached,
+    as every program of a domain asks for the same few tests."""
+    if not eqs:
+        return None
+    test = " and ".join(f"b[{x}] {'==' if want else '!='} b[{y}]" for x, y, want in eqs)
+    return eval(f"lambda b: {test}")
+
+
+def _tuple_getter(idx):
+    """The tuple of a sequence's items at positions idx."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda seq: (seq[i],)
+    if not idx:
+        return lambda seq: ()
+    return itemgetter(*idx)
+
+
 class _Rule:
-    __slots__ = ("head", "body", "eqs", "schema", "action_key")
+    """A rule with its variables and constants laid out as binding slots:
+    variables first (in order of first appearance in the body), then
+    constants. A binding is a sequence indexed by slot."""
+
+    __slots__ = ("head", "body", "eqs", "schema", "action_key", "slots", "template",
+                 "ground", "live", "head_args", "body_args", "param_args", "plans")
 
     def __init__(self, head, body, eqs, schema, action_key):
         self.head = head          # (pred, args) with '?' vars or constants
@@ -42,6 +117,27 @@ class _Rule:
         self.eqs = tuple(eqs)
         self.schema = schema      # ActionSchema for schema rules, else None
         self.action_key = action_key  # fixed identity for temporary rules
+
+        terms = [a for _, args in self.body for a in args]
+        terms = dict.fromkeys(terms + list(head[1]) + [t for x, y, _ in self.eqs for t in (x, y)])
+        variables = [a for a in terms if _is_var(a)]
+        constants = [a for a in terms if not _is_var(a)]
+        self.slots = {a: i for i, a in enumerate(variables + constants)}
+        self.template = [None] * len(variables) + constants
+        self.ground = not variables
+        if any(_is_var(a) and not any(a in args for _, args in self.body)
+               for a in head[1]):
+            raise ValueError(f"head variable missing from the body: {self.text()}")
+
+        slot = self.slots.__getitem__
+        self.head_args = _tuple_getter([slot(a) for a in head[1]])
+        self.body_args = [(p, _tuple_getter([slot(a) for a in args]))
+                          for p, args in self.body]
+        self.param_args = (_tuple_getter([slot(p) for p in schema.params])
+                           if schema is not None else None)
+        self.live = all((x == y) == want for x, y, want in self.eqs
+                        if not _is_var(x) and not _is_var(y))
+        self.plans: list = []     # one _Plan per seed position, set by the program
 
     def text(self) -> str:
         def fmt(a):
@@ -54,11 +150,47 @@ class _Rule:
         rhs = ", ".join(body) if body else "true"
         return f"{fmt(self.head)} :- {rhs}."
 
+    # -- lazy achiever expansion ---------------------------------------------
+
+    def action_of(self, binding):
+        if self.action_key is not None:
+            return self.action_key
+        if self.schema is not None:
+            return (self.schema.name, self.param_args(binding))
+        return None
+
+    def body_of(self, binding) -> list:
+        return [(p, args(binding)) for p, args in self.body_args]
+
+
+class _Plan:
+    """Join order of a rule seeded at one body position.
+
+    The seed atom matches atoms new in the previous layer; `steps` then bind
+    the other body atoms most-bound first. A step is (table id, key getter
+    over the binding, [(arg position, slot)] to bind, [(position, position)]
+    that must be equal, test of the equality literals bound there or None)."""
+
+    __slots__ = ("rule", "pred", "consts", "binds", "same", "eqs", "steps", "n", "head_at")
+
+    def __init__(self, rule, pred, consts, binds, same, eqs, steps, head_at):
+        self.rule = rule
+        self.pred = pred
+        self.consts = consts
+        self.binds = binds
+        self.same = same
+        self.eqs = eqs
+        self.steps = steps
+        self.n = len(steps) + 1
+        # body atoms bound once every head variable is (0: the head is ground)
+        self.head_at = head_at
+
 
 @dataclass
 class ReachResult:
     """Fixpoint output: fluent atoms reached (plus the gate when restricted),
-    their unit-cost layers, and one achiever per derived atom."""
+    their unit-cost layers, and one achiever per derived atom, stored as the
+    (rule, binding) that derived it."""
 
     atoms: frozenset
     layers: dict
@@ -67,6 +199,20 @@ class ReachResult:
 
 def _ground(args, binding):
     return tuple(binding.get(a, a) for a in args)
+
+
+def _binder(args, bound, slots):
+    """(positions to bind, positions to compare) for the terms of an atom not
+    in `bound`; the first occurrence of a variable binds it."""
+    binds, same, first = [], [], {}
+    for pos, a in enumerate(args):
+        if a not in bound:
+            if a in first:
+                same.append((pos, first[a]))
+            else:
+                first[a] = pos
+                binds.append((pos, slots[a]))
+    return binds, same
 
 
 class DatalogProgram:
@@ -78,7 +224,7 @@ class DatalogProgram:
         self.rules: list[_Rule] = []
         for schema in task.schemas:
             body = [(a.pred, a.args) for a in schema.pre]
-            seen = {v for a in schema.pre for v in a.args if v.startswith("?")}
+            seen = {v for a in schema.pre for v in a.args if _is_var(v)}
             body.extend((OBJ, (p,)) for p in schema.params if p not in seen)
             if restricted:
                 body.append((EPSILON, ()))
@@ -95,150 +241,233 @@ class DatalogProgram:
             (task.atom(i).pred, task.atom(i).args) for i in sorted(task.static_atoms)
         ]
         self.base_facts.extend((OBJ, (o,)) for o in task.objects)
+        self._base_layers = dict.fromkeys(self.base_facts, 0)
+        self._static = {p.name for p in task.predicates if p.is_static} | {OBJ}
+
+        # index tables: one per (predicate, key positions, old?); a table
+        # maps a key to the matching atoms' args in commit order
+        self._table_ids: dict = {}
+        self._tables_of: dict[str, tuple[list, list]] = {}   # pred -> (all, old)
+        for rule in self.rules:
+            self._compile(rule)
+        self._tables: list = [{} for _ in self._table_ids]
+        self._index(self.base_facts, self._tables, old=False)
+        self._index(self.base_facts, self._tables, old=True)
+        self._fluent_tables = [
+            tid for (pred, _, _), tid in self._table_ids.items() if pred not in self._static
+        ]
+        self._base_by_pred: dict[str, list] = {}
+        for pred, args in self._base_layers:
+            self._base_by_pred.setdefault(pred, []).append(args)
 
     def dump(self) -> str:
         return "\n".join(r.text() for r in self.rules) + "\n"
+
+    # -- compilation ----------------------------------------------------------
+
+    def _table(self, pred, positions, old) -> int:
+        key = (pred, tuple(positions), old)
+        tid = self._table_ids.get(key)
+        if tid is None:
+            tid = self._table_ids[key] = len(self._table_ids)
+            self._tables_of.setdefault(pred, ([], []))[old].append(
+                (tid, _key_getter(positions)))
+        return tid
+
+    def _compile(self, rule: _Rule) -> None:
+        """One plan per seed position; the order of the other body atoms is
+        most-bound first, ties by position, with boundness counting constant
+        and already bound argument positions."""
+        if rule.ground or not rule.live:
+            return
+        slots = rule.slots
+        constants = {a for a in slots if not _is_var(a)}   # bound from the start
+        head_args = set(rule.head[1])
+
+        def eqs_bound(before, after):
+            return _eqs_test(tuple(
+                (slots[x], slots[y], want) for x, y, want in rule.eqs
+                if x in after and y in after and not (x in before and y in before)))
+
+        for k, (pred, args) in enumerate(rule.body):
+            consts = [(pos, a) for pos, a in enumerate(args) if a in constants]
+            binds, same = _binder(args, constants, slots)
+            bound = constants.union(args)
+            eqs = eqs_bound(constants, bound)
+            head_at = 0 if head_args <= constants else 1 if head_args <= bound else None
+            steps = []
+            todo = [i for i in range(len(rule.body)) if i != k]
+            while todo:
+                i = min(todo, key=lambda i: (-sum(a in bound for a in rule.body[i][1]), i))
+                todo.remove(i)
+                spred, sargs = rule.body[i]
+                keyed = [pos for pos, a in enumerate(sargs) if a in bound]
+                sbinds, ssame = _binder(sargs, bound, slots)
+                after = bound.union(sargs)
+                steps.append((
+                    self._table(spred, keyed, i < k),
+                    _key_getter([slots[sargs[pos]] for pos in keyed]),
+                    sbinds, ssame, eqs_bound(bound, after),
+                ))
+                bound = after
+                if head_at is None and head_args <= bound:
+                    head_at = len(steps) + 1
+            rule.plans.append(_Plan(rule, pred, consts, binds, same, eqs, steps, head_at))
+
+    def _index(self, atoms, tables, old: bool) -> None:
+        tables_of = self._tables_of
+        for pred, args in atoms:
+            entry = tables_of.get(pred)
+            if entry is None:
+                continue
+            for tid, key_of in entry[old]:
+                table = tables[tid]
+                key = key_of(args)
+                matches = table.get(key)
+                if matches is None:
+                    table[key] = [args]
+                else:
+                    matches.append(args)
 
     # -- fixpoint -----------------------------------------------------------
 
     def _fixpoint(self, state: State, temp_rules: list[_Rule]) -> ReachResult:
         task = self.task
-        layers: dict = {}
+        layers = dict(self._base_layers)
         achievers: dict = {}
-        by_pred: dict[str, list] = {}
-        index: dict = {}
+        tables = list(self._tables)
+        for tid in self._fluent_tables:
+            tables[tid] = {}
 
-        def commit(key, layer):
-            layers[key] = layer
-            pred, args = key
-            by_pred.setdefault(pred, []).append(args)
-            for pos, val in enumerate(args):
-                index.setdefault((pred, pos, val), []).append(args)
-
-        for key in self.base_facts:
-            if key not in layers:
-                commit(key, 0)
+        # layer-0 atoms indexed per call: the state's, plus the static facts
+        # of any static predicate the state extends
+        fresh: list = []
+        extended: set = set()
         for i in state:
             a = task.atom(i)
             key = (a.pred, a.args)
-            if key not in layers:
-                commit(key, 0)
+            if key in layers:
+                continue
+            if a.pred in self._static and a.pred not in extended:
+                extended.add(a.pred)
+                for entries in self._tables_of.get(a.pred, ()):
+                    for tid, _ in entries:
+                        tables[tid] = {}
+                fresh.extend(f for f in self.base_facts if f[0] == a.pred)
+            layers[key] = 0
+            fresh.append(key)
+        self._index(fresh, tables, old=False)
+        delta_by_pred = {p: m for p, m in self._base_by_pred.items() if p not in extended}
+        for pred, args in fresh:
+            delta_by_pred.setdefault(pred, []).append(args)
 
         rules = self.rules + temp_rules
-        delta: list[tuple] = list(layers)
+        new: list = []
         layer = 0
-        while delta:
-            layer += 1
-            delta_by_pred: dict[str, list] = {}
-            for pred, args in delta:
-                delta_by_pred.setdefault(pred, []).append(args)
-            new: dict = {}
+        pending = bool(layers)
 
-            for rule in rules:
-                if not rule.body:
-                    if layer == 1:
-                        self._emit(rule, {}, new, layers)
+        def derive(rule, head, b):
+            layers[head] = layer
+            achievers[head] = (rule, tuple(b))
+            new.append(head)
+
+        def descend(plan, d, b):
+            """Bind body atoms d+1.. of the plan (d are bound). True when a
+            head was derived below the point where the head became bound."""
+            tid, key_of, binds, same, eqs = plan.steps[d - 1]
+            matches = tables[tid].get(key_of(b))
+            if matches is None:
+                return False
+            rule = plan.rule
+            head_at = plan.head_at
+            d += 1
+            last = d == plan.n
+            for args in matches:
+                for pos, slot in binds:
+                    b[slot] = args[pos]
+                if same and any(args[p] != args[q] for p, q in same):
                     continue
-                for seed_pos, (pred, _) in enumerate(rule.body):
-                    for seed_args in delta_by_pred.get(pred, ()):
-                        binding: dict = {}
-                        if self._unify(rule.body[seed_pos][1], seed_args, binding):
-                            self._join(
-                                rule, seed_pos, binding, by_pred, index, new, layers
-                            )
+                if eqs is not None and not eqs(b):
+                    continue
+                if d == head_at:
+                    head = (rule.head[0], rule.head_args(b))
+                    if head in layers:
+                        continue
+                    if last:
+                        derive(rule, head, b)
+                    else:
+                        descend(plan, d, b)
+                elif last:
+                    derive(rule, (rule.head[0], rule.head_args(b)), b)
+                    return True
+                elif descend(plan, d, b) and d > head_at:
+                    return True
+            return False
 
-            for key, ach in new.items():
-                commit(key, layer)
-                achievers[key] = ach
-            delta = list(new)
+        while pending:
+            layer += 1
+            new = []
+            for rule in rules:
+                if rule.ground:
+                    if rule.head in layers or not rule.live:
+                        continue
+                    for key in rule.body:
+                        found = layers.get(key)
+                        if found is None or found >= layer:
+                            break
+                    else:
+                        if rule.body or layer == 1:
+                            derive(rule, rule.head, rule.template)
+                    continue
+                if not rule.plans or (rule.plans[0].head_at == 0 and rule.head in layers):
+                    continue
+                b = list(rule.template)
+                for k, plan in enumerate(rule.plans):
+                    if k and layer == 1:
+                        break
+                    seeds = delta_by_pred.get(plan.pred)
+                    if not seeds:
+                        continue
+                    consts, binds, same, eqs = plan.consts, plan.binds, plan.same, plan.eqs
+                    head_at = plan.head_at
+                    stop = False
+                    for args in seeds:
+                        if consts and any(args[p] != c for p, c in consts):
+                            continue
+                        if same and any(args[p] != args[q] for p, q in same):
+                            continue
+                        for pos, slot in binds:
+                            b[slot] = args[pos]
+                        if eqs is not None and not eqs(b):
+                            continue
+                        if plan.n == 1:
+                            head = (rule.head[0], rule.head_args(b))
+                            if head not in layers:
+                                derive(rule, head, b)
+                                stop = head_at == 0
+                        elif head_at == 1 and (rule.head[0], rule.head_args(b)) in layers:
+                            continue
+                        else:
+                            stop = descend(plan, 1, b) and head_at == 0
+                        if stop:
+                            break
+                    if stop:
+                        break
+
+            pending = bool(new)
+            if pending:
+                # the previous layer's atoms become old; this layer's, delta
+                self._index(fresh, tables, old=True)
+                self._index(new, tables, old=False)
+                fresh = new
+                delta_by_pred = {}
+                for pred, args in new:
+                    delta_by_pred.setdefault(pred, []).append(args)
 
         atoms = frozenset(
             key for key in layers if key[0] == EPSILON or key[0] not in _INTERNAL
         )
         return ReachResult(atoms, layers, achievers)
-
-    @staticmethod
-    def _unify(pattern, args, binding) -> bool:
-        for p, a in zip(pattern, args):
-            if p.startswith("?"):
-                bound = binding.get(p)
-                if bound is None:
-                    binding[p] = a
-                elif bound != a:
-                    return False
-            elif p != a:
-                return False
-        return True
-
-    def _eqs_ok(self, rule, binding) -> bool:
-        for x, y, want in rule.eqs:
-            xv = binding.get(x, x)
-            yv = binding.get(y, y)
-            if xv.startswith("?") or yv.startswith("?"):
-                continue
-            if (xv == yv) != want:
-                return False
-        return True
-
-    def _join(self, rule, seed_pos, binding, by_pred, index, new, layers) -> None:
-        """Backtracking join of the rule body against reached atoms, with the
-        seed position already bound. Candidate atoms come from the smallest
-        per-position index available."""
-        if not self._eqs_ok(rule, binding):
-            return
-        remaining = [i for i in range(len(rule.body)) if i != seed_pos]
-
-        def rec(todo, bind):
-            if not todo:
-                self._emit(rule, bind, new, layers)
-                return
-            # most-bound atom first
-            def boundness(i):
-                pred, args = rule.body[i]
-                return sum(1 for a in args if not a.startswith("?") or a in bind)
-
-            todo = sorted(todo, key=lambda i: (-boundness(i), i))
-            i, rest = todo[0], todo[1:]
-            pred, args = rule.body[i]
-            candidates = None
-            for pos, a in enumerate(args):
-                val = bind.get(a, a)
-                if not val.startswith("?"):
-                    lst = index.get((pred, pos, val), [])
-                    if candidates is None or len(lst) < len(candidates):
-                        candidates = lst
-            if candidates is None:
-                candidates = by_pred.get(pred, [])
-            for cand in candidates:
-                b2 = dict(bind)
-                if self._unify(args, cand, b2) and self._eqs_ok(rule, b2):
-                    rec(rest, b2)
-
-        rec(remaining, binding)
-
-    def _emit(self, rule, binding, new, layers) -> None:
-        if rule.schema is not None:
-            # a parameter can be free when it appears only in the add effect
-            for p in rule.schema.params:
-                if p not in binding:
-                    for obj in self.task.objects:
-                        b2 = dict(binding)
-                        b2[p] = obj
-                        self._emit(rule, b2, new, layers)
-                    return
-        if not self._eqs_ok(rule, binding):
-            return
-        head = (rule.head[0], _ground(rule.head[1], binding))
-        if head in layers or head in new:
-            return
-        if rule.action_key is not None:
-            key = rule.action_key
-        elif rule.schema is not None:
-            key = (rule.schema.name, tuple(binding[p] for p in rule.schema.params))
-        else:
-            key = None
-        body_keys = [(p, _ground(a, binding)) for p, a in rule.body]
-        new[head] = (key, body_keys)
 
     # -- heuristic values -----------------------------------------------------
 
@@ -254,10 +483,11 @@ class DatalogProgram:
             if key in seen or reach.layers[key] == 0:
                 continue
             seen.add(key)
-            action_key, body_keys = reach.achievers[key]
+            rule, binding = reach.achievers[key]
+            action_key = rule.action_of(binding)
             if action_key is not None:
                 actions.add(action_key)
-            stack.extend(body_keys)
+            stack.extend(rule.body_of(binding))
         return len(actions)
 
     def relaxed_reach(self, state: State, actions=None) -> ReachResult:
@@ -271,6 +501,8 @@ class DatalogProgram:
         return self._extract(self._fixpoint(state, []))
 
     def _temp_rules(self, actions) -> list[_Rule]:
+        """Ground rules, so they need no join plans: each fires at the first
+        layer that has its whole body."""
         if not self.restricted:
             raise ValueError("temporary action rules need a restricted program")
         temp: list[_Rule] = []

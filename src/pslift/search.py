@@ -82,19 +82,36 @@ def extract_plan(goal_node: SearchNode) -> list[GroundAction]:
     return plan
 
 
+def _current_rss_kb() -> int:
+    """Resident set size of this process now. Where /proc is missing, the
+    lifetime peak is the best available stand-in."""
+    try:
+        with open("/proc/self/statm", encoding="ascii") as f:
+            pages = int(f.read().split()[1])
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return pages * resource.getpagesize() // 1024
+
+
 class _Deadline:
+    """Time is polled before every heuristic evaluation, since one evaluation
+    can take longer than many expansions; memory every _LIMIT_CHECK_EVERY
+    expansions."""
+
     def __init__(self, limits: Limits | None):
         self.limits = limits or Limits()
         self.start = time.monotonic()
 
-    def exceeded(self) -> str | None:
+    def time_up(self) -> bool:
         lim = self.limits
-        if lim.time_s is not None and time.monotonic() - self.start > lim.time_s:
+        return lim.time_s is not None and time.monotonic() - self.start > lim.time_s
+
+    def exceeded(self) -> str | None:
+        if self.time_up():
             return "time"
-        if lim.memory_mb is not None:
-            rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            if rss_kb > lim.memory_mb * 1024:
-                return "memory"
+        lim = self.limits
+        if lim.memory_mb is not None and _current_rss_kb() > lim.memory_mb * 1024:
+            return "memory"
         return None
 
     def elapsed(self) -> float:
@@ -122,6 +139,8 @@ def gbfs_state(task: Task, heuristic, limits: Limits | None = None) -> SearchRes
         return finish(SOLVED, [])
 
     counter = itertools.count()
+    if deadline.time_up():
+        return finish(EXHAUSTED, reason="time")
     h0 = heuristic(s0)
     stats.evaluations = 1
     open_heap: list = []
@@ -147,6 +166,8 @@ def gbfs_state(task: Task, heuristic, limits: Limits | None = None) -> SearchRes
             child = SearchNode(succ, ROOT, node, action)
             if task.is_goal(succ):
                 return finish(SOLVED, extract_plan(child))
+            if deadline.time_up():
+                return finish(EXHAUSTED, reason="time")
             hv = heuristic(succ)
             stats.evaluations += 1
             if hv < INF:
@@ -198,6 +219,8 @@ def gbfs_partial(task: Task, heuristic, limits: Limits | None = None) -> SearchR
         return [SearchNode(node.state, k, node) for k in kids]
 
     counter = itertools.count()
+    if deadline.time_up():
+        return finish(EXHAUSTED, reason="time")
     h0 = heuristic(s0, ROOT)
     stats.evaluations = 1
     open_heap: list = []
@@ -222,6 +245,8 @@ def gbfs_partial(task: Task, heuristic, limits: Limits | None = None) -> SearchR
             if goal_node:
                 return finish(SOLVED, extract_plan(goal_node[0]))
         for child in succs:
+            if deadline.time_up():
+                return finish(EXHAUSTED, reason="time")
             hv = heuristic(child.state, child.rho)
             stats.evaluations += 1
             if hv < INF:

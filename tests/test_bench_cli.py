@@ -193,6 +193,16 @@ class TestCli:
         assert rc == 1
         assert read_records(str(csv_file))[0].outcome == "Timeout"
 
+    def test_solve_malformed_domain_exits_2_without_traceback(self, bw_files, tmp_path,
+                                                              capsys):
+        _, problem = bw_files
+        domain = tmp_path / "bad.pddl"
+        domain.write_text("(define (domain d) (:action a :parameters))")
+        rc = cli.main(["solve", str(domain), str(problem)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_validate_command(self, bw_files, tmp_path):
         domain, problem = bw_files
         good = tmp_path / "good.plan"

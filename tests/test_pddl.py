@@ -64,6 +64,20 @@ class TestParseDomain:
             parse_domain("(define (domain bad)")
         assert err.value.line >= 1
 
+    @pytest.mark.parametrize("text", [
+        "(define (domain))",
+        "(define (domain d) (:action))",
+        "(define (domain d) (:action a :parameters))",
+        "(define (domain d) (:predicates (p)) (:action a :effect (not ())))",
+        "(define (domain d) (:predicates (p)) (:action a :effect (not ((p)))))",
+        "(define (domain d) (:predicates (p)) (:action a :effect ((p))))",
+        "(define (domain d) (:predicates (p)) (:action a :precondition ((p))))",
+        "(define (domain d) (:requirements (:strips)))",
+    ])
+    def test_malformed_sections_raise_pddl_error(self, text):
+        with pytest.raises(PddlError):
+            parse_domain(text)
+
     def test_action_costs_parsed_and_ignored(self):
         text = """(define (domain costed)
           (:requirements :strips :action-costs)
@@ -87,6 +101,15 @@ class TestParseInstance:
         text = BW2_TEXT.replace("(on a b)", "(shiny a)")
         with pytest.raises(UndeclaredPredicate):
             parse_instance(text, bw_domain)
+
+    @pytest.mark.parametrize("old,new", [
+        ("(:goal (and (on a b)))", "(:goal ((on a b)))"),
+        ("(problem bw2)", "(problem)"),
+        ("(:domain blocksworld)", "(:domain)"),
+    ])
+    def test_malformed_sections_raise_pddl_error(self, bw_domain, old, new):
+        with pytest.raises(PddlError):
+            parse_instance(BW2_TEXT.replace(old, new), bw_domain)
 
     def test_empty_goal_is_goal_state(self, bw_domain):
         text = BW2_TEXT.replace("(:goal (and (on a b)))", "(:goal (and))")

@@ -78,6 +78,17 @@ class TestRelaxedReach:
                     assert reach.layers[key] == layer, key
 
 
+    def test_state_may_add_static_atoms(self, spanner_mini):
+        # a static atom outside init: the state's facts extend the static ones
+        task = spanner_mini
+        state = task.initial_state | {task.intern("link", ("p1", "p3"))}
+        reach = build_datalog(task).relaxed_reach(state)
+        _, oracle_layers = oracles.relaxed_reachable(task, state)
+        assert {k: v for k, v in reach.layers.items()
+                if not k[0].startswith("@")} == oracle_layers
+        assert reach.layers[("at", ("bob", "p3"))] == 1
+
+
 class TestHFF:
     def test_zero_iff_goal(self, bw2):
         h = FFHeuristic(bw2)

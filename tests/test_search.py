@@ -1,3 +1,6 @@
+import os
+import time
+
 import pytest
 
 from pslift.generators import generate_task
@@ -9,6 +12,7 @@ from pslift.search import (
     SOLVED,
     UNSOLVABLE,
     Limits,
+    _current_rss_kb,
     SearchNode,
     extract_plan,
     format_plan,
@@ -107,6 +111,40 @@ class TestGbfsPartial:
         assert a.plan == b.plan
         assert (a.stats.expansions, a.stats.evaluations, a.stats.generated) == (
             b.stats.expansions, b.stats.evaluations, b.stats.generated)
+
+
+class TestLimits:
+    """Limits are honoured close to where they are crossed."""
+
+    @pytest.mark.parametrize("space", ["state", "partial"])
+    def test_time_limit_overshoot_is_at_most_one_evaluation(self, space):
+        task = generate_task("blocksworld", seed=1, blocks=8)
+        durations = []
+
+        def slow(*args):
+            started = time.monotonic()
+            time.sleep(0.05)
+            durations.append(time.monotonic() - started)
+            return 1.0
+
+        limit = 0.25
+        search = gbfs_state if space == "state" else gbfs_partial
+        result = search(task, slow, Limits(time_s=limit))
+        assert result.status == EXHAUSTED and result.reason == "time"
+        # one evaluation, plus a margin for the search's own work
+        assert result.stats.wall_time <= limit + max(durations) + 0.05
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="current RSS needs /proc")
+    def test_memory_limit_ignores_an_earlier_peak(self, bw2):
+        buffer = b"x" * (256 << 20)  # pages are written, so they count as resident
+        peak_kb = _current_rss_kb()
+        del buffer
+        now_kb = _current_rss_kb()
+        assert peak_kb - now_kb > 200 << 10
+        limit_mb = (peak_kb + now_kb) / 2 / 1024
+        result = gbfs_state(bw2, FFHeuristic(bw2), Limits(memory_mb=limit_mb))
+        assert result.status == SOLVED
 
 
 class TestCompletenessParity:
