@@ -56,7 +56,7 @@ def cmd_solve(args) -> int:
     config = args.config_name or f"{args.search}-{label}"
 
     if args.dump_datalog:
-        program = relaxation.build_datalog(task, restricted=args.search == "partial")
+        program = relaxation.DatalogProgram(task, restricted=args.search == "partial")
         sys.stderr.write(program.dump())
 
     started = time.monotonic()

@@ -98,10 +98,6 @@ class PartialAction:
 ROOT = PartialAction(None, ())
 
 
-def specificity(rho: PartialAction) -> int:
-    return rho.specificity()
-
-
 def decompose(action: GroundAction) -> list[PartialAction]:
     """[ROOT, A(*..*), A(o1,*..), ..., a] with strictly increasing specificity."""
     steps: list[PartialAction] = [ROOT]

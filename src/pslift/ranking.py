@@ -168,24 +168,6 @@ def generate_dataset(
     return tuples
 
 
-def dataset_size_closed_form(alpha: int, beta: int, k: int, n: int) -> int:
-    """Tuple count on the synthetic family: alpha schemas of k parameters each,
-    beta objects filling any parameter independently, a plan of n actions.
-
-    Per step: 2(k+1) predecessor tuples, (alpha*beta^k - 1) action siblings,
-    and sum_i (alpha*beta^i - 1) chain siblings; plus one cross-state
-    predecessor tuple for every step after the first.
-    """
-    if n <= 0:
-        return 0
-    per_step = (
-        2 * (k + 1)
-        + (alpha * beta**k - 1)
-        + sum(alpha * beta**i - 1 for i in range(k + 1))
-    )
-    return n * per_step + (n - 1)
-
-
 def kind_histogram(dataset: list[RankingTuple]) -> dict[str, int]:
     hist = {k: 0 for k in KINDS}
     for t in dataset:

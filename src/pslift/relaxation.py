@@ -54,8 +54,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .lifted import GroundAction, PartialAction, State, instantiations
-from .pddl import ActionSchema, Atom, Predicate, Task
+from .lifted import PartialAction, State, instantiations
+from .pddl import Task
 
 INF = float("inf")
 
@@ -188,13 +188,19 @@ class _Plan:
 
 @dataclass
 class ReachResult:
-    """Fixpoint output: fluent atoms reached (plus the gate when restricted),
-    their unit-cost layers, and one achiever per derived atom, stored as the
-    (rule, binding) that derived it."""
+    """Fixpoint output: the unit-cost layer of every reached atom, and one
+    achiever per derived atom, stored as the (rule, binding) that derived
+    it."""
 
-    atoms: frozenset
     layers: dict
     achievers: dict
+
+    @property
+    def atoms(self) -> frozenset:
+        """The fluent atoms reached, plus the gate when restricted."""
+        return frozenset(
+            key for key in self.layers if key[0] == EPSILON or key[0] not in _INTERNAL
+        )
 
 
 def _ground(args, binding):
@@ -464,10 +470,7 @@ class DatalogProgram:
                 for pred, args in new:
                     delta_by_pred.setdefault(pred, []).append(args)
 
-        atoms = frozenset(
-            key for key in layers if key[0] == EPSILON or key[0] not in _INTERNAL
-        )
-        return ReachResult(atoms, layers, achievers)
+        return ReachResult(layers, achievers)
 
     # -- heuristic values -----------------------------------------------------
 
@@ -528,60 +531,6 @@ class DatalogProgram:
         return self._extract(self._fixpoint(state, self._temp_rules(actions)))
 
 
-def build_datalog(task: Task, restricted: bool = False) -> DatalogProgram:
-    return DatalogProgram(task, restricted=restricted)
-
-
-# ---------------------------------------------------------------------------
-# explicit restricted task (used by oracles and for debugging dumps)
-
-@dataclass
-class RestrictedTask:
-    """The task transform behind the restriction heuristic, materialised."""
-
-    base: Task
-    epsilon: Predicate
-    action_set: list[GroundAction]
-
-    def as_task(self) -> Task:
-        base = self.base
-        predicates = [(p.name, p.arity) for p in base.predicates]
-        predicates.append((EPSILON, 0))
-        eps_atom = Atom(EPSILON, ())
-        schemas = [
-            ActionSchema(
-                s.name, s.params, s.pre + (eps_atom,), s.add, s.delete, s.equalities
-            )
-            for s in base.schemas
-        ]
-        for i, a in enumerate(self.action_set):
-            binding = dict(zip(a.schema.params, a.args))
-            schemas.append(
-                ActionSchema(
-                    f"@restricted-{i}",
-                    (),
-                    tuple(Atom(p.pred, _ground(p.args, binding)) for p in a.schema.pre),
-                    tuple(Atom(p.pred, _ground(p.args, binding)) for p in a.schema.add)
-                    + (eps_atom,),
-                    tuple(Atom(p.pred, _ground(p.args, binding)) for p in a.schema.delete),
-                    (),
-                )
-            )
-        return Task(
-            base.domain_name,
-            base.problem_name,
-            predicates,
-            schemas,
-            list(base.objects),
-            [base.atom(i) for i in sorted(base.init)],
-            [base.atom(i) for i in sorted(base.goal)],
-        )
-
-
-def restrict_task(task: Task, actions) -> RestrictedTask:
-    return RestrictedTask(task, Predicate(EPSILON, 0), list(actions))
-
-
 # ---------------------------------------------------------------------------
 # heuristic callables for the search module
 
@@ -596,17 +545,16 @@ class FFHeuristic:
 
 
 class RestrictedFFHeuristic:
-    """Action-set FF heuristic: (state, rho or explicit action list) -> float."""
+    """Action-set FF heuristic: (state, partial action rho) -> float, with B
+    the applicable instantiations of rho."""
 
     def __init__(self, task: Task):
         self.task = task
         self.program = DatalogProgram(task, restricted=True)
 
-    def __call__(self, state: State, rho_or_actions) -> float:
-        if isinstance(rho_or_actions, PartialAction):
-            actions = list(instantiations(self.task, state, rho_or_actions))
-            if not actions:
-                # a node without applicable instantiations is a dead end
-                return 0 if self.task.is_goal(state) else INF
-            return self.program.h_ff_restricted(state, actions)
-        return self.program.h_ff_restricted(state, rho_or_actions)
+    def __call__(self, state: State, rho: PartialAction) -> float:
+        actions = list(instantiations(self.task, state, rho))
+        if not actions:
+            # a node without applicable instantiations is a dead end
+            return 0 if self.task.is_goal(state) else INF
+        return self.program.h_ff_restricted(state, actions)

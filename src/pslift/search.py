@@ -5,6 +5,9 @@ when a fully instantiated partial action is crossed. Single-successor chains
 are collapsed: the hop creates the node (it counts as generated) but is neither
 expanded nor evaluated, so the expansion/evaluation counters reflect real
 decisions only. Goal states are recognised at generation time.
+
+Both spaces run one loop, `_gbfs`; they differ only in the successor model
+and in the node the heuristic is given.
 """
 
 from __future__ import annotations
@@ -93,29 +96,73 @@ def _current_rss_kb() -> int:
     return pages * resource.getpagesize() // 1024
 
 
-class _Deadline:
-    """Time is polled before every heuristic evaluation, since one evaluation
+def _gbfs(task: Task, evaluate, expand, limits: Limits | None) -> SearchResult:
+    """The GBFS loop of both spaces. `expand(node, stats)` gives the children
+    of an expanded node, counting them in `stats.generated`; the loop
+    goal-tests each child, then evaluates it with `evaluate(node)` (inf
+    prunes) before it takes the next one. Ties are broken FIFO.
+
+    Time is polled before every heuristic evaluation, since one evaluation
     can take longer than many expansions; memory every _LIMIT_CHECK_EVERY
-    expansions."""
+    expansions.
+    """
+    lim = limits or Limits()
+    start = time.monotonic()
+    stats = SearchStats(generated=1)
+    open_heap: list = []
+    counter = itertools.count()
 
-    def __init__(self, limits: Limits | None):
-        self.limits = limits or Limits()
-        self.start = time.monotonic()
+    def finish(status, plan=None, reason=""):
+        stats.wall_time = time.monotonic() - start
+        return SearchResult(status, plan, stats, reason)
 
-    def time_up(self) -> bool:
-        lim = self.limits
-        return lim.time_s is not None and time.monotonic() - self.start > lim.time_s
+    def time_up() -> bool:
+        return lim.time_s is not None and time.monotonic() - start > lim.time_s
 
-    def exceeded(self) -> str | None:
-        if self.time_up():
-            return "time"
-        lim = self.limits
-        if lim.memory_mb is not None and _current_rss_kb() > lim.memory_mb * 1024:
-            return "memory"
+    def push(node: SearchNode) -> bool:
+        """Evaluate and queue a node; False when time is up first."""
+        if time_up():
+            return False
+        hv = evaluate(node)
+        stats.evaluations += 1
+        if hv < INF:
+            node.h = hv
+            heapq.heappush(open_heap, (hv, next(counter), node))
+        return True
+
+    root = SearchNode(task.initial_state, ROOT)
+    if task.is_goal(root.state):
+        return finish(SOLVED, [])
+    if not push(root):
+        return finish(EXHAUSTED, reason="time")
+
+    while open_heap:
+        if lim.max_expansions is not None and stats.expansions >= lim.max_expansions:
+            return finish(EXHAUSTED, reason="expansions")
+        if stats.expansions % _LIMIT_CHECK_EVERY == 0:
+            if time_up():
+                return finish(EXHAUSTED, reason="time")
+            if lim.memory_mb is not None and _current_rss_kb() > lim.memory_mb * 1024:
+                return finish(EXHAUSTED, reason="memory")
+        _, _, node = heapq.heappop(open_heap)
+        stats.expansions += 1
+        for child in expand(node, stats):
+            if task.is_goal(child.state):
+                return finish(SOLVED, extract_plan(child))
+            if not push(child):
+                return finish(EXHAUSTED, reason="time")
+    return finish(UNSOLVABLE)
+
+
+def _cross(task: Task, node: SearchNode, action: GroundAction, closed: set, stats):
+    """The child that applying `action` at `node` reaches, or None when its
+    state is closed; generated either way."""
+    succ = _apply_effects(task, node.state, action)
+    stats.generated += 1
+    if succ in closed:
         return None
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.start
+    closed.add(succ)
+    return SearchNode(succ, ROOT, node, action)
 
 
 def gbfs_state(task: Task, heuristic, limits: Limits | None = None) -> SearchResult:
@@ -124,56 +171,15 @@ def gbfs_state(task: Task, heuristic, limits: Limits | None = None) -> SearchRes
     Ties are broken FIFO, duplicates are pruned by a closed list, and the goal
     test runs when a node is generated.
     """
-    stats = SearchStats()
-    deadline = _Deadline(limits)
-    lim = deadline.limits
+    closed = {task.initial_state}
 
-    def finish(status, plan=None, reason=""):
-        stats.wall_time = deadline.elapsed()
-        return SearchResult(status, plan, stats, reason)
-
-    s0 = task.initial_state
-    root = SearchNode(s0, ROOT)
-    stats.generated = 1
-    if task.is_goal(s0):
-        return finish(SOLVED, [])
-
-    counter = itertools.count()
-    if deadline.time_up():
-        return finish(EXHAUSTED, reason="time")
-    h0 = heuristic(s0)
-    stats.evaluations = 1
-    open_heap: list = []
-    if h0 < INF:
-        heapq.heappush(open_heap, (h0, next(counter), root))
-    closed = {s0}
-
-    while open_heap:
-        if lim.max_expansions is not None and stats.expansions >= lim.max_expansions:
-            return finish(EXHAUSTED, reason="expansions")
-        if stats.expansions % _LIMIT_CHECK_EVERY == 0:
-            why = deadline.exceeded()
-            if why:
-                return finish(EXHAUSTED, reason=why)
-        _, _, node = heapq.heappop(open_heap)
-        stats.expansions += 1
+    def expand(node, stats):
         for action in instantiations(task, node.state, ROOT):
-            succ = _apply_effects(task, node.state, action)
-            stats.generated += 1
-            if succ in closed:
-                continue
-            closed.add(succ)
-            child = SearchNode(succ, ROOT, node, action)
-            if task.is_goal(succ):
-                return finish(SOLVED, extract_plan(child))
-            if deadline.time_up():
-                return finish(EXHAUSTED, reason="time")
-            hv = heuristic(succ)
-            stats.evaluations += 1
-            if hv < INF:
-                child.h = hv
-                heapq.heappush(open_heap, (hv, next(counter), child))
-    return finish(UNSOLVABLE)
+            child = _cross(task, node, action, closed, stats)
+            if child is not None:
+                yield child
+
+    return _gbfs(task, lambda node: heuristic(node.state), expand, limits)
 
 
 def gbfs_partial(task: Task, heuristic, limits: Limits | None = None) -> SearchResult:
@@ -185,74 +191,25 @@ def gbfs_partial(task: Task, heuristic, limits: Limits | None = None) -> SearchR
     state. The closed list applies to the resulting states only: partial nodes
     with equal states but different rho are distinct decisions.
     """
-    stats = SearchStats()
-    deadline = _Deadline(limits)
-    lim = deadline.limits
+    closed = {task.initial_state}
 
-    def finish(status, plan=None, reason=""):
-        stats.wall_time = deadline.elapsed()
-        return SearchResult(status, plan, stats, reason)
-
-    s0 = task.initial_state
-    root = SearchNode(s0, ROOT)
-    stats.generated = 1
-    if task.is_goal(s0):
-        return finish(SOLVED, [])
-
-    closed = {s0}
-    goal_node: list[SearchNode] = []
-
-    def successors(node: SearchNode) -> list[SearchNode]:
+    def successors(node, stats):
         if node.rho.is_full:
-            action = node.rho.as_ground_action()
-            succ = _apply_effects(task, node.state, action)
-            stats.generated += 1
-            if succ in closed:
-                return []
-            closed.add(succ)
-            child = SearchNode(succ, ROOT, node, action)
-            if task.is_goal(succ):
-                goal_node.append(child)
-            return [child]
+            child = _cross(task, node, node.rho.as_ground_action(), closed, stats)
+            return [] if child is None else [child]
         kids = children(task, node.state, node.rho)
         stats.generated += len(kids)
         return [SearchNode(node.state, k, node) for k in kids]
 
-    counter = itertools.count()
-    if deadline.time_up():
-        return finish(EXHAUSTED, reason="time")
-    h0 = heuristic(s0, ROOT)
-    stats.evaluations = 1
-    open_heap: list = []
-    if h0 < INF:
-        heapq.heappush(open_heap, (h0, next(counter), root))
+    def expand(node, stats):
+        succs = successors(node, stats)
+        # collapse single-successor chains without expanding or evaluating
+        # them; a goal ends the chain, so that the loop's goal test sees it
+        while len(succs) == 1 and not task.is_goal(succs[0].state):
+            succs = successors(succs[0], stats)
+        return succs
 
-    while open_heap:
-        if lim.max_expansions is not None and stats.expansions >= lim.max_expansions:
-            return finish(EXHAUSTED, reason="expansions")
-        if stats.expansions % _LIMIT_CHECK_EVERY == 0:
-            why = deadline.exceeded()
-            if why:
-                return finish(EXHAUSTED, reason=why)
-        _, _, node = heapq.heappop(open_heap)
-        stats.expansions += 1
-        succs = successors(node)
-        if goal_node:
-            return finish(SOLVED, extract_plan(goal_node[0]))
-        # collapse single-successor chains without expanding or evaluating them
-        while len(succs) == 1:
-            succs = successors(succs[0])
-            if goal_node:
-                return finish(SOLVED, extract_plan(goal_node[0]))
-        for child in succs:
-            if deadline.time_up():
-                return finish(EXHAUSTED, reason="time")
-            hv = heuristic(child.state, child.rho)
-            stats.evaluations += 1
-            if hv < INF:
-                child.h = hv
-                heapq.heappush(open_heap, (hv, next(counter), child))
-    return finish(UNSOLVABLE)
+    return _gbfs(task, lambda node: heuristic(node.state, node.rho), expand, limits)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
 
-from pslift.pddl import Task
+from pslift.pddl import ActionSchema, Atom, Task
+from pslift.relaxation import EPSILON
 
 
 def ground_atoms(task, schema, args, atoms):
@@ -200,3 +202,78 @@ def optimal_relaxed_plan_length(task: Task, state, max_states: int = 500_000):
                 return depth + 1
             queue.append((succ, depth + 1))
     return None
+
+
+# ---------------------------------------------------------------------------
+# the restriction transform, materialised as a task
+
+
+@dataclass
+class RestrictedTask:
+    """The task transform behind the restriction heuristic: a 0-ary gate
+    predicate joins every original schema's precondition, and each action of
+    the set becomes a parameterless schema that also adds the gate."""
+
+    base: Task
+    action_set: list
+
+    def as_task(self) -> Task:
+        base = self.base
+        predicates = [(p.name, p.arity) for p in base.predicates]
+        predicates.append((EPSILON, 0))
+        eps_atom = Atom(EPSILON, ())
+        schemas = [
+            ActionSchema(
+                s.name, s.params, s.pre + (eps_atom,), s.add, s.delete, s.equalities
+            )
+            for s in base.schemas
+        ]
+        for i, a in enumerate(self.action_set):
+            def ground(atoms):
+                return tuple(Atom(pred, args) for pred, args in
+                             ground_atoms(base, a.schema, a.args, atoms))
+
+            schemas.append(
+                ActionSchema(
+                    f"@restricted-{i}",
+                    (),
+                    ground(a.schema.pre),
+                    ground(a.schema.add) + (eps_atom,),
+                    ground(a.schema.delete),
+                    (),
+                )
+            )
+        return Task(
+            base.domain_name,
+            base.problem_name,
+            predicates,
+            schemas,
+            list(base.objects),
+            [base.atom(i) for i in sorted(base.init)],
+            [base.atom(i) for i in sorted(base.goal)],
+        )
+
+
+def restrict_task(task: Task, actions) -> RestrictedTask:
+    return RestrictedTask(task, list(actions))
+
+
+# ---------------------------------------------------------------------------
+# ranking datasets
+
+def dataset_size_closed_form(alpha: int, beta: int, k: int, n: int) -> int:
+    """Tuple count on the synthetic family: alpha schemas of k parameters each,
+    beta objects filling any parameter independently, a plan of n actions.
+
+    Per step: 2(k+1) predecessor tuples, (alpha*beta^k - 1) action siblings,
+    and sum_i (alpha*beta^i - 1) chain siblings; plus one cross-state
+    predecessor tuple for every step after the first.
+    """
+    if n <= 0:
+        return 0
+    per_step = (
+        2 * (k + 1)
+        + (alpha * beta**k - 1)
+        + sum(alpha * beta**i - 1 for i in range(k + 1))
+    )
+    return n * per_step + (n - 1)

@@ -16,10 +16,9 @@ from pslift.graphs import LabeledGraph, aeg, aoag, effect_partition, ilg
 from pslift.lifted import (ROOT, GroundAction, PartialAction, _apply_effects,
                            instantiations)
 from pslift.pddl import ActionSchema, Atom, Task
-from pslift.ranking import (RankingTuple, TrainConfig, dataset_size_closed_form,
-                            evaluate, generate_dataset, hinge_slack, informative,
-                            load_model, satisfied_fraction, save_model, train_lp,
-                            train_model)
+from pslift.ranking import (RankingTuple, TrainConfig, evaluate, generate_dataset,
+                            hinge_slack, informative, load_model, satisfied_fraction,
+                            save_model, train_lp, train_model)
 from pslift.relaxation import (EPSILON, DatalogProgram, FFHeuristic,
                                RestrictedFFHeuristic)
 from pslift.search import SOLVED, UNSOLVABLE, Limits, gbfs_partial, gbfs_state
@@ -312,7 +311,7 @@ def test_criterion_5_dataset_closed_form():
                         task, plan, fv,
                         {"lp": 1.0, "ls": 1.0, "sp": 1.0, "ss": 1.0})
                     counted += 1
-                    if len(data) != dataset_size_closed_form(alpha, beta, k, n):
+                    if len(data) != oracles.dataset_size_closed_form(alpha, beta, k, n):
                         mismatches += 1
     conclude(5, "dataset size matches the closed form on the synthetic family",
              counted == 36 and mismatches == 0, f"{counted} combinations")

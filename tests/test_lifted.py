@@ -13,7 +13,6 @@ from pslift.lifted import (
     decompose,
     instantiations,
     is_applicable,
-    specificity,
 )
 
 import oracles
@@ -64,18 +63,18 @@ class TestApply:
 
 class TestSpecificity:
     def test_root_is_zero(self):
-        assert specificity(ROOT) == 0
+        assert ROOT.specificity() == 0
 
     def test_schema_only_is_one(self, bw2):
-        assert specificity(PartialAction(bw2.schema("stack"), ())) == 1
+        assert PartialAction(bw2.schema("stack"), ()).specificity() == 1
 
     def test_prefix_counts(self, bw2):
-        assert specificity(PartialAction(bw2.schema("stack"), ("b",))) == 2
-        assert specificity(PartialAction(bw2.schema("stack"), ("b", "a"))) == 3
+        assert PartialAction(bw2.schema("stack"), ("b",)).specificity() == 2
+        assert PartialAction(bw2.schema("stack"), ("b", "a")).specificity() == 3
 
     def test_decompose_increasing(self, bw2):
         chain = decompose(act(bw2, "stack", "b", "a"))
-        assert [specificity(r) for r in chain] == [0, 1, 2, 3]
+        assert [r.specificity() for r in chain] == [0, 1, 2, 3]
 
 
 class TestChildren:

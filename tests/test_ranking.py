@@ -16,7 +16,6 @@ from pslift.ranking import (
     LinearModel,
     RankingTuple,
     TrainConfig,
-    dataset_size_closed_form,
     evaluate,
     generate_dataset,
     hinge_slack,
@@ -90,7 +89,7 @@ class TestGenerateDataset:
         data = generate_dataset(task, plan, stub_phi_factory(), IMPS)
         # one in-state pair, one state predecessor, no siblings, no cross-state
         assert kind_histogram(data) == {"lp": 1, "ls": 0, "sp": 1, "ss": 0}
-        assert len(data) == dataset_size_closed_form(1, 1, 0, 1) == 2
+        assert len(data) == oracles.dataset_size_closed_form(1, 1, 0, 1) == 2
 
     def test_sibling_relations_hold(self, bw3_stack):
         plan = oracles.bfs_plan(bw3_stack)
@@ -144,9 +143,9 @@ def synthetic_task(alpha: int, beta: int, k: int) -> Task:
 
 class TestClosedForm:
     def test_hand_computed_values(self):
-        assert dataset_size_closed_form(1, 1, 1, 1) == 4
-        assert dataset_size_closed_form(2, 2, 1, 1) == 11
-        assert dataset_size_closed_form(3, 2, 0, 0) == 0
+        assert oracles.dataset_size_closed_form(1, 1, 1, 1) == 4
+        assert oracles.dataset_size_closed_form(2, 2, 1, 1) == 11
+        assert oracles.dataset_size_closed_form(3, 2, 0, 0) == 0
 
     @pytest.mark.parametrize("alpha", [1, 2])
     @pytest.mark.parametrize("beta", [1, 2, 3])
@@ -161,7 +160,7 @@ class TestClosedForm:
             args = tuple(task.objects[rng.randrange(beta)] for _ in range(k))
             plan.append(GroundAction(schema, args))
         data = generate_dataset(task, plan, stub_phi_factory(), IMPS)
-        assert len(data) == dataset_size_closed_form(alpha, beta, k, n)
+        assert len(data) == oracles.dataset_size_closed_form(alpha, beta, k, n)
 
 
 class TestTrainLp:

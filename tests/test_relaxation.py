@@ -11,8 +11,6 @@ from pslift.relaxation import (
     DatalogProgram,
     FFHeuristic,
     RestrictedFFHeuristic,
-    build_datalog,
-    restrict_task,
 )
 
 import oracles
@@ -24,7 +22,7 @@ def act(task, name, *args):
 
 class TestBuildDatalog:
     def test_pickup_rule_shape(self, bw2):
-        program = build_datalog(bw2)
+        program = DatalogProgram(bw2)
         texts = program.dump().splitlines()
         assert "holding(?x) :- clear(?x), ontable(?x), handempty." in texts
 
@@ -32,19 +30,19 @@ class TestBuildDatalog:
         from pslift.pddl import ActionSchema, Atom, Task
         schema = ActionSchema("burn", ("?x",), (Atom("p", ("?x",)),), (), (Atom("p", ("?x",)),))
         task = Task("d", "q", [("p", 1)], [schema], ["o"], [Atom("p", ("o",))], [])
-        program = build_datalog(task)
+        program = DatalogProgram(task)
         # only the goal rule remains
         assert [r for r in program.rules if r.schema is not None] == []
 
     def test_goal_rule(self, bw2):
-        program = build_datalog(bw2)
+        program = DatalogProgram(bw2)
         goal_rules = [r.text() for r in program.rules if r.head[0] == "@goal"]
         assert goal_rules == ["@goal :- on(a,b)."]
 
 
 class TestRelaxedReach:
     def test_bw2_everything_reachable(self, bw2):
-        program = build_datalog(bw2)
+        program = DatalogProgram(bw2)
         reach = program.relaxed_reach(bw2.initial_state)
         assert ("holding", ("a",)) in reach.atoms
         assert ("on", ("a", "b")) in reach.atoms
@@ -55,12 +53,12 @@ class TestRelaxedReach:
         from pslift.pddl import Atom, Task
         task = Task("d", "q", [("p", 1), ("q", 1)], [], ["o"], [Atom("p", ("o",))],
                     [Atom("q", ("o",))])
-        program = build_datalog(task)
+        program = DatalogProgram(task)
         reach = program.relaxed_reach(task.initial_state)
         assert reach.atoms == frozenset({("p", ("o",))})
 
     def test_goal_state_derives_goal_at_layer_one(self, bw2):
-        program = build_datalog(bw2)
+        program = DatalogProgram(bw2)
         goal_state = frozenset(
             {bw2.intern("on", ("a", "b")), bw2.intern("ontable", ("b",)),
              bw2.intern("clear", ("a",)), bw2.intern("handempty", ())}
@@ -70,7 +68,7 @@ class TestRelaxedReach:
 
     def test_layers_match_grounded_hmax(self, bw2, bw3_stack, spanner_mini):
         for task in (bw2, bw3_stack, spanner_mini):
-            program = build_datalog(task)
+            program = DatalogProgram(task)
             reach = program.relaxed_reach(task.initial_state)
             _, oracle_layers = oracles.relaxed_reachable(task, task.initial_state)
             for key, layer in oracle_layers.items():
@@ -82,7 +80,7 @@ class TestRelaxedReach:
         # a static atom outside init: the state's facts extend the static ones
         task = spanner_mini
         state = task.initial_state | {task.intern("link", ("p1", "p3"))}
-        reach = build_datalog(task).relaxed_reach(state)
+        reach = DatalogProgram(task).relaxed_reach(state)
         _, oracle_layers = oracles.relaxed_reachable(task, state)
         assert {k: v for k, v in reach.layers.items()
                 if not k[0].startswith("@")} == oracle_layers
@@ -125,7 +123,7 @@ class TestAgainstAdditiveOracle:
     def test_dead_end_agreement_and_lower_bound(self, family, params, seed):
         task = generate_task(family, seed=seed, **params)
         h = FFHeuristic(task)
-        program = build_datalog(task)
+        program = DatalogProgram(task)
         rng = random.Random(seed)
         for state in random_reachable_states(task, rng, 5):
             ff = h(state)
@@ -140,12 +138,12 @@ class TestAgainstAdditiveOracle:
 
 class TestRestrictTask:
     def test_empty_set_goal_only_if_satisfied(self, bw2):
-        restricted = restrict_task(bw2, []).as_task()
+        restricted = oracles.restrict_task(bw2, []).as_task()
         assert not oracles.relaxed_goal_reachable(restricted, oracles.intern_keys(
             restricted, oracles.state_to_keys(bw2, bw2.initial_state)))
 
     def test_singleton_materialization(self, bw2):
-        restricted = restrict_task(bw2, [act(bw2, "pickup", "a")])
+        restricted = oracles.restrict_task(bw2, [act(bw2, "pickup", "a")])
         as_task = restricted.as_task()
         temp = as_task.schema("@restricted-0")
         assert temp.params == ()
@@ -155,7 +153,7 @@ class TestRestrictTask:
 
     def test_full_set_size(self, bw2):
         actions = list(instantiations(bw2, bw2.initial_state, ROOT))
-        as_task = restrict_task(bw2, actions).as_task()
+        as_task = oracles.restrict_task(bw2, actions).as_task()
         assert len(as_task.schemas) == len(bw2.schemas) + len(actions)
 
 
@@ -166,10 +164,10 @@ class TestHFFRestricted:
         # oracle: optimal relaxed plans on the materialized restricted tasks
         for block, expected in (("a", 2), ("b", 3)):
             action = act(bw2, "pickup", block)
-            restricted = restrict_task(bw2, [action]).as_task()
+            restricted = oracles.restrict_task(bw2, [action]).as_task()
             state = oracles.intern_keys(restricted, oracles.state_to_keys(bw2, s0))
             assert oracles.optimal_relaxed_plan_length(restricted, state) == expected
-            assert h(s0, [action]) == expected
+            assert h.program.h_ff_restricted(s0, [action]) == expected
 
     def test_goal_state_is_zero_for_any_set(self, bw2):
         h = RestrictedFFHeuristic(bw2)
@@ -177,13 +175,13 @@ class TestHFFRestricted:
             {bw2.intern("on", ("a", "b")), bw2.intern("ontable", ("b",)),
              bw2.intern("clear", ("a",)), bw2.intern("handempty", ())}
         )
-        assert h(goal_state, []) == 0
+        assert h.program.h_ff_restricted(goal_state, []) == 0
         acts = list(instantiations(bw2, goal_state, ROOT))
-        assert h(goal_state, acts) == 0
+        assert h.program.h_ff_restricted(goal_state, acts) == 0
 
     def test_empty_set_raises_when_not_goal(self, bw2):
         with pytest.raises(EmptyActionSet):
-            RestrictedFFHeuristic(bw2)(bw2.initial_state, [])
+            RestrictedFFHeuristic(bw2).program.h_ff_restricted(bw2.initial_state, [])
 
     def test_accepts_partial_action(self, bw2):
         from pslift.lifted import PartialAction
@@ -191,7 +189,7 @@ class TestHFFRestricted:
         assert h(bw2.initial_state, PartialAction(bw2.schema("pickup"), ("a",))) == 2
 
     def test_interleaved_calls_are_stateless(self, bw2):
-        h = RestrictedFFHeuristic(bw2)
+        h = RestrictedFFHeuristic(bw2).program.h_ff_restricted
         s0 = bw2.initial_state
         a_only = h(s0, [act(bw2, "pickup", "a")])
         b_only = h(s0, [act(bw2, "pickup", "b")])
