@@ -26,7 +26,7 @@ CSV_COMMENT = "# partial-space expansions/evaluations exclude collapsed single-s
 CSV_HEADER = "domain,instance,config,outcome,plan_length,expansions,evaluations,generated,branching_factor,wall_ms"
 
 
-class MalformedCSV(Exception):
+class MalformedCSV(ValueError):
     pass
 
 

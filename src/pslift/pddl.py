@@ -53,7 +53,7 @@ class UnknownType(PddlError):
 # ---------------------------------------------------------------------------
 # tokenizer / s-expression reader
 
-_WORD_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789-_=?:.@")
+_WORD_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789-_=?:.")
 
 
 def _tokenize(text: str):
@@ -344,12 +344,6 @@ class Task:
             frozenset((self._atoms[i].pred, self._atoms[i].args) for i in self.init),
             frozenset((self._atoms[i].pred, self._atoms[i].args) for i in self.goal),
         )
-
-
-def static_predicates(task: Task) -> set[Predicate]:
-    """Predicates absent from every schema's add and delete list."""
-    in_effect = {a.pred for s in task.schemas for a in s.add + s.delete}
-    return {p for p in task.predicates if p.name not in in_effect}
 
 
 # ---------------------------------------------------------------------------

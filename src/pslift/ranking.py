@@ -43,11 +43,11 @@ class SolverFailure(Exception):
     pass
 
 
-class FormatVersionMismatch(Exception):
+class FormatVersionMismatch(ValueError):
     pass
 
 
-class CorruptModel(Exception):
+class CorruptModel(ValueError):
     pass
 
 

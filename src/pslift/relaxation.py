@@ -22,7 +22,8 @@ same first bindings while enumerating far fewer:
   variable slots, repeated-variable checks, and the equality literals that
   become fully bound there. Index lists are filled in commit order, so a
   multi-column key yields exactly the matches, in the same order, that
-  filtering any one-column list would.
+  filtering any one-column list would. The seed atom is step 0, matched
+  against an index of the previous layer's atoms keyed by its constants.
 * Semi-naive seeding. With seed position k, body atoms before k match only
   atoms committed before the previous layer. A binding skipped this way has
   an atom from the previous layer at some position j < k, so it was already
@@ -33,9 +34,9 @@ same first bindings while enumerating far fewer:
   already derived prunes the branch, and a head just derived by the branch's
   first completion ends the branch. Every skipped completion would have
   derived an atom that already has its achiever.
-* Fully ground rules (the goal rule and the temporary rules) fire at the
-  first layer that has all their body atoms, which is exactly when a join
-  would have bound them first.
+* Fully ground rules (the goal rule, and schemas without parameters) fire
+  at the first layer that has all their body atoms, which is exactly when a
+  join would have bound them first.
 
 Static facts and `@object` facts are indexed once per program; each call
 indexes only the state and the derived atoms. Achievers are stored as (rule,
@@ -43,9 +44,15 @@ binding) and expanded into action and body atoms only for the atoms that
 extraction visits.
 
 The action-set variant evaluates the transformed task in which a fresh 0-ary
-predicate gates every original schema and each action of the given set B is a
-temporary 0-ary schema that additionally adds the gate. The temporary rules
-live only for the duration of one evaluation.
+gate predicate guards every original schema and only the actions of the
+given set B open it. All of B is applicable in the state, so each action of
+B fires at layer 1 and never again; the fixpoint therefore applies B directly
+after the layer-1 rules, in the given order: each add atom not yet reached
+enters layer 1 with that action as its achiever, and the gate enters right
+after the adds of B[0]. The order of B is part of the result, as it decides
+the achiever of an atom that two actions of B add. Extraction counts such an
+achiever by the action itself and does not expand it, as its preconditions
+are all at layer 0.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .lifted import PartialAction, State, instantiations
+from .lifted import PartialAction, State, instantiations, is_applicable
 from .pddl import Task
 
 INF = float("inf")
@@ -63,6 +70,11 @@ EPSILON = "@epsilon"
 GOAL = "@goal"
 OBJ = "@object"
 _INTERNAL = {EPSILON, GOAL, OBJ}
+GATE = (EPSILON, ())
+
+# index table kinds: every atom so far, atoms older than the previous layer,
+# and the previous layer's atoms (at layer 1, every layer-0 atom)
+_ALL, _OLD, _DELTA = 0, 1, 2
 
 
 class EmptyActionSet(Exception):
@@ -73,12 +85,13 @@ def _is_var(arg: str) -> bool:
     return arg.startswith("?")
 
 
-def _no_key(seq):
-    return None
+# key of a table without key positions: 0 for any sequence, from a C-level
+# callable, which is cheaper to call than a Python function
+_no_key = ().count
 
 
 def _key_getter(idx):
-    """Index key of a sequence at positions idx: None, a value or a tuple."""
+    """Index key of a sequence at positions idx: 0, a value or a tuple."""
     return itemgetter(*idx) if idx else _no_key
 
 
@@ -108,15 +121,14 @@ class _Rule:
     variables first (in order of first appearance in the body), then
     constants. A binding is a sequence indexed by slot."""
 
-    __slots__ = ("head", "body", "eqs", "schema", "action_key", "slots", "template",
+    __slots__ = ("head", "body", "eqs", "schema", "slots", "template",
                  "ground", "live", "head_args", "body_args", "param_args", "plans")
 
-    def __init__(self, head, body, eqs, schema, action_key):
+    def __init__(self, head, body, eqs, schema):
         self.head = head          # (pred, args) with '?' vars or constants
         self.body = tuple(body)
         self.eqs = tuple(eqs)
         self.schema = schema      # ActionSchema for schema rules, else None
-        self.action_key = action_key  # fixed identity for temporary rules
 
         terms = [a for _, args in self.body for a in args]
         terms = dict.fromkeys(terms + list(head[1]) + [t for x, y, _ in self.eqs for t in (x, y)])
@@ -153,8 +165,6 @@ class _Rule:
     # -- lazy achiever expansion ---------------------------------------------
 
     def action_of(self, binding):
-        if self.action_key is not None:
-            return self.action_key
         if self.schema is not None:
             return (self.schema.name, self.param_args(binding))
         return None
@@ -166,22 +176,18 @@ class _Rule:
 class _Plan:
     """Join order of a rule seeded at one body position.
 
-    The seed atom matches atoms new in the previous layer; `steps` then bind
-    the other body atoms most-bound first. A step is (table id, key getter
-    over the binding, [(arg position, slot)] to bind, [(position, position)]
-    that must be equal, test of the equality literals bound there or None)."""
+    Step 0 binds the seed atom from the atoms new in the previous layer; the
+    later steps bind the other body atoms most-bound first. A step is (table
+    id, key getter over the binding, [(arg position, slot)] to bind,
+    [(position, position)] that must be equal, test of the equality literals
+    bound there or None)."""
 
-    __slots__ = ("rule", "pred", "consts", "binds", "same", "eqs", "steps", "n", "head_at")
+    __slots__ = ("rule", "steps", "n", "head_at")
 
-    def __init__(self, rule, pred, consts, binds, same, eqs, steps, head_at):
+    def __init__(self, rule, steps, head_at):
         self.rule = rule
-        self.pred = pred
-        self.consts = consts
-        self.binds = binds
-        self.same = same
-        self.eqs = eqs
         self.steps = steps
-        self.n = len(steps) + 1
+        self.n = len(steps)
         # body atoms bound once every head variable is (0: the head is ground)
         self.head_at = head_at
 
@@ -190,7 +196,7 @@ class _Plan:
 class ReachResult:
     """Fixpoint output: the unit-cost layer of every reached atom, and one
     achiever per derived atom, stored as the (rule, binding) that derived
-    it."""
+    it, or as (action, None) for an action of the set B."""
 
     layers: dict
     achievers: dict
@@ -201,10 +207,6 @@ class ReachResult:
         return frozenset(
             key for key in self.layers if key[0] == EPSILON or key[0] not in _INTERNAL
         )
-
-
-def _ground(args, binding):
-    return tuple(binding.get(a, a) for a in args)
 
 
 def _binder(args, bound, slots):
@@ -233,15 +235,15 @@ class DatalogProgram:
             seen = {v for a in schema.pre for v in a.args if _is_var(v)}
             body.extend((OBJ, (p,)) for p in schema.params if p not in seen)
             if restricted:
-                body.append((EPSILON, ()))
+                body.append(GATE)
             for add in schema.add:
                 self.rules.append(
-                    _Rule((add.pred, add.args), body, schema.equalities, schema, None)
+                    _Rule((add.pred, add.args), body, schema.equalities, schema)
                 )
         goal_body = [
             (task.atom(g).pred, task.atom(g).args) for g in sorted(task.goal)
         ]
-        self.rules.append(_Rule((GOAL, ()), goal_body, (), None, None))
+        self.rules.append(_Rule((GOAL, ()), goal_body, (), None))
 
         self.base_facts: list[tuple] = [
             (task.atom(i).pred, task.atom(i).args) for i in sorted(task.static_atoms)
@@ -250,10 +252,11 @@ class DatalogProgram:
         self._base_layers = dict.fromkeys(self.base_facts, 0)
         self._static = {p.name for p in task.predicates if p.is_static} | {OBJ}
 
-        # index tables: one per (predicate, key positions, old?); a table
+        # index tables: one per (predicate, key positions, kind); a table
         # maps a key to the matching atoms' args in commit order
         self._table_ids: dict = {}
-        self._tables_of: dict[str, tuple[list, list]] = {}   # pred -> (all, old)
+        # pred -> (its _ALL and _DELTA tables, its _OLD tables)
+        self._tables_of: dict[str, tuple[list, list]] = {}
         for rule in self.rules:
             self._compile(rule)
         self._tables: list = [{} for _ in self._table_ids]
@@ -262,65 +265,62 @@ class DatalogProgram:
         self._fluent_tables = [
             tid for (pred, _, _), tid in self._table_ids.items() if pred not in self._static
         ]
-        self._base_by_pred: dict[str, list] = {}
-        for pred, args in self._base_layers:
-            self._base_by_pred.setdefault(pred, []).append(args)
+        self._delta_tables = [
+            tid for (_, _, kind), tid in self._table_ids.items() if kind == _DELTA
+        ]
 
     def dump(self) -> str:
         return "\n".join(r.text() for r in self.rules) + "\n"
 
     # -- compilation ----------------------------------------------------------
 
-    def _table(self, pred, positions, old) -> int:
-        key = (pred, tuple(positions), old)
+    def _table(self, pred, positions, kind) -> int:
+        key = (pred, tuple(positions), kind)
         tid = self._table_ids.get(key)
         if tid is None:
             tid = self._table_ids[key] = len(self._table_ids)
-            self._tables_of.setdefault(pred, ([], []))[old].append(
+            self._tables_of.setdefault(pred, ([], []))[kind == _OLD].append(
                 (tid, _key_getter(positions)))
         return tid
 
     def _compile(self, rule: _Rule) -> None:
-        """One plan per seed position; the order of the other body atoms is
-        most-bound first, ties by position, with boundness counting constant
-        and already bound argument positions."""
+        """One plan per seed position: the seed first, then the other body
+        atoms most-bound first, ties by position, with boundness counting
+        constant and already bound argument positions."""
         if rule.ground or not rule.live:
             return
         slots = rule.slots
         constants = {a for a in slots if not _is_var(a)}   # bound from the start
         head_args = set(rule.head[1])
 
-        def eqs_bound(before, after):
-            return _eqs_test(tuple(
-                (slots[x], slots[y], want) for x, y, want in rule.eqs
-                if x in after and y in after and not (x in before and y in before)))
-
-        for k, (pred, args) in enumerate(rule.body):
-            consts = [(pos, a) for pos, a in enumerate(args) if a in constants]
-            binds, same = _binder(args, constants, slots)
-            bound = constants.union(args)
-            eqs = eqs_bound(constants, bound)
-            head_at = 0 if head_args <= constants else 1 if head_args <= bound else None
+        for k in range(len(rule.body)):
+            bound = constants
+            head_at = 0 if head_args <= bound else None
             steps = []
-            todo = [i for i in range(len(rule.body)) if i != k]
+            todo = list(range(len(rule.body)))
             while todo:
-                i = min(todo, key=lambda i: (-sum(a in bound for a in rule.body[i][1]), i))
+                i = min(todo, key=lambda i: (i != k, -sum(a in bound for a in rule.body[i][1]), i))
                 todo.remove(i)
-                spred, sargs = rule.body[i]
-                keyed = [pos for pos, a in enumerate(sargs) if a in bound]
-                sbinds, ssame = _binder(sargs, bound, slots)
-                after = bound.union(sargs)
+                pred, args = rule.body[i]
+                keyed = [pos for pos, a in enumerate(args) if a in bound]
+                binds, same = _binder(args, bound, slots)
+                after = bound.union(args)
+                eqs = _eqs_test(tuple(
+                    (slots[x], slots[y], want) for x, y, want in rule.eqs
+                    if x in after and y in after and not (x in bound and y in bound)))
+                kind = _DELTA if i == k else _OLD if i < k else _ALL
                 steps.append((
-                    self._table(spred, keyed, i < k),
-                    _key_getter([slots[sargs[pos]] for pos in keyed]),
-                    sbinds, ssame, eqs_bound(bound, after),
+                    self._table(pred, keyed, kind),
+                    _key_getter([slots[args[pos]] for pos in keyed]),
+                    binds, same, eqs,
                 ))
                 bound = after
                 if head_at is None and head_args <= bound:
-                    head_at = len(steps) + 1
-            rule.plans.append(_Plan(rule, pred, consts, binds, same, eqs, steps, head_at))
+                    head_at = len(steps)
+            rule.plans.append(_Plan(rule, steps, head_at))
 
     def _index(self, atoms, tables, old: bool) -> None:
+        """Add atoms to the _OLD tables, or to the _ALL and _DELTA ones."""
         tables_of = self._tables_of
         for pred, args in atoms:
             entry = tables_of.get(pred)
@@ -337,7 +337,9 @@ class DatalogProgram:
 
     # -- fixpoint -----------------------------------------------------------
 
-    def _fixpoint(self, state: State, temp_rules: list[_Rule]) -> ReachResult:
+    def _fixpoint(self, state: State, chosen=()) -> ReachResult:
+        """Layers and achievers of the program from state; `chosen` is the
+        action set B of the restriction transform, all applicable in state."""
         task = self.task
         layers = dict(self._base_layers)
         achievers: dict = {}
@@ -363,24 +365,21 @@ class DatalogProgram:
             layers[key] = 0
             fresh.append(key)
         self._index(fresh, tables, old=False)
-        delta_by_pred = {p: m for p, m in self._base_by_pred.items() if p not in extended}
-        for pred, args in fresh:
-            delta_by_pred.setdefault(pred, []).append(args)
 
-        rules = self.rules + temp_rules
         new: list = []
         layer = 0
         pending = bool(layers)
 
-        def derive(rule, head, b):
+        def derive(source, head, binding):
             layers[head] = layer
-            achievers[head] = (rule, tuple(b))
+            achievers[head] = (source, binding)
             new.append(head)
 
         def descend(plan, d, b):
-            """Bind body atoms d+1.. of the plan (d are bound). True when a
-            head was derived below the point where the head became bound."""
-            tid, key_of, binds, same, eqs = plan.steps[d - 1]
+            """Bind body atoms d.. of the plan (atoms before d are bound).
+            True when a head was derived below the point where the head
+            became bound."""
+            tid, key_of, binds, same, eqs = plan.steps[d]
             matches = tables[tid].get(key_of(b))
             if matches is None:
                 return False
@@ -400,11 +399,11 @@ class DatalogProgram:
                     if head in layers:
                         continue
                     if last:
-                        derive(rule, head, b)
+                        derive(rule, head, tuple(b))
                     else:
                         descend(plan, d, b)
                 elif last:
-                    derive(rule, (rule.head[0], rule.head_args(b)), b)
+                    derive(rule, (rule.head[0], rule.head_args(b)), tuple(b))
                     return True
                 elif descend(plan, d, b) and d > head_at:
                     return True
@@ -413,7 +412,7 @@ class DatalogProgram:
         while pending:
             layer += 1
             new = []
-            for rule in rules:
+            for rule in self.rules:
                 if rule.ground:
                     if rule.head in layers or not rule.live:
                         continue
@@ -423,7 +422,7 @@ class DatalogProgram:
                             break
                     else:
                         if rule.body or layer == 1:
-                            derive(rule, rule.head, rule.template)
+                            derive(rule, rule.head, tuple(rule.template))
                     continue
                 if not rule.plans or (rule.plans[0].head_at == 0 and rule.head in layers):
                     continue
@@ -431,44 +430,29 @@ class DatalogProgram:
                 for k, plan in enumerate(rule.plans):
                     if k and layer == 1:
                         break
-                    seeds = delta_by_pred.get(plan.pred)
-                    if not seeds:
-                        continue
-                    consts, binds, same, eqs = plan.consts, plan.binds, plan.same, plan.eqs
-                    head_at = plan.head_at
-                    stop = False
-                    for args in seeds:
-                        if consts and any(args[p] != c for p, c in consts):
-                            continue
-                        if same and any(args[p] != args[q] for p, q in same):
-                            continue
-                        for pos, slot in binds:
-                            b[slot] = args[pos]
-                        if eqs is not None and not eqs(b):
-                            continue
-                        if plan.n == 1:
-                            head = (rule.head[0], rule.head_args(b))
-                            if head not in layers:
-                                derive(rule, head, b)
-                                stop = head_at == 0
-                        elif head_at == 1 and (rule.head[0], rule.head_args(b)) in layers:
-                            continue
-                        else:
-                            stop = descend(plan, 1, b) and head_at == 0
-                        if stop:
-                            break
-                    if stop:
+                    # skip a seed without new atoms; descend is True only
+                    # once it has derived a ground head
+                    if tables[plan.steps[0][0]] and descend(plan, 0, b):
                         break
+            if layer == 1:
+                # B is applicable in the state: each action fires here only
+                for action in chosen:
+                    binding = dict(zip(action.schema.params, action.args))
+                    for add in action.schema.add:
+                        head = (add.pred, tuple(binding.get(a, a) for a in add.args))
+                        if head not in layers:
+                            derive(action, head, None)
+                    if GATE not in layers:
+                        derive(action, GATE, None)
 
             pending = bool(new)
             if pending:
                 # the previous layer's atoms become old; this layer's, delta
                 self._index(fresh, tables, old=True)
+                for tid in self._delta_tables:
+                    tables[tid] = {}
                 self._index(new, tables, old=False)
                 fresh = new
-                delta_by_pred = {}
-                for pred, args in new:
-                    delta_by_pred.setdefault(pred, []).append(args)
 
         return ReachResult(layers, achievers)
 
@@ -486,49 +470,48 @@ class DatalogProgram:
             if key in seen or reach.layers[key] == 0:
                 continue
             seen.add(key)
-            rule, binding = reach.achievers[key]
-            action_key = rule.action_of(binding)
+            source, binding = reach.achievers[key]
+            if binding is None:
+                # an action of B: its preconditions are all at layer 0
+                actions.add(source)
+                continue
+            action_key = source.action_of(binding)
             if action_key is not None:
                 actions.add(action_key)
-            stack.extend(rule.body_of(binding))
+            stack.extend(source.body_of(binding))
         return len(actions)
 
     def relaxed_reach(self, state: State, actions=None) -> ReachResult:
-        temp = self._temp_rules(actions) if actions is not None else []
-        return self._fixpoint(state, temp)
+        if actions is None:
+            return self._fixpoint(state)
+        return self._fixpoint(state, self._chosen(state, actions))
 
     def h_ff(self, state: State) -> float:
         """Relaxed-plan size, 0 iff the goal already holds, inf on dead ends."""
         if self.restricted:
             raise ValueError("use h_ff_restricted on a restricted program")
-        return self._extract(self._fixpoint(state, []))
+        return self._extract(self._fixpoint(state))
 
-    def _temp_rules(self, actions) -> list[_Rule]:
-        """Ground rules, so they need no join plans: each fires at the first
-        layer that has its whole body."""
+    def _chosen(self, state: State, actions) -> list:
+        """The action set B as a list; the transform needs a restricted
+        program and every action of B applicable in state."""
         if not self.restricted:
-            raise ValueError("temporary action rules need a restricted program")
-        temp: list[_Rule] = []
-        for i, action in enumerate(actions):
-            binding = dict(zip(action.schema.params, action.args))
-            body = [(a.pred, _ground(a.args, binding)) for a in action.schema.pre]
-            key = ("@temp", i)
-            for add in action.schema.add:
-                temp.append(
-                    _Rule((add.pred, _ground(add.args, binding)), body, (), None, key)
-                )
-            temp.append(_Rule((EPSILON, ()), body, (), None, key))
-        return temp
+            raise ValueError("an action set needs a restricted program")
+        actions = list(actions)
+        for action in actions:
+            if not is_applicable(self.task, state, action):
+                raise ValueError(f"{action!r} is not applicable in the state")
+        return actions
 
     def h_ff_restricted(self, state: State, actions) -> float:
-        """FF value of the B-restricted task; the temporary rules exist only
-        inside this call, so interleaved evaluations cannot interfere."""
+        """FF value of the B-restricted task; B enters only this call's
+        fixpoint, so interleaved evaluations cannot interfere."""
         actions = list(actions)
         if not actions:
             if self.task.is_goal(state):
                 return 0
             raise EmptyActionSet("no actions given and the goal does not hold")
-        return self._extract(self._fixpoint(state, self._temp_rules(actions)))
+        return self._extract(self._fixpoint(state, self._chosen(state, actions)))
 
 
 # ---------------------------------------------------------------------------

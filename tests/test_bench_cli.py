@@ -203,6 +203,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_solve_at_sign_predicate_exits_2(self, tmp_path, capsys):
+        domain = tmp_path / "d.pddl"
+        domain.write_text("(define (domain d) (:predicates (@goal) (p))"
+                          " (:action a :parameters () :precondition (@goal) :effect (p)))")
+        problem = tmp_path / "p.pddl"
+        problem.write_text("(define (problem q) (:domain d) (:init (@goal)) (:goal (p)))")
+        rc = cli.main(["solve", str(domain), str(problem), "--heuristic", "ff"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["not a model\n", "LLMODEL v9 aoag 2\nchecksum 0\n"],
+                             ids=["corrupt", "version"])
+    def test_solve_bad_model_exits_2(self, bw_files, tmp_path, capsys, text):
+        domain, problem = bw_files
+        model = tmp_path / "m.model"
+        model.write_text(text)
+        rc = cli.main(["solve", str(domain), str(problem), "--heuristic", f"model:{model}"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_validate_command(self, bw_files, tmp_path):
         domain, problem = bw_files
         good = tmp_path / "good.plan"
@@ -347,3 +368,10 @@ class TestCli:
         assert rc == 0
         assert (out_dir / "coverage.csv").exists()
         assert (out_dir / "quality.csv").exists()
+
+    def test_report_malformed_csv_exits_2(self, tmp_path, capsys):
+        csv_file = tmp_path / "stats.csv"
+        csv_file.write_text("bw,i1,partial-ff,Solved\n")
+        rc = cli.main(["report", str(csv_file), "--out", str(tmp_path / "report")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")

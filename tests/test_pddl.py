@@ -14,7 +14,6 @@ from pslift.pddl import (
     load_task,
     parse_domain,
     parse_instance,
-    static_predicates,
     write_domain,
     write_problem,
 )
@@ -77,6 +76,12 @@ class TestParseDomain:
     def test_malformed_sections_raise_pddl_error(self, text):
         with pytest.raises(PddlError):
             parse_domain(text)
+
+    def test_at_sign_names_rejected(self):
+        # names containing @ would collide with the relaxation's internal
+        # predicates (@goal, @epsilon, @object)
+        with pytest.raises(PddlError):
+            parse_domain("(define (domain d) (:predicates (@goal)))")
 
     def test_action_costs_parsed_and_ignored(self):
         text = """(define (domain costed)
@@ -154,12 +159,16 @@ class TestCompileTypes:
             load_task(domain, problem)
 
 
+def static_names(task):
+    return {p.name for p in task.predicates if p.is_static}
+
+
 class TestStaticPredicates:
     def test_blocksworld_all_fluent(self, bw2):
-        assert static_predicates(bw2) == set()
+        assert static_names(bw2) == set()
 
     def test_type_predicates_static(self, typed_task):
-        names = {p.name for p in static_predicates(typed_task)}
+        names = static_names(typed_task)
         assert {"truck", "car", "vehicle", "place", "shiny"} <= names
 
     def test_effect_free_schema_leaves_all_static(self):
@@ -167,16 +176,16 @@ class TestStaticPredicates:
             "(define (domain d) (:predicates (p ?x)) (:action a :parameters (?x) :precondition (p ?x) :effect (and)))",
             "(define (problem q) (:domain d) (:objects o) (:init (p o)) (:goal (and)))",
         )
-        assert {p.name for p in static_predicates(task)} == {"p"}
+        assert static_names(task) == {"p"}
 
     def test_spanner_style_link_static(self, spanner_mini):
-        names = {p.name for p in static_predicates(spanner_mini)}
+        names = static_names(spanner_mini)
         assert "link" in names
         assert "at" not in names
 
     def test_static_disjoint_from_effects(self, typed_task):
         in_effect = {a.pred for s in typed_task.schemas for a in s.add + s.delete}
-        assert not {p.name for p in static_predicates(typed_task)} & in_effect
+        assert not static_names(typed_task) & in_effect
 
 
 class TestRoundTrip:

@@ -196,6 +196,25 @@ class TestHFFRestricted:
         assert h(s0, [act(bw2, "pickup", "a")]) == a_only
         assert h(s0, [act(bw2, "pickup", "b")]) == b_only
 
+    def test_inapplicable_action_raises(self, bw2):
+        program = RestrictedFFHeuristic(bw2).program
+        s0 = bw2.initial_state
+        actions = [act(bw2, "pickup", "a"), act(bw2, "stack", "a", "b")]
+        with pytest.raises(ValueError):
+            program.h_ff_restricted(s0, actions)
+        with pytest.raises(ValueError):
+            program.relaxed_reach(s0, actions)
+
+    def test_gate_achiever_is_first_action(self, bw2):
+        # the order of B is part of h: the gate's achiever is B[0]
+        program = RestrictedFFHeuristic(bw2).program
+        s0 = bw2.initial_state
+        a, b = act(bw2, "pickup", "a"), act(bw2, "pickup", "b")
+        for actions in ([a, b], [b, a]):
+            reach = program.relaxed_reach(s0, actions)
+            assert reach.layers[(EPSILON, ())] == 1
+            assert reach.achievers[(EPSILON, ())][0] == actions[0]
+
 
 def random_reachable_states(task, rng, count):
     states = [task.initial_state]
