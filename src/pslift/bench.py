@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .lifted import GroundAction, _apply_effects, is_applicable
+from .lifted import GroundAction, _apply_effects, unsatisfied
 from .pddl import Task
 from .search import SearchStats
 
@@ -40,21 +40,6 @@ class PlanCheck:
         return self.valid
 
 
-def _missing_precondition(task: Task, state, action: GroundAction) -> str:
-    binding = dict(zip(action.schema.params, action.args))
-    for atom in action.schema.pre:
-        args = tuple(binding.get(a, a) for a in atom.args)
-        i = task.find(atom.pred, args)
-        if i is None or (i not in state and i not in task.static_atoms):
-            return f"precondition {atom.pred}({','.join(args)})"
-    for x, y, want in action.schema.equalities:
-        xv, yv = binding.get(x, x), binding.get(y, y)
-        if (xv == yv) != want:
-            op = "=" if want else "!="
-            return f"equality {xv} {op} {yv}"
-    return "not applicable"
-
-
 def validate_plan(task: Task, plan: list[GroundAction]) -> PlanCheck:
     """Apply the plan from the initial state; valid iff every action is
     applicable in turn and the final state satisfies the goal."""
@@ -62,10 +47,11 @@ def validate_plan(task: Task, plan: list[GroundAction]) -> PlanCheck:
     for step, action in enumerate(plan):
         if len(action.args) != len(action.schema.params):
             return PlanCheck(False, step, "arity mismatch")
-        if any(o not in task.objects for o in action.args):
+        if any(o not in task.object_index for o in action.args):
             return PlanCheck(False, step, "undeclared object")
-        if not is_applicable(task, state, action):
-            return PlanCheck(False, step, _missing_precondition(task, state, action))
+        reason = unsatisfied(task, state, action)
+        if reason is not None:
+            return PlanCheck(False, step, reason)
         state = _apply_effects(task, state, action)
     if not task.is_goal(state):
         missing = sorted(task.format_atom(g) for g in task.goal_fluent - state)

@@ -199,6 +199,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, not {args.count}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params = {}

@@ -154,11 +154,11 @@ def aoag(task: Task, state: State, rho: PartialAction) -> LabeledGraph:
         return ilg(task, _apply_effects(task, state, actions[0]))
 
     graph = ilg(task, state)
-    obj_ids = {o: i for i, o in enumerate(task.objects)}
     for action in actions:
         v = graph.add_vertex(repr(action), f"act({action.schema.name})")
         for pos, obj in enumerate(action.args, start=1):
-            graph.add_edge(v, obj_ids[obj], pos)
+            # ilg adds the objects first, in declaration order
+            graph.add_edge(v, task.object_index[obj], pos)
     return graph
 
 

@@ -4,9 +4,20 @@ A partial action is a schema with a prefix of its parameters instantiated; the
 root (no schema chosen) is `ROOT`. Children extend the prefix by one object and
 are pruned exactly: a child is produced only if at least one applicable ground
 action completes it. Nothing here ever grounds the whole task.
+
+The preconditions of a schema with its first k parameters bound form one
+conjunctive query, compiled once per (schema, k) by the join-plan builder that
+the relaxation's Datalog rules use, and run over an index of the state and
+the static atoms. The join's order follows the index, so the completions are
+sorted by object declaration index: actions come in schema order, then
+lexicographically by declaration index, the order on which the search's
+counters and the restricted FF value depend.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from operator import itemgetter
 
 from .pddl import ActionSchema, Task
 
@@ -107,133 +118,209 @@ def decompose(action: GroundAction) -> list[PartialAction]:
 
 
 # ---------------------------------------------------------------------------
-# precondition matching
-#
-# Parameters are bound in declaration order. For each parameter position we
-# precompute which precondition atoms and equality literals become fully bound
-# exactly there, so every candidate object is checked as early as possible;
-# position -1 holds the fully ground literals.
+# conjunctive queries, shared with the relaxation: a body of (pred, args) atoms
+# over binding slots, joined through index tables that map the values at an
+# atom's bound positions to the args of the matching atoms
 
-def _compile_atom(atom, index):
-    """(pred, arg slots, max param index); slots are int positions or constants."""
-    pos = -1
-    slots = []
-    for a in atom.args:
-        if a.startswith("?"):
-            i = index[a]
-            slots.append(i)
-            pos = max(pos, i)
-        else:
-            slots.append(a)
-    return atom.pred, tuple(slots), pos
+OBJ = "@object"
 
 
-class _SchemaInfo:
-    __slots__ = ("atoms_at", "eqs_at", "add", "delete")
-
-    def __init__(self, schema: ActionSchema):
-        index = {v: i for i, v in enumerate(schema.params)}
-        n = len(schema.params)
-        self.atoms_at: list[list] = [[] for _ in range(n + 1)]
-        self.eqs_at: list[list] = [[] for _ in range(n + 1)]
-        for atom in schema.pre:
-            pred, slots, pos = _compile_atom(atom, index)
-            self.atoms_at[pos + 1].append((pred, slots))
-        for x, y, want_eq in schema.equalities:
-            pos = -1
-            slots = []
-            for v in (x, y):
-                if v.startswith("?"):
-                    i = index[v]
-                    slots.append(i)
-                    pos = max(pos, i)
-                else:
-                    slots.append(v)
-            self.eqs_at[pos + 1].append((slots[0], slots[1], want_eq))
-        self.add = [_compile_atom(a, index)[:2] for a in schema.add]
-        self.delete = [_compile_atom(a, index)[:2] for a in schema.delete]
+def _is_var(arg: str) -> bool:
+    return arg.startswith("?")
 
 
-def _schema_info(task: Task, schema: ActionSchema) -> _SchemaInfo:
-    info = task._info_cache.get(schema.name)
-    if info is None:
-        info = _SchemaInfo(schema)
-        task._info_cache[schema.name] = info
-    return info
+def _query_body(schema: ActionSchema) -> list:
+    """The preconditions of a schema as (pred, args) atoms, plus an `@object`
+    atom for each parameter that no precondition mentions, so that a join
+    binds every parameter."""
+    body = [(a.pred, a.args) for a in schema.pre]
+    seen = {v for a in schema.pre for v in a.args}
+    body.extend((OBJ, (p,)) for p in schema.params if p not in seen)
+    return body
 
 
-def _holds(task: Task, state: State, pred: str, arg_slots, binding) -> bool:
-    args = tuple(binding[a] if isinstance(a, int) else a for a in arg_slots)
-    i = task.find(pred, args)
-    return i is not None and (i in state or i in task.static_atoms)
+# key of a table without key positions: 0 for any sequence, from a C-level
+# callable, which is cheaper to call than a Python function
+_no_key = ().count
 
 
-def _eq_ok(eq, binding) -> bool:
-    x, y, want = eq
-    xv = binding[x] if isinstance(x, int) else x
-    yv = binding[y] if isinstance(y, int) else y
-    return (xv == yv) == want
+def _key_getter(idx):
+    """Index key of a sequence at positions idx: 0, a value or a tuple."""
+    return itemgetter(*idx) if idx else _no_key
 
 
-def _consistent_at(task, state, info, binding, pos) -> bool:
-    """Check the literals that become fully bound at parameter index pos."""
-    for pred, slots in info.atoms_at[pos + 1]:
-        if not _holds(task, state, pred, slots, binding):
-            return False
-    for eq in info.eqs_at[pos + 1]:
-        if not _eq_ok(eq, binding):
-            return False
-    return True
+@lru_cache(maxsize=1024)
+def _eqs_test(eqs):
+    """A test of equality literals ((slot, slot, want_equal), ...) on a
+    binding, compiled to one expression; None when there are none. Cached,
+    as every program of a domain asks for the same few tests."""
+    if not eqs:
+        return None
+    test = " and ".join(f"b[{x}] {'==' if want else '!='} b[{y}]" for x, y, want in eqs)
+    return eval(f"lambda b: {test}")
 
 
-def _completions(task: Task, state: State, schema: ActionSchema, prefix: tuple[str, ...]):
-    """Yield full argument tuples extending prefix, preconditions satisfied.
+def _binder(args, bound, slots):
+    """(positions to bind, positions to compare) for the terms of an atom not
+    in `bound`; the first occurrence of a variable binds it."""
+    binds, same, first = [], [], {}
+    for pos, a in enumerate(args):
+        if a not in bound:
+            if a in first:
+                same.append((pos, first[a]))
+            else:
+                first[a] = pos
+                binds.append((pos, slots[a]))
+    return binds, same
 
-    Candidate objects are tried in declaration order, so the stream is
-    deterministic (lexicographic in object declaration indices).
-    """
-    info = _schema_info(task, schema)
-    binding: list[str | None] = list(prefix) + [None] * (len(schema.params) - len(prefix))
-    for pos in range(-1, len(prefix)):
-        if not _consistent_at(task, state, info, binding, pos):
+
+def _join_steps(body, eqs, slots, bound, table, first=None):
+    """Join plan of a query with the terms in `bound` known: body atom
+    `first` first, if given, then the others most-bound first (counting
+    bound argument positions), ties by position. `slots` maps terms to
+    binding slots; `table(i, pred, keyed)` is the id of the index table that
+    body atom i looks up by its argument positions `keyed`.
+
+    Returns (body positions in join order, steps). A step is (table id, key
+    getter over the binding, [(arg position, slot)] to bind, [(position,
+    position)] that must be equal, test of the equality literals that become
+    fully bound there, or None)."""
+    order, steps = [], []
+    todo = list(range(len(body)))
+    while todo:
+        i = min(todo, key=lambda i: (i != first, -sum(a in bound for a in body[i][1]), i))
+        todo.remove(i)
+        pred, args = body[i]
+        keyed = tuple(pos for pos, a in enumerate(args) if a in bound)
+        binds, same = _binder(args, bound, slots)
+        after = bound.union(args)
+        test = _eqs_test(tuple(
+            (slots[x], slots[y], want) for x, y, want in eqs
+            if x in after and y in after and not (x in bound and y in bound)))
+        steps.append((
+            table(i, pred, keyed),
+            _key_getter([slots[args[pos]] for pos in keyed]),
+            binds, same, test,
+        ))
+        order.append(i)
+        bound = after
+    return order, steps
+
+
+def _fill(atoms, tables_of, tables) -> None:
+    """Append the args of (pred, args) atoms to the index tables of their
+    predicate; `tables_of` maps a predicate to its [(table id, key getter)]."""
+    for pred, args in atoms:
+        for tid, key_of in tables_of.get(pred, ()):
+            table = tables[tid]
+            key = key_of(args)
+            matches = table.get(key)
+            if matches is None:
+                table[key] = [args]
+            else:
+                matches.append(args)
+
+
+class _Query:
+    """The applicable completions of a schema with its first k parameters
+    bound, as a join plan. A binding holds the parameters, then the
+    constants of the preconditions and equality literals."""
+
+    __slots__ = ("template", "test", "steps", "tables_of", "n_tables")
+
+    def __init__(self, schema: ActionSchema, k: int):
+        body = _query_body(schema)
+        terms = [a for _, args in body for a in args]
+        terms += [t for x, y, _ in schema.equalities for t in (x, y)]
+        constants = [a for a in dict.fromkeys(terms) if not _is_var(a)]
+        params = schema.params
+        slots = {a: i for i, a in enumerate(params + tuple(constants))}
+        self.template = [None] * len(params) + constants
+        bound = set(params[:k]).union(constants)
+        # equality literals bound before the join, by the prefix
+        self.test = _eqs_test(tuple(
+            (slots[x], slots[y], want) for x, y, want in schema.equalities
+            if x in bound and y in bound))
+        self.tables_of: dict = {}
+
+        def table(i, pred, keyed):
+            # one table per body atom, with the atom's position as its id
+            self.tables_of.setdefault(pred, []).append((i, _key_getter(keyed)))
+            return i
+
+        _, self.steps = _join_steps(body, schema.equalities, slots, bound, table)
+        self.n_tables = len(body)
+
+
+def _completions(task: Task, state: State, schema: ActionSchema, prefix: tuple[str, ...]) -> list:
+    """The full argument tuples that extend prefix to an action applicable in
+    state, in join order."""
+    query = task._info_cache.get((schema.name, len(prefix)))
+    if query is None:
+        query = task._info_cache[schema.name, len(prefix)] = _Query(schema, len(prefix))
+    out: list = []
+    b = list(prefix) + query.template[len(prefix):]
+    if query.test is not None and not query.test(b):
+        return out
+    tables = [{} for _ in range(query.n_tables)]
+    # a state may hold static atoms too; the union lists each atom once
+    _fill(((a.pred, a.args) for a in map(task.atom, state | task.static_atoms)),
+          query.tables_of, tables)
+    if OBJ in query.tables_of:
+        _fill(((OBJ, (o,)) for o in task.objects), query.tables_of, tables)
+    steps = query.steps
+    n, last = len(schema.params), len(steps)
+
+    def join(d):
+        if d == last:
+            out.append(tuple(b[:n]))
             return
+        tid, key_of, binds, same, eqs = steps[d]
+        for args in tables[tid].get(key_of(b), ()):
+            for pos, slot in binds:
+                b[slot] = args[pos]
+            if same and any(args[p] != args[q] for p, q in same):
+                continue
+            if eqs is not None and not eqs(b):
+                continue
+            join(d + 1)
 
-    n = len(schema.params)
-
-    def rec(pos: int):
-        if pos == n:
-            yield tuple(binding)
-            return
-        for obj in task.objects:
-            binding[pos] = obj
-            if _consistent_at(task, state, info, binding, pos):
-                yield from rec(pos + 1)
-        binding[pos] = None
-
-    yield from rec(len(prefix))
+    join(0)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
+def unsatisfied(task: Task, state: State, action: GroundAction) -> str | None:
+    """The first precondition (neither in state nor static) or equality
+    literal of action that fails, described; None if action is applicable."""
+    binding = dict(zip(action.schema.params, action.args))
+    for atom in action.schema.pre:
+        args = tuple(binding.get(a, a) for a in atom.args)
+        i = task.find(atom.pred, args)
+        if i is None or (i not in state and i not in task.static_atoms):
+            return f"precondition {atom.pred}({','.join(args)})"
+    for x, y, want in action.schema.equalities:
+        xv, yv = binding.get(x, x), binding.get(y, y)
+        if (xv == yv) != want:
+            return f"equality {xv} {'=' if want else '!='} {yv}"
+    return None
+
+
 def is_applicable(task: Task, state: State, action: GroundAction) -> bool:
     """True iff every precondition holds in state (or statically) and the
     equality literals are satisfied."""
-    return next(_completions(task, state, action.schema, action.args), None) is not None
+    return unsatisfied(task, state, action) is None
 
 
 def ground_effects(task: Task, action: GroundAction) -> tuple[list[int], list[int]]:
     """Interned (add ids, delete ids) of a ground action."""
-    info = _schema_info(task, action.schema)
-    bind = action.args
-    adds = [
-        task.intern(pred, tuple(bind[s] if isinstance(s, int) else s for s in slots))
-        for pred, slots in info.add
-    ]
-    dels = [
-        task.intern(pred, tuple(bind[s] if isinstance(s, int) else s for s in slots))
-        for pred, slots in info.delete
-    ]
+    binding = dict(zip(action.schema.params, action.args))
+    adds = [task.intern(a.pred, tuple(binding.get(x, x) for x in a.args))
+            for a in action.schema.add]
+    dels = [task.intern(a.pred, tuple(binding.get(x, x) for x in a.args))
+            for a in action.schema.delete]
     return adds, dels
 
 
@@ -258,27 +345,20 @@ def children(task: Task, state: State, rho: PartialAction) -> list[PartialAction
     object declaration order. Fully instantiated input yields [].
     """
     if rho.is_root:
-        return [
-            PartialAction(s, ())
-            for s in task.schemas
-            if next(_completions(task, state, s, ()), None) is not None
-        ]
+        return [PartialAction(s, ()) for s in task.schemas if _completions(task, state, s, ())]
     if rho.is_full:
         return []
-    out = []
-    for obj in task.objects:
-        ext = rho.prefix + (obj,)
-        if next(_completions(task, state, rho.schema, ext), None) is not None:
-            out.append(PartialAction(rho.schema, ext))
-    return out
+    k = len(rho.prefix)
+    objects = {args[k] for args in _completions(task, state, rho.schema, rho.prefix)}
+    return [PartialAction(rho.schema, rho.prefix + (o,))
+            for o in sorted(objects, key=task.object_index.__getitem__)]
 
 
 def instantiations(task: Task, state: State, rho: PartialAction):
-    """Yield the applicable ground actions extending rho (all of A_s for ROOT)."""
-    if rho.is_root:
-        for s in task.schemas:
-            for args in _completions(task, state, s, ()):
-                yield GroundAction(s, args)
-    else:
-        for args in _completions(task, state, rho.schema, rho.prefix):
-            yield GroundAction(rho.schema, args)
+    """Yield the applicable ground actions extending rho (all of A_s for ROOT),
+    in schema order, then lexicographically by object declaration index."""
+    index = task.object_index.__getitem__
+    for schema in task.schemas if rho.is_root else (rho.schema,):
+        completions = _completions(task, state, schema, rho.prefix)
+        for args in sorted(completions, key=lambda args: tuple(map(index, args))):
+            yield GroundAction(schema, args)

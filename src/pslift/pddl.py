@@ -222,8 +222,8 @@ class Task:
         self.domain_name = domain_name
         self.problem_name = problem_name
         self.objects: tuple[str, ...] = tuple(objects)
-        self._object_set = set(self.objects)
-        if len(self._object_set) != len(self.objects):
+        self.object_index: dict[str, int] = {o: i for i, o in enumerate(self.objects)}
+        if len(self.object_index) != len(self.objects):
             raise PddlError("duplicate object declaration")
 
         names = [n for n, _ in predicates]
@@ -274,7 +274,7 @@ class Task:
                 if arg.startswith("?"):
                     if arg not in pset:
                         raise PddlError(f"unbound variable {arg} in schema {s.name}")
-                elif arg not in self._object_set:
+                elif arg not in self.object_index:
                     raise UndeclaredObject(f"{arg} in schema {s.name}")
         for x, y, _ in s.equalities:
             for v in (x, y):
@@ -290,7 +290,7 @@ class Task:
         if p.arity != len(a.args):
             raise ArityMismatch(f"{a}: expected arity {p.arity}")
         for arg in a.args:
-            if arg not in self._object_set:
+            if arg not in self.object_index:
                 raise UndeclaredObject(arg)
         return self.intern(a.pred, a.args)
 

@@ -348,7 +348,8 @@ def load_model(path: str) -> LinearModel:
         pos += 1
     try:
         tag, count = lines[pos].split()
-        assert tag == "dict"
+        if tag != "dict":
+            raise CorruptModel(f"expected a 'dict' section, found {tag!r}")
         n_dict = int(count)
         items = []
         for line in lines[pos + 1 : pos + 1 + n_dict]:
@@ -356,7 +357,8 @@ def load_model(path: str) -> LinearModel:
             items.append((key, int(idx)))
         pos += 1 + n_dict
         tag, count = lines[pos].split()
-        assert tag == "weights"
+        if tag != "weights":
+            raise CorruptModel(f"expected a 'weights' section, found {tag!r}")
         n_w = int(count)
         weights = np.zeros(n_dict)
         for line in lines[pos + 1 : pos + 1 + n_w]:
@@ -365,7 +367,7 @@ def load_model(path: str) -> LinearModel:
         pos += 1 + n_w
         if pos != len(lines) - 1:
             raise CorruptModel("trailing or missing content")
-    except (ValueError, AssertionError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         raise CorruptModel(str(exc)) from exc
     dictionary = ColorDictionary.from_items(items, frozen=True)
     return LinearModel(weights, dictionary, graph_kind, iterations, metadata)

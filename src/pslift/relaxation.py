@@ -17,10 +17,11 @@ same first bindings while enumerating far fewer:
 
 * Join plans. The most-bound-first order depends only on which variables are
   bound, i.e. on the rule and the seed position, so one plan per (rule, seed
-  position) is built with the program. Each step of a plan names the index
-  key (already bound or constant positions), the positions that bind new
-  variable slots, repeated-variable checks, and the equality literals that
-  become fully bound there. Index lists are filled in commit order, so a
+  position) is built with the program, by the join-plan builder that
+  successor generation in `lifted` shares. Each step of a plan names the
+  index key (already bound or constant positions), the positions that bind
+  new variable slots, repeated-variable checks, and the equality literals
+  that become fully bound there. Index lists are filled in commit order, so a
   multi-column key yields exactly the matches, in the same order, that
   filtering any one-column list would. The seed atom is step 0, matched
   against an index of the previous layer's atoms keyed by its constants.
@@ -58,17 +59,17 @@ are all at layer 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from operator import itemgetter
 
-from .lifted import PartialAction, State, instantiations, is_applicable
+from .lifted import (OBJ, PartialAction, State, _fill, _is_var, _join_steps, _key_getter,
+                     _query_body, instantiations, is_applicable)
 from .pddl import Task
 
 INF = float("inf")
 
 EPSILON = "@epsilon"
 GOAL = "@goal"
-OBJ = "@object"
 _INTERNAL = {EPSILON, GOAL, OBJ}
 GATE = (EPSILON, ())
 
@@ -79,31 +80,6 @@ _ALL, _OLD, _DELTA = 0, 1, 2
 
 class EmptyActionSet(Exception):
     pass
-
-
-def _is_var(arg: str) -> bool:
-    return arg.startswith("?")
-
-
-# key of a table without key positions: 0 for any sequence, from a C-level
-# callable, which is cheaper to call than a Python function
-_no_key = ().count
-
-
-def _key_getter(idx):
-    """Index key of a sequence at positions idx: 0, a value or a tuple."""
-    return itemgetter(*idx) if idx else _no_key
-
-
-@lru_cache(maxsize=1024)
-def _eqs_test(eqs):
-    """A test of equality literals ((slot, slot, want_equal), ...) on a
-    binding, compiled to one expression; None when there are none. Cached,
-    as every program of a domain asks for the same few tests."""
-    if not eqs:
-        return None
-    test = " and ".join(f"b[{x}] {'==' if want else '!='} b[{y}]" for x, y, want in eqs)
-    return eval(f"lambda b: {test}")
 
 
 def _tuple_getter(idx):
@@ -177,10 +153,8 @@ class _Plan:
     """Join order of a rule seeded at one body position.
 
     Step 0 binds the seed atom from the atoms new in the previous layer; the
-    later steps bind the other body atoms most-bound first. A step is (table
-    id, key getter over the binding, [(arg position, slot)] to bind,
-    [(position, position)] that must be equal, test of the equality literals
-    bound there or None)."""
+    later steps bind the other body atoms most-bound first. The steps are
+    those of `lifted._join_steps`."""
 
     __slots__ = ("rule", "steps", "n", "head_at")
 
@@ -209,20 +183,6 @@ class ReachResult:
         )
 
 
-def _binder(args, bound, slots):
-    """(positions to bind, positions to compare) for the terms of an atom not
-    in `bound`; the first occurrence of a variable binds it."""
-    binds, same, first = [], [], {}
-    for pos, a in enumerate(args):
-        if a not in bound:
-            if a in first:
-                same.append((pos, first[a]))
-            else:
-                first[a] = pos
-                binds.append((pos, slots[a]))
-    return binds, same
-
-
 class DatalogProgram:
     """Datalog view of a task, shared by h_ff and its restricted variant."""
 
@@ -231,9 +191,7 @@ class DatalogProgram:
         self.restricted = restricted
         self.rules: list[_Rule] = []
         for schema in task.schemas:
-            body = [(a.pred, a.args) for a in schema.pre]
-            seen = {v for a in schema.pre for v in a.args if _is_var(v)}
-            body.extend((OBJ, (p,)) for p in schema.params if p not in seen)
+            body = _query_body(schema)
             if restricted:
                 body.append(GATE)
             for add in schema.add:
@@ -255,13 +213,14 @@ class DatalogProgram:
         # index tables: one per (predicate, key positions, kind); a table
         # maps a key to the matching atoms' args in commit order
         self._table_ids: dict = {}
-        # pred -> (its _ALL and _DELTA tables, its _OLD tables)
-        self._tables_of: dict[str, tuple[list, list]] = {}
+        # pred -> [(table id, key getter)], of _ALL and _DELTA and of _OLD tables
+        self._new_tables_of: dict[str, list] = {}
+        self._old_tables_of: dict[str, list] = {}
         for rule in self.rules:
             self._compile(rule)
         self._tables: list = [{} for _ in self._table_ids]
-        self._index(self.base_facts, self._tables, old=False)
-        self._index(self.base_facts, self._tables, old=True)
+        _fill(self.base_facts, self._new_tables_of, self._tables)
+        _fill(self.base_facts, self._old_tables_of, self._tables)
         self._fluent_tables = [
             tid for (pred, _, _), tid in self._table_ids.items() if pred not in self._static
         ]
@@ -274,66 +233,35 @@ class DatalogProgram:
 
     # -- compilation ----------------------------------------------------------
 
-    def _table(self, pred, positions, kind) -> int:
-        key = (pred, tuple(positions), kind)
+    def _table(self, k, i, pred, positions) -> int:
+        kind = _DELTA if i == k else _OLD if i < k else _ALL
+        key = (pred, positions, kind)
         tid = self._table_ids.get(key)
         if tid is None:
             tid = self._table_ids[key] = len(self._table_ids)
-            self._tables_of.setdefault(pred, ([], []))[kind == _OLD].append(
-                (tid, _key_getter(positions)))
+            tables_of = self._old_tables_of if kind == _OLD else self._new_tables_of
+            tables_of.setdefault(pred, []).append((tid, _key_getter(positions)))
         return tid
 
     def _compile(self, rule: _Rule) -> None:
         """One plan per seed position: the seed first, then the other body
-        atoms most-bound first, ties by position, with boundness counting
-        constant and already bound argument positions."""
+        atoms in the order of `lifted._join_steps`."""
         if rule.ground or not rule.live:
             return
-        slots = rule.slots
-        constants = {a for a in slots if not _is_var(a)}   # bound from the start
+        constants = {a for a in rule.slots if not _is_var(a)}   # bound from the start
         head_args = set(rule.head[1])
 
         for k in range(len(rule.body)):
-            bound = constants
-            head_at = 0 if head_args <= bound else None
-            steps = []
-            todo = list(range(len(rule.body)))
-            while todo:
-                i = min(todo, key=lambda i: (i != k, -sum(a in bound for a in rule.body[i][1]), i))
-                todo.remove(i)
-                pred, args = rule.body[i]
-                keyed = [pos for pos, a in enumerate(args) if a in bound]
-                binds, same = _binder(args, bound, slots)
-                after = bound.union(args)
-                eqs = _eqs_test(tuple(
-                    (slots[x], slots[y], want) for x, y, want in rule.eqs
-                    if x in after and y in after and not (x in bound and y in bound)))
-                kind = _DELTA if i == k else _OLD if i < k else _ALL
-                steps.append((
-                    self._table(pred, keyed, kind),
-                    _key_getter([slots[args[pos]] for pos in keyed]),
-                    binds, same, eqs,
-                ))
-                bound = after
-                if head_at is None and head_args <= bound:
-                    head_at = len(steps)
+            order, steps = _join_steps(rule.body, rule.eqs, rule.slots, constants,
+                                       partial(self._table, k), first=k)
+            # the number of steps that bind every head variable
+            bound, head_at = set(constants), 0
+            for i in order:
+                if head_args <= bound:
+                    break
+                bound.update(rule.body[i][1])
+                head_at += 1
             rule.plans.append(_Plan(rule, steps, head_at))
-
-    def _index(self, atoms, tables, old: bool) -> None:
-        """Add atoms to the _OLD tables, or to the _ALL and _DELTA ones."""
-        tables_of = self._tables_of
-        for pred, args in atoms:
-            entry = tables_of.get(pred)
-            if entry is None:
-                continue
-            for tid, key_of in entry[old]:
-                table = tables[tid]
-                key = key_of(args)
-                matches = table.get(key)
-                if matches is None:
-                    table[key] = [args]
-                else:
-                    matches.append(args)
 
     # -- fixpoint -----------------------------------------------------------
 
@@ -358,13 +286,13 @@ class DatalogProgram:
                 continue
             if a.pred in self._static and a.pred not in extended:
                 extended.add(a.pred)
-                for entries in self._tables_of.get(a.pred, ()):
-                    for tid, _ in entries:
+                for tables_of in (self._new_tables_of, self._old_tables_of):
+                    for tid, _ in tables_of.get(a.pred, ()):
                         tables[tid] = {}
                 fresh.extend(f for f in self.base_facts if f[0] == a.pred)
             layers[key] = 0
             fresh.append(key)
-        self._index(fresh, tables, old=False)
+        _fill(fresh, self._new_tables_of, tables)
 
         new: list = []
         layer = 0
@@ -448,10 +376,10 @@ class DatalogProgram:
             pending = bool(new)
             if pending:
                 # the previous layer's atoms become old; this layer's, delta
-                self._index(fresh, tables, old=True)
+                _fill(fresh, self._old_tables_of, tables)
                 for tid in self._delta_tables:
                     tables[tid] = {}
-                self._index(new, tables, old=False)
+                _fill(new, self._new_tables_of, tables)
                 fresh = new
 
         return ReachResult(layers, achievers)
@@ -540,4 +468,5 @@ class RestrictedFFHeuristic:
         if not actions:
             # a node without applicable instantiations is a dead end
             return 0 if self.task.is_goal(state) else INF
-        return self.program.h_ff_restricted(state, actions)
+        # instantiations yields only applicable actions: no check needed
+        return self.program._extract(self.program._fixpoint(state, actions))

@@ -241,6 +241,14 @@ class TestCli:
         assert (out / "domain.pddl").exists()
         assert len(list(out.glob("blocksworld-*.pddl"))) == 3
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_gen_count_below_one_exits_2(self, tmp_path, capsys, count):
+        rc = cli.main(["gen", "blocksworld", "--out", str(tmp_path / "inst"),
+                       "--count", count])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_train_and_solve_with_model(self, tmp_path, capsys):
         inst_dir = tmp_path / "train"
         plan_dir = tmp_path / "plans"

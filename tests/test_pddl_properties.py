@@ -13,8 +13,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from pslift.generators import generate  # noqa: E402
 from pslift.pddl import (  # noqa: E402
-    ActionSchema,
-    Atom,
     PddlError,
     Task,
     load_task,
@@ -25,8 +23,7 @@ from pslift.pddl import (  # noqa: E402
 )
 
 from conftest import BW2_TEXT, BW_DOMAIN_TEXT  # noqa: E402
-
-SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+from strategies import SETTINGS, random_strips_task  # noqa: E402
 
 WORDS = ["define", "domain", "problem", ":domain", ":requirements", ":strips",
          ":typing", ":equality", ":types", ":constants", ":predicates", ":action",
@@ -126,29 +123,4 @@ class TestRoundTrip:
     @SETTINGS
     @given(st.data())
     def test_random_strips_tasks(self, data):
-        objects = [f"o{i}" for i in range(data.draw(st.integers(1, 3)))]
-        arities = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
-        predicates = [(f"p{i}", k) for i, k in enumerate(arities)]
-
-        def atoms(terms, **kw):
-            atom = st.sampled_from(predicates).flatmap(lambda p: st.tuples(
-                st.just(p[0]), st.tuples(*[st.sampled_from(terms)] * p[1])))
-            return data.draw(st.lists(atom, unique=True, **kw).map(
-                lambda keys: tuple(Atom(p, args) for p, args in keys)))
-
-        schemas = []
-        for i in range(data.draw(st.integers(0, 3))):
-            params = tuple(f"?v{j}" for j in range(data.draw(st.integers(0, 3))))
-            terms = list(params) + objects
-            add = atoms(terms, max_size=3)
-            delete = tuple(a for a in atoms(terms, max_size=3) if a not in add)
-            equalities = ()
-            if len(params) >= 2:
-                equalities = tuple(data.draw(st.lists(st.tuples(
-                    st.sampled_from(params), st.sampled_from(params), st.booleans()),
-                    max_size=2)))
-            schemas.append(ActionSchema(f"act{i}", params, atoms(terms, max_size=3),
-                                        add, delete, equalities))
-        init = atoms(objects, max_size=5)
-        goal = atoms(objects, max_size=3)
-        roundtrip(Task("d", "q", predicates, schemas, objects, list(init), list(goal)))
+        roundtrip(random_strips_task(data))

@@ -1,5 +1,10 @@
+import hashlib
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import deque
 
 import numpy as np
@@ -7,6 +12,7 @@ import pytest
 
 from pslift.generators import generate_task
 from pslift.lifted import ROOT, GroundAction, PartialAction, _apply_effects, instantiations
+from pslift import ranking
 from pslift.pddl import ActionSchema, Atom, Task
 from pslift.ranking import (
     AOAG_IMPORTANCES,
@@ -367,3 +373,25 @@ class TestModelIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CorruptModel):
             load_model(str(path))
+
+    @pytest.mark.parametrize("tag,wrong", [("dict", "dixt"), ("weights", "weighs")])
+    def test_wrong_section_tag_rejected_under_O(self, tmp_path, tag, wrong):
+        """A checksummed file with a misspelt section tag is corrupt, also
+        when Python runs with assertions off."""
+        corpus = tiny_corpus(n=2)
+        model, _ = train_model(corpus, TrainConfig(graph_kind="aoag"))
+        path = tmp_path / "m.model"
+        save_model(model, str(path))
+        lines = path.read_text().splitlines()[:-1]
+        lines = [f"{wrong} {line.split()[1]}" if line.startswith(f"{tag} ") else line
+                 for line in lines]
+        body = "\n".join(lines) + "\n"
+        path.write_text(body + f"checksum {hashlib.sha256(body.encode()).hexdigest()}\n")
+        script = ("import sys\nfrom pslift.ranking import CorruptModel, load_model\n"
+                  "try:\n    load_model(sys.argv[1])\nexcept CorruptModel as exc:\n"
+                  "    print(exc)\nelse:\n    print('loaded')\n")
+        src = str(pathlib.Path(ranking.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script, str(path)],
+                              capture_output=True, text=True, env=env, check=True)
+        assert repr(wrong) in done.stdout
