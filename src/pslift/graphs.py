@@ -5,7 +5,14 @@ plus state and goal atoms), its extension with explicit action vertices, and
 the effect-level encoding built from the unavoidable/optional effects of an
 action set. Object vertices carry the set of arity-1 static predicates true of
 the object; atoms of static predicates are otherwise ignored. Edge labels are
-1-based argument positions.
+1-based argument positions. A graph holds only what WL refinement reads: the
+color of each vertex and the labeled edges.
+
+Vertex layout: the objects first, in declaration order, so that the vertex of
+an object is its `task.object_index`; then one vertex per atom, by ascending
+atom id; then, in an action graph, one vertex per action of B, in the order of
+`instantiations`. The action vertices of `aoag` link to their arguments
+through `object_index`, so they rely on this layout.
 
 Color strings:
     ob{p,q}      object with static unary predicates p, q
@@ -25,77 +32,57 @@ from .relaxation import EmptyActionSet
 
 @dataclass
 class LabeledGraph:
-    names: list[str] = field(default_factory=list)
     colors: list[str] = field(default_factory=list)
     edges: list[tuple[int, int, int]] = field(default_factory=list)
 
-    def add_vertex(self, name: str, color: str) -> int:
-        self.names.append(name)
+    def add_vertex(self, color: str) -> int:
         self.colors.append(color)
-        return len(self.names) - 1
+        return len(self.colors) - 1
 
     def add_edge(self, u: int, v: int, label: int) -> None:
         self.edges.append((u, v, label))
 
-    def canonical(self):
-        verts = frozenset(zip(self.names, self.colors))
-        edges = frozenset(
-            (min(self.names[u], self.names[v]), max(self.names[u], self.names[v]), l)
-            for u, v, l in self.edges
-        )
-        return verts, edges
 
-    def __eq__(self, other):
-        return isinstance(other, LabeledGraph) and self.canonical() == other.canonical()
-
-    def dump(self) -> str:
-        lines = [f"v {i} {c}" for i, c in enumerate(self.colors)]
-        lines.extend(f"e {u} {v} {l}" for u, v, l in self.edges)
-        return "\n".join(lines) + "\n"
-
-
-def object_colors(task: Task) -> dict[str, str]:
-    """Color of each object: its arity-1 static predicates in the initial state."""
+def object_colors(task: Task) -> tuple[str, ...]:
+    """Color of each object, in declaration order: its arity-1 static
+    predicates in the initial state."""
     cached = task._info_cache.get("@object_colors")
     if cached is not None:
         return cached
-    preds: dict[str, list[str]] = {o: [] for o in task.objects}
+    preds: list[list[str]] = [[] for _ in task.objects]
     for i in task.static_atoms:
         a = task.atom(i)
-        if len(a.args) == 1 and task.predicate(a.pred).arity == 1:
-            preds[a.args[0]].append(a.pred)
-    colors = {o: "ob{" + ",".join(sorted(ps)) + "}" for o, ps in preds.items()}
+        if len(a.args) == 1:
+            preds[task.object_index[a.args[0]]].append(a.pred)
+    colors = tuple("ob{" + ",".join(sorted(ps)) + "}" for ps in preds)
     task._info_cache["@object_colors"] = colors
     return colors
 
 
-def _atom_vertices(task: Task, graph: LabeledGraph, obj_ids: dict[str, int], atom_ids, color_of):
-    """Add atom vertices (deterministic id order) with positional edges."""
+def _graph(task: Task, atom_ids, color_of) -> LabeledGraph:
+    """The object vertices, then a vertex per atom by ascending id, linked to
+    its arguments by position."""
+    graph = LabeledGraph(list(object_colors(task)))
+    index = task.object_index
     for i in sorted(atom_ids):
-        atom = task.atom(i)
-        v = graph.add_vertex(str(atom), color_of(i))
-        for pos, obj in enumerate(atom.args, start=1):
-            graph.add_edge(v, obj_ids[obj], pos)
+        v = graph.add_vertex(color_of(i))
+        for pos, obj in enumerate(task.atom(i).args, start=1):
+            graph.add_edge(v, index[obj], pos)
+    return graph
 
 
 def ilg(task: Task, state: State) -> LabeledGraph:
     """Objects plus state and goal atoms, colored by goal membership."""
-    graph = LabeledGraph()
-    colors = object_colors(task)
-    obj_ids = {o: graph.add_vertex(o, colors[o]) for o in task.objects}
-    atoms = state | task.goal_fluent
+    goal = task.goal_fluent
 
     def color_of(i):
-        in_s = i in state
-        in_g = i in task.goal_fluent
-        tag = "ag" if in_s and in_g else ("ap" if in_s else "ug")
+        tag = ("ag" if i in goal else "ap") if i in state else "ug"
         return f"{tag}({task.atom(i).pred})"
 
-    _atom_vertices(task, graph, obj_ids, atoms, color_of)
-    return graph
+    return _graph(task, state | goal, color_of)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EffectPartition:
     unav_add: frozenset
     unav_del: frozenset
@@ -105,6 +92,9 @@ class EffectPartition:
     @property
     def empty(self) -> bool:
         return not (self.unav_add or self.unav_del or self.opt_add or self.opt_del)
+
+
+_NO_EFFECTS = EffectPartition(frozenset(), frozenset(), frozenset(), frozenset())
 
 
 def _covers_all_applicable(task: Task, state: State, actions) -> bool:
@@ -122,7 +112,7 @@ def effect_partition(task: Task, state: State, actions) -> tuple[EffectPartition
     if not actions:
         raise EmptyActionSet("effect partition needs at least one action")
     if _covers_all_applicable(task, state, actions):
-        return EffectPartition(frozenset(), frozenset(), frozenset(), frozenset()), state
+        return _NO_EFFECTS, state
 
     adds = []
     dels = []
@@ -154,11 +144,11 @@ def aoag(task: Task, state: State, rho: PartialAction) -> LabeledGraph:
         return ilg(task, _apply_effects(task, state, actions[0]))
 
     graph = ilg(task, state)
+    index = task.object_index
     for action in actions:
-        v = graph.add_vertex(repr(action), f"act({action.schema.name})")
+        v = graph.add_vertex(f"act({action.schema.name})")
         for pos, obj in enumerate(action.args, start=1):
-            # ilg adds the objects first, in declaration order
-            graph.add_edge(v, task.object_index[obj], pos)
+            graph.add_edge(v, index[obj], pos)
     return graph
 
 
@@ -168,28 +158,21 @@ def aeg(task: Task, state: State, rho: PartialAction) -> LabeledGraph:
     classifies the atom (optional-add > optional-delete > unachieved > achieved)
     and beta records goal membership."""
     if rho.is_root:
-        part = EffectPartition(frozenset(), frozenset(), frozenset(), frozenset())
-        s_prime = state
+        part, s_prime = _NO_EFFECTS, state
     else:
-        actions = instantiations(task, state, rho)
-        part, s_prime = effect_partition(task, state, actions)
-
-    graph = LabeledGraph()
-    colors = object_colors(task)
-    obj_ids = {o: graph.add_vertex(o, colors[o]) for o in task.objects}
-    atoms = task.goal_fluent | s_prime | part.opt_add | part.opt_del
+        part, s_prime = effect_partition(task, state, instantiations(task, state, rho))
+    goal = task.goal_fluent
 
     def color_of(i):
         if i in part.opt_add:
             alpha = "oa"
         elif i in part.opt_del:
             alpha = "od"
-        elif i in task.goal_fluent and i not in s_prime:
+        elif i in goal and i not in s_prime:
             alpha = "u"
         else:
             alpha = "a"
-        beta = "g" if i in task.goal_fluent else "ng"
+        beta = "g" if i in goal else "ng"
         return f"{alpha}:{beta}({task.atom(i).pred})"
 
-    _atom_vertices(task, graph, obj_ids, atoms, color_of)
-    return graph
+    return _graph(task, goal | s_prime | part.opt_add | part.opt_del, color_of)

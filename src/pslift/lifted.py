@@ -130,10 +130,10 @@ def _is_var(arg: str) -> bool:
 
 
 def _query_body(schema: ActionSchema) -> list:
-    """The preconditions of a schema as (pred, args) atoms, plus an `@object`
-    atom for each parameter that no precondition mentions, so that a join
-    binds every parameter."""
-    body = [(a.pred, a.args) for a in schema.pre]
+    """The preconditions of a schema, plus an `@object` atom for each
+    parameter that no precondition mentions, so that a join binds every
+    parameter."""
+    body = list(schema.pre)
     seen = {v for a in schema.pre for v in a.args}
     body.extend((OBJ, (p,)) for p in schema.params if p not in seen)
     return body
@@ -264,8 +264,7 @@ def _completions(task: Task, state: State, schema: ActionSchema, prefix: tuple[s
         return out
     tables = [{} for _ in range(query.n_tables)]
     # a state may hold static atoms too; the union lists each atom once
-    _fill(((a.pred, a.args) for a in map(task.atom, state | task.static_atoms)),
-          query.tables_of, tables)
+    _fill(map(task.atom, state | task.static_atoms), query.tables_of, tables)
     if OBJ in query.tables_of:
         _fill(((OBJ, (o,)) for o in task.objects), query.tables_of, tables)
     steps = query.steps

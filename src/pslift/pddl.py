@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -134,9 +135,9 @@ def _typed_list(items: list, what: str) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # model types
 
-@dataclass(frozen=True)
-class Atom:
-    """A predicate applied to arguments; args starting with '?' are variables."""
+class Atom(NamedTuple):
+    """A predicate applied to arguments; args starting with '?' are variables.
+    As a tuple it is its own (pred, args) key."""
 
     pred: str
     args: tuple[str, ...]
@@ -330,20 +331,6 @@ class Task:
 
     def is_goal(self, state: frozenset[int]) -> bool:
         return self._static_goal_ok and self.goal_fluent <= state
-
-    def signature(self):
-        """Canonical structural form, used for round-trip equality checks."""
-        return (
-            self.domain_name,
-            tuple(sorted((p.name, p.arity, p.is_static) for p in self.predicates)),
-            tuple(
-                (s.name, s.params, s.pre, s.add, s.delete, s.equalities)
-                for s in self.schemas
-            ),
-            self.objects,
-            frozenset((self._atoms[i].pred, self._atoms[i].args) for i in self.init),
-            frozenset((self._atoms[i].pred, self._atoms[i].args) for i in self.goal),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -637,72 +624,16 @@ def compile_types(domain: Domain, instance: Instance) -> Task:
             )
         )
 
-    # dedupe init atoms while keeping first-seen order
-    seen_init: set[tuple[str, tuple[str, ...]]] = set()
-    init_unique = []
-    for a in init:
-        k = (a.pred, a.args)
-        if k not in seen_init:
-            seen_init.add(k)
-            init_unique.append(a)
-
     return Task(
         domain.name,
         instance.name,
         predicates,
         schemas,
         objects,
-        init_unique,
+        init,  # interning drops duplicates, keeping first-seen order
         list(instance.goal),
     )
 
 
 def load_task(domain_text: str, problem_text: str) -> Task:
     return parse_instance(problem_text, parse_domain(domain_text))
-
-
-# ---------------------------------------------------------------------------
-# canonical pretty printer (untyped output)
-
-def _var_list(arity: int) -> str:
-    return " ".join(f"?x{i}" for i in range(arity))
-
-
-def write_domain(task: Task) -> str:
-    reqs = [":strips"]
-    if any(s.equalities for s in task.schemas):
-        reqs.append(":equality")
-        if any(not pos for s in task.schemas for _, _, pos in s.equalities):
-            reqs.append(":negative-preconditions")
-    lines = [f"(define (domain {task.domain_name})"]
-    lines.append(f"  (:requirements {' '.join(reqs)})")
-    preds = "\n    ".join(
-        f"({p.name}{' ' if p.arity else ''}{_var_list(p.arity)})"
-        for p in sorted(task.predicates, key=lambda p: p.name)
-    )
-    lines.append(f"  (:predicates {preds})")
-    for s in task.schemas:
-        lines.append(f"  (:action {s.name}")
-        lines.append(f"    :parameters ({' '.join(s.params)})")
-        pre_parts = [a.to_sexpr() for a in s.pre]
-        for x, y, pos in s.equalities:
-            lit = f"(= {x} {y})"
-            pre_parts.append(lit if pos else f"(not {lit})")
-        lines.append(f"    :precondition (and {' '.join(pre_parts)})")
-        eff_parts = [a.to_sexpr() for a in s.add]
-        eff_parts.extend(f"(not {a.to_sexpr()})" for a in s.delete)
-        lines.append(f"    :effect (and {' '.join(eff_parts)}))")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
-
-
-def write_problem(task: Task) -> str:
-    lines = [f"(define (problem {task.problem_name or 'unnamed'})"]
-    lines.append(f"  (:domain {task.domain_name})")
-    lines.append(f"  (:objects {' '.join(task.objects)})")
-    init_atoms = sorted(task.atom(i).to_sexpr() for i in task.init)
-    lines.append("  (:init " + "\n         ".join(init_atoms) + ")")
-    goal_atoms = sorted(task.atom(i).to_sexpr() for i in task.goal)
-    lines.append("  (:goal (and " + " ".join(goal_atoms) + "))")
-    lines.append(")")
-    return "\n".join(lines) + "\n"

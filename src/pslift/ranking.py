@@ -23,7 +23,7 @@ from scipy.optimize import linprog
 
 from .lifted import ROOT, GroundAction, PartialAction, _apply_effects, children, decompose, is_applicable
 from .pddl import Task
-from .wl import AEG, AOAG, ColorDictionary, FeatureVector, phi
+from .wl import AEG, AOAG, GRAPH_KINDS, ColorDictionary, FeatureVector, phi
 
 KINDS = ("lp", "ls", "sp", "ss")
 
@@ -338,7 +338,12 @@ def load_model(path: str) -> LinearModel:
     if lines[-1].split()[1] != digest:
         raise CorruptModel("checksum mismatch")
 
-    graph_kind, iterations = header[2], int(header[3])
+    graph_kind, iterations = header[2], header[3]
+    if graph_kind not in GRAPH_KINDS:
+        raise CorruptModel(f"unknown graph kind {graph_kind!r}")
+    if not (iterations.isascii() and iterations.isdigit()):
+        raise CorruptModel(f"iterations must be a non-negative integer, not {iterations!r}")
+    iterations = int(iterations)
     metadata: dict[str, str] = {}
     pos = 1
     if pos < len(lines) and lines[pos].startswith("meta"):
@@ -369,7 +374,7 @@ def load_model(path: str) -> LinearModel:
             raise CorruptModel("trailing or missing content")
     except (ValueError, IndexError) as exc:
         raise CorruptModel(str(exc)) from exc
-    dictionary = ColorDictionary.from_items(items, frozen=True)
+    dictionary = ColorDictionary.from_items(items)
     return LinearModel(weights, dictionary, graph_kind, iterations, metadata)
 
 
@@ -419,6 +424,8 @@ def train_model(
     """End-to-end: order and split instances, grow the color dictionary on the
     training share, freeze it, featurize validation, tune C, package."""
     config = config or TrainConfig()
+    if config.iterations < 0:
+        raise ValueError(f"WL iterations must be at least 0, not {config.iterations}")
     importances = config.resolved_importances()
     ordered = order_instances(instances)
     train_part, val_part = split_train_val(ordered, config.split)

@@ -101,7 +101,9 @@ class _Rule:
                  "ground", "live", "head_args", "body_args", "param_args", "plans")
 
     def __init__(self, head, body, eqs, schema):
-        self.head = head          # (pred, args) with '?' vars or constants
+        # (pred, args) with '?' vars or constants, as a plain tuple: the
+        # join's inner loop indexes it, and indexing a tuple subclass is slower
+        self.head = tuple(head)
         self.body = tuple(body)
         self.eqs = tuple(eqs)
         self.schema = schema      # ActionSchema for schema rules, else None
@@ -195,17 +197,11 @@ class DatalogProgram:
             if restricted:
                 body.append(GATE)
             for add in schema.add:
-                self.rules.append(
-                    _Rule((add.pred, add.args), body, schema.equalities, schema)
-                )
-        goal_body = [
-            (task.atom(g).pred, task.atom(g).args) for g in sorted(task.goal)
-        ]
+                self.rules.append(_Rule(add, body, schema.equalities, schema))
+        goal_body = [task.atom(g) for g in sorted(task.goal)]
         self.rules.append(_Rule((GOAL, ()), goal_body, (), None))
 
-        self.base_facts: list[tuple] = [
-            (task.atom(i).pred, task.atom(i).args) for i in sorted(task.static_atoms)
-        ]
+        self.base_facts: list[tuple] = [task.atom(i) for i in sorted(task.static_atoms)]
         self.base_facts.extend((OBJ, (o,)) for o in task.objects)
         self._base_layers = dict.fromkeys(self.base_facts, 0)
         self._static = {p.name for p in task.predicates if p.is_static} | {OBJ}
@@ -279,17 +275,16 @@ class DatalogProgram:
         # of any static predicate the state extends
         fresh: list = []
         extended: set = set()
-        for i in state:
-            a = task.atom(i)
-            key = (a.pred, a.args)
+        for key in map(task.atom, state):
             if key in layers:
                 continue
-            if a.pred in self._static and a.pred not in extended:
-                extended.add(a.pred)
+            pred = key.pred
+            if pred in self._static and pred not in extended:
+                extended.add(pred)
                 for tables_of in (self._new_tables_of, self._old_tables_of):
-                    for tid, _ in tables_of.get(a.pred, ()):
+                    for tid, _ in tables_of.get(pred, ()):
                         tables[tid] = {}
-                fresh.extend(f for f in self.base_facts if f[0] == a.pred)
+                fresh.extend(f for f in self.base_facts if f[0] == pred)
             layers[key] = 0
             fresh.append(key)
         _fill(fresh, self._new_tables_of, tables)

@@ -62,14 +62,13 @@ class SearchResult:
 
 
 class SearchNode:
-    __slots__ = ("state", "rho", "parent", "h", "generating_action")
+    __slots__ = ("state", "rho", "parent", "generating_action")
 
-    def __init__(self, state, rho, parent=None, generating_action=None, h=0.0):
+    def __init__(self, state, rho, parent=None, generating_action=None):
         self.state = state
         self.rho = rho
         self.parent = parent
         self.generating_action = generating_action
-        self.h = h
 
 
 def extract_plan(goal_node: SearchNode) -> list[GroundAction]:
@@ -126,7 +125,6 @@ def _gbfs(task: Task, evaluate, expand, limits: Limits | None) -> SearchResult:
         hv = evaluate(node)
         stats.evaluations += 1
         if hv < INF:
-            node.h = hv
             heapq.heappush(open_heap, (hv, next(counter), node))
         return True
 

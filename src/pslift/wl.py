@@ -44,13 +44,13 @@ class ColorDictionary:
         return self._index.items()
 
     @classmethod
-    def from_items(cls, items, frozen: bool = True) -> "ColorDictionary":
+    def from_items(cls, items) -> "ColorDictionary":
         d = cls()
         for key, idx in items:
             d._index[key] = idx
         if sorted(d._index.values()) != list(range(len(d._index))):
             raise ValueError("color dictionary indices are not dense")
-        d.frozen = frozen
+        d.frozen = True
         return d
 
 

@@ -277,3 +277,65 @@ def dataset_size_closed_form(alpha: int, beta: int, k: int, n: int) -> int:
         + sum(alpha * beta**i - 1 for i in range(k + 1))
     )
     return n * per_step + (n - 1)
+
+
+# ---------------------------------------------------------------------------
+# PDDL round trip: a canonical (untyped) printer and a structural signature
+
+def _var_list(arity: int) -> str:
+    return " ".join(f"?x{i}" for i in range(arity))
+
+
+def write_domain(task: Task) -> str:
+    reqs = [":strips"]
+    if any(s.equalities for s in task.schemas):
+        reqs.append(":equality")
+        if any(not pos for s in task.schemas for _, _, pos in s.equalities):
+            reqs.append(":negative-preconditions")
+    lines = [f"(define (domain {task.domain_name})"]
+    lines.append(f"  (:requirements {' '.join(reqs)})")
+    preds = "\n    ".join(
+        f"({p.name}{' ' if p.arity else ''}{_var_list(p.arity)})"
+        for p in sorted(task.predicates, key=lambda p: p.name)
+    )
+    lines.append(f"  (:predicates {preds})")
+    for s in task.schemas:
+        lines.append(f"  (:action {s.name}")
+        lines.append(f"    :parameters ({' '.join(s.params)})")
+        pre_parts = [a.to_sexpr() for a in s.pre]
+        for x, y, pos in s.equalities:
+            lit = f"(= {x} {y})"
+            pre_parts.append(lit if pos else f"(not {lit})")
+        lines.append(f"    :precondition (and {' '.join(pre_parts)})")
+        eff_parts = [a.to_sexpr() for a in s.add]
+        eff_parts.extend(f"(not {a.to_sexpr()})" for a in s.delete)
+        lines.append(f"    :effect (and {' '.join(eff_parts)}))")
+    lines.append(")")
+    return "\n".join(lines) + "\n"
+
+
+def write_problem(task: Task) -> str:
+    lines = [f"(define (problem {task.problem_name or 'unnamed'})"]
+    lines.append(f"  (:domain {task.domain_name})")
+    lines.append(f"  (:objects {' '.join(task.objects)})")
+    init_atoms = sorted(task.atom(i).to_sexpr() for i in task.init)
+    lines.append("  (:init " + "\n         ".join(init_atoms) + ")")
+    goal_atoms = sorted(task.atom(i).to_sexpr() for i in task.goal)
+    lines.append("  (:goal (and " + " ".join(goal_atoms) + "))")
+    lines.append(")")
+    return "\n".join(lines) + "\n"
+
+
+def signature(task: Task):
+    """Canonical structural form of a task, for round-trip equality checks."""
+    return (
+        task.domain_name,
+        tuple(sorted((p.name, p.arity, p.is_static) for p in task.predicates)),
+        tuple(
+            (s.name, s.params, s.pre, s.add, s.delete, s.equalities)
+            for s in task.schemas
+        ),
+        task.objects,
+        frozenset(task.atom(i) for i in task.init),
+        frozenset(task.atom(i) for i in task.goal),
+    )

@@ -319,8 +319,8 @@ def test_criterion_5_dataset_closed_form():
 
 def random_graph(rng, n=9):
     g = LabeledGraph()
-    for i in range(n):
-        g.add_vertex(f"v{i}", rng.choice(("r", "g", "b", "y")))
+    for _ in range(n):
+        g.add_vertex(rng.choice(("r", "g", "b", "y")))
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.35:
@@ -329,11 +329,11 @@ def random_graph(rng, n=9):
 
 
 def permuted_graph(g, rng):
-    perm = list(range(len(g.names)))
+    perm = list(range(len(g.colors)))
     rng.shuffle(perm)
     out = LabeledGraph()
     for i in sorted(range(len(perm)), key=lambda i: perm[i]):
-        out.add_vertex(g.names[i], g.colors[i])
+        out.add_vertex(g.colors[i])
     edges = [(perm[u], perm[v], l) for u, v, l in g.edges]
     rng.shuffle(edges)
     for u, v, l in edges:

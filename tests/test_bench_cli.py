@@ -1,5 +1,6 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from pslift import cli
@@ -17,8 +18,10 @@ from pslift.bench import (
 from pslift.generators import FAMILIES, generate, generate_task
 from pslift.lifted import ROOT, GroundAction, instantiations
 from pslift.pddl import load_task
+from pslift.ranking import LinearModel, save_model
 from pslift.search import SearchStats, gbfs_partial, gbfs_state
 from pslift.relaxation import FFHeuristic, RestrictedFFHeuristic
+from pslift.wl import ColorDictionary
 
 import oracles
 from conftest import BW2_TEXT, BW_DOMAIN_TEXT
@@ -220,6 +223,19 @@ class TestCli:
         domain, problem = bw_files
         model = tmp_path / "m.model"
         model.write_text(text)
+        rc = cli.main(["solve", str(domain), str(problem), "--heuristic", f"model:{model}"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_solve_model_of_unknown_kind_exits_2(self, bw_files, tmp_path, capsys):
+        """A model whose graph kind no encoding implements fails at load, also
+        on an instance whose goal already holds and needs no evaluation."""
+        domain, _ = bw_files
+        problem = tmp_path / "done.pddl"
+        problem.write_text("(define (problem done) (:domain blocksworld) (:objects a)"
+                           " (:init (ontable a) (clear a) (handempty)) (:goal (ontable a)))")
+        model = tmp_path / "m.model"
+        save_model(LinearModel(np.zeros(0), ColorDictionary(), "xyz", 2), str(model))
         rc = cli.main(["solve", str(domain), str(problem), "--heuristic", f"model:{model}"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")

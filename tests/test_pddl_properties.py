@@ -18,11 +18,10 @@ from pslift.pddl import (  # noqa: E402
     load_task,
     parse_domain,
     parse_instance,
-    write_domain,
-    write_problem,
 )
 
 from conftest import BW2_TEXT, BW_DOMAIN_TEXT  # noqa: E402
+from oracles import signature, write_domain, write_problem  # noqa: E402
 from strategies import SETTINGS, random_strips_task  # noqa: E402
 
 WORDS = ["define", "domain", "problem", ":domain", ":requirements", ":strips",
@@ -103,7 +102,7 @@ class TestMalformedInput:
 
 def roundtrip(task: Task) -> None:
     reparsed = load_task(write_domain(task), write_problem(task))
-    assert reparsed.signature() == task.signature()
+    assert signature(reparsed) == signature(task)
 
 
 class TestRoundTrip:

@@ -292,6 +292,12 @@ class TestTrainModel:
         with pytest.raises(ValueError):
             split_train_val([("one", bw2, [])], 0.8)
 
+    def test_negative_iterations_rejected(self):
+        """load_model rejects a negative iteration count, so training does
+        not write one."""
+        with pytest.raises(ValueError):
+            train_model(tiny_corpus(n=2), TrainConfig(iterations=-1))
+
 
 class TestArgmaxSanity:
     def test_plan_action_outranks_state_siblings(self):
@@ -371,6 +377,16 @@ class TestModelIO:
         lines = path.read_text().splitlines()
         lines[2] = lines[2] + " "
         path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptModel):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("kind,iterations", [
+        ("xyz", 2), ("aoag", -1), ("aeg", "two"), ("aoag", "1.5")])
+    def test_unusable_header_rejected(self, tmp_path, kind, iterations):
+        """A checksummed model with an unknown graph kind, or an iteration
+        count that is not a non-negative integer, is corrupt."""
+        path = tmp_path / "m.model"
+        save_model(LinearModel(np.zeros(0), ColorDictionary(), kind, iterations), str(path))
         with pytest.raises(CorruptModel):
             load_model(str(path))
 

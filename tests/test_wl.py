@@ -9,9 +9,9 @@ from pslift.wl import AEG, AOAG, ColorDictionary, phi, wl_features
 
 def path_graph():
     g = LabeledGraph()
-    v1 = g.add_vertex("v1", "c")
-    v2 = g.add_vertex("v2", "c")
-    v3 = g.add_vertex("v3", "c")
+    v1 = g.add_vertex("c")
+    v2 = g.add_vertex("c")
+    v3 = g.add_vertex("c")
     g.add_edge(v1, v2, 1)
     g.add_edge(v2, v3, 1)
     return g
@@ -19,8 +19,8 @@ def path_graph():
 
 def random_graph(rng, n=8, colors=("r", "g", "b"), labels=(1, 2)):
     g = LabeledGraph()
-    for i in range(n):
-        g.add_vertex(f"v{i}", rng.choice(colors))
+    for _ in range(n):
+        g.add_vertex(rng.choice(colors))
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.4:
@@ -29,12 +29,12 @@ def random_graph(rng, n=8, colors=("r", "g", "b"), labels=(1, 2)):
 
 
 def permuted(g, rng):
-    perm = list(range(len(g.names)))
+    perm = list(range(len(g.colors)))
     rng.shuffle(perm)
     out = LabeledGraph()
     order = sorted(range(len(perm)), key=lambda i: perm[i])
     for i in order:
-        out.add_vertex(g.names[i], g.colors[i])
+        out.add_vertex(g.colors[i])
     new_id = {i: perm[i] for i in range(len(perm))}
     edges = [(new_id[u], new_id[v], l) for u, v, l in g.edges]
     rng.shuffle(edges)
@@ -92,7 +92,7 @@ class TestWlFeatures:
         g = random_graph(rng)
         d0 = ColorDictionary()
         fv0 = wl_features(g, 0, d0)
-        assert sum(fv0.values()) == len(g.names)
+        assert sum(fv0.values()) == len(g.colors)
 
     def test_frozen_dictionary_drops_unknown_colors(self):
         g1 = path_graph()
@@ -101,8 +101,8 @@ class TestWlFeatures:
         d.freeze()
         size = len(d)
         g2 = LabeledGraph()
-        a = g2.add_vertex("a", "never-seen")
-        b = g2.add_vertex("b", "c")
+        a = g2.add_vertex("never-seen")
+        b = g2.add_vertex("c")
         g2.add_edge(a, b, 1)
         fv = wl_features(g2, 1, d)
         assert len(d) == size  # no growth
