@@ -70,6 +70,7 @@ def cmd_solve(args) -> int:
             search.UNSOLVABLE: bench.UNSOLVED,
         }.get(result.status)
         if outcome is None:
+            log.info("search stopped: %s limit reached", result.reason)
             outcome = {
                 "time": bench.TIMEOUT,
                 "memory": bench.MEMORY_OUT,

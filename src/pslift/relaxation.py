@@ -35,6 +35,14 @@ same first bindings while enumerating far fewer:
   already derived prunes the branch, and a head just derived by the branch's
   first completion ends the branch. Every skipped completion would have
   derived an atom that already has its achiever.
+* Goal cut-off. The heuristic values stop the fixpoint after the layer L
+  that derives `@goal`. The goal rule is ground and the last rule, so it
+  fires at layer L only after every other rule of layer L has run, and only
+  when every goal atom is below L; at layer 1, B is applied after the rules,
+  so all of layer 1 runs before the stop. Extraction visits only atoms
+  below L, and each of them got its first achiever by the end of its own
+  layer, so later layers cannot change h. `relaxed_reach` runs to the full
+  fixpoint, and so does a dead end, as it never derives `@goal`.
 * Fully ground rules (the goal rule, and schemas without parameters) fire
   at the first layer that has all their body atoms, which is exactly when a
   join would have bound them first.
@@ -72,6 +80,7 @@ EPSILON = "@epsilon"
 GOAL = "@goal"
 _INTERNAL = {EPSILON, GOAL, OBJ}
 GATE = (EPSILON, ())
+GOAL_KEY = (GOAL, ())
 
 # index table kinds: every atom so far, atoms older than the previous layer,
 # and the previous layer's atoms (at layer 1, every layer-0 atom)
@@ -261,9 +270,11 @@ class DatalogProgram:
 
     # -- fixpoint -----------------------------------------------------------
 
-    def _fixpoint(self, state: State, chosen=()) -> ReachResult:
+    def _fixpoint(self, state: State, chosen=(), full=False) -> ReachResult:
         """Layers and achievers of the program from state; `chosen` is the
-        action set B of the restriction transform, all applicable in state."""
+        action set B of the restriction transform, all applicable in state.
+        The fixpoint stops after the layer that derives the goal, which is
+        all that extraction reads, unless `full` asks for every layer."""
         task = self.task
         layers = dict(self._base_layers)
         achievers: dict = {}
@@ -368,7 +379,7 @@ class DatalogProgram:
                     if GATE not in layers:
                         derive(action, GATE, None)
 
-            pending = bool(new)
+            pending = bool(new) and (full or GOAL_KEY not in layers)
             if pending:
                 # the previous layer's atoms become old; this layer's, delta
                 _fill(fresh, self._old_tables_of, tables)
@@ -382,12 +393,11 @@ class DatalogProgram:
     # -- heuristic values -----------------------------------------------------
 
     def _extract(self, reach: ReachResult) -> float:
-        goal_key = (GOAL, ())
-        if goal_key not in reach.layers:
+        if GOAL_KEY not in reach.layers:
             return INF
         actions = set()
         seen = set()
-        stack = [goal_key]
+        stack = [GOAL_KEY]
         while stack:
             key = stack.pop()
             if key in seen or reach.layers[key] == 0:
@@ -405,9 +415,11 @@ class DatalogProgram:
         return len(actions)
 
     def relaxed_reach(self, state: State, actions=None) -> ReachResult:
+        """Layers and achievers of the full fixpoint, optionally with the
+        action set B."""
         if actions is None:
-            return self._fixpoint(state)
-        return self._fixpoint(state, self._chosen(state, actions))
+            return self._fixpoint(state, full=True)
+        return self._fixpoint(state, self._chosen(state, actions), full=True)
 
     def h_ff(self, state: State) -> float:
         """Relaxed-plan size, 0 iff the goal already holds, inf on dead ends."""

@@ -1,3 +1,4 @@
+import logging
 import pathlib
 
 import numpy as np
@@ -195,6 +196,17 @@ class TestCli:
                        "--stats-csv", str(csv_file)])
         assert rc == 1
         assert read_records(str(csv_file))[0].outcome == "Timeout"
+
+    def test_solve_expansion_cap_logs_its_reason(self, bw_files, tmp_path, caplog):
+        domain, problem = bw_files
+        csv_file = tmp_path / "stats.csv"
+        with caplog.at_level(logging.INFO, logger="pslift"):
+            rc = cli.main(["solve", str(domain), str(problem), "--expansion-cap", "1",
+                           "--stats-csv", str(csv_file)])
+        assert rc == 1
+        assert read_records(str(csv_file))[0].outcome == "Unsolved"
+        assert [r.message for r in caplog.records
+                if r.levelno == logging.INFO] == ["search stopped: expansions limit reached"]
 
     def test_solve_malformed_domain_exits_2_without_traceback(self, bw_files, tmp_path,
                                                               capsys):

@@ -66,6 +66,23 @@ class TestRelaxedReach:
         reach = program.relaxed_reach(goal_state)
         assert reach.layers[("@goal", ())] == 1
 
+    def test_full_fixpoint_runs_past_the_goal_layer(self, bw2):
+        # the goal holds, so @goal is at layer 1; unstacking a and moving
+        # the blocks reaches atoms at later layers
+        program = DatalogProgram(bw2)
+        goal_state = frozenset(
+            {bw2.intern("on", ("a", "b")), bw2.intern("ontable", ("b",)),
+             bw2.intern("clear", ("a",)), bw2.intern("handempty", ())}
+        )
+        reach = program.relaxed_reach(goal_state)
+        goal_layer = reach.layers[("@goal", ())]
+        assert max(reach.layers.values()) > goal_layer
+        _, oracle_layers = oracles.relaxed_reachable(bw2, goal_state)
+        assert {k: v for k, v in reach.layers.items()
+                if not k[0].startswith("@")} == oracle_layers
+        # the heuristic's own fixpoint stops at the goal's layer
+        assert max(program._fixpoint(goal_state).layers.values()) == goal_layer
+
     def test_layers_match_grounded_hmax(self, bw2, bw3_stack, spanner_mini):
         for task in (bw2, bw3_stack, spanner_mini):
             program = DatalogProgram(task)
