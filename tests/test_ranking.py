@@ -38,6 +38,8 @@ from pslift.wl import ColorDictionary, phi
 
 import oracles
 
+MODEL_FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "models"
+
 IMPS = {"lp": 1.0, "ls": 1.0, "sp": 1.0, "ss": 1.0}
 
 
@@ -324,7 +326,24 @@ class TestArgmaxSanity:
         assert good / steps >= 0.9, f"{good}/{steps}"
 
 
+def write_golden_model(kind: str, path) -> None:
+    model, _ = train_model(tiny_corpus(), TrainConfig(graph_kind=kind))
+    save_model(model, str(path))
+
+
 class TestModelIO:
+    @pytest.mark.parametrize("kind", ["aoag", "aeg"])
+    def test_trained_model_matches_golden_bytes(self, tmp_path, kind):
+        """Training on the tiny corpus writes the recorded model byte for byte,
+        and loading and saving that file again reproduces it."""
+        golden = (MODEL_FIXTURES / f"tiny-{kind}.model").read_bytes()
+        trained = tmp_path / "trained.model"
+        write_golden_model(kind, trained)
+        assert trained.read_bytes() == golden
+        resaved = tmp_path / "resaved.model"
+        save_model(load_model(str(MODEL_FIXTURES / f"tiny-{kind}.model")), str(resaved))
+        assert resaved.read_bytes() == golden
+
     def test_roundtrip_preserves_evaluations(self, tmp_path):
         corpus = tiny_corpus()
         model, _ = train_model(corpus, TrainConfig(graph_kind="aoag"))
@@ -411,3 +430,11 @@ class TestModelIO:
         done = subprocess.run([sys.executable, "-O", "-c", script, str(path)],
                               capture_output=True, text=True, env=env, check=True)
         assert repr(wrong) in done.stdout
+
+
+if __name__ == "__main__":
+    # Regenerate the golden models (only when a change of model is intended):
+    #     PYTHONPATH=src python tests/test_ranking.py
+    MODEL_FIXTURES.mkdir(parents=True, exist_ok=True)
+    for graph_kind in ("aoag", "aeg"):
+        write_golden_model(graph_kind, MODEL_FIXTURES / f"tiny-{graph_kind}.model")
