@@ -158,6 +158,7 @@ def cmd_train(args) -> int:
     print("tuple kinds:     "
           + " ".join(f"{k}={report.kind_counts[k]}" for k in ranking.KINDS))
     print(f"chosen C:        {report.chosen_c}")
+    print(f"dictionary size: {report.dictionary_size} colors")
     print(f"validation loss: {report.validation_loss:.6f}")
     print(f"train satisfied: {report.satisfied:.3f}")
     print(f"model:           {args.output}")

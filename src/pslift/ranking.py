@@ -360,6 +360,7 @@ def load_model(path: str) -> LinearModel:
         for line in lines[pos + 1 : pos + 1 + n_dict]:
             key, idx = line.split("\t")
             items.append((key, int(idx)))
+        dictionary = ColorDictionary.from_items(items)
         pos += 1 + n_dict
         tag, count = lines[pos].split()
         if tag != "weights":
@@ -374,7 +375,6 @@ def load_model(path: str) -> LinearModel:
             raise CorruptModel("trailing or missing content")
     except (ValueError, IndexError) as exc:
         raise CorruptModel(str(exc)) from exc
-    dictionary = ColorDictionary.from_items(items)
     return LinearModel(weights, dictionary, graph_kind, iterations, metadata)
 
 
@@ -393,6 +393,7 @@ class TrainReport:
     val_instances: list[str]
     satisfied: float
     ss_only_ratio: float
+    dictionary_size: int
     degenerate: int = 0
 
 
@@ -480,6 +481,7 @@ def train_model(
         val_instances=[n for n, _, _ in val_part],
         satisfied=satisfied_fraction(result.weights, train_data),
         ss_only_ratio=total / ss if ss else math.inf,
+        dictionary_size=dim,
         degenerate=total - len(train_data) - len(val_data),
     )
     return model, report

@@ -2,10 +2,13 @@
 
 Refined colors are canonical signatures (own color plus the sorted multiset of
 (edge label, neighbor color) pairs), interned injectively in a ColorDictionary;
-no lossy hashing. Feature vectors count color occurrences over iterations
-0..L. A frozen dictionary never grows: colors it has not seen contribute
-nothing, but refinement still runs over them so known colors downstream keep
-their meaning.
+no lossy hashing. In memory an initial color's key is the string
+`"c|" + color` and a refined color's key is the tuple
+`(own, ((label, color), ...))` of integer ids, pairs sorted; model files
+spell the tuple as `s|own|label,color;label,color`. Feature vectors count
+color occurrences over iterations 0..L. A frozen dictionary never grows:
+colors it has not seen contribute nothing, but refinement still runs over
+them so known colors downstream keep their meaning.
 """
 
 from __future__ import annotations
@@ -19,17 +22,30 @@ GRAPH_KINDS = (AOAG, AEG)
 FeatureVector = dict  # feature index -> positive count
 
 
+ColorKey = str | tuple  # "c|<color>", or (own id, sorted ((label, id), ...))
+
+
 class ColorDictionary:
-    """Injective map from color signatures to dense feature indices."""
+    """Injective map from color signatures to dense feature indices.
+
+    Two vertices get the same refined key exactly when they had the same
+    color and the same multiset of (edge label, neighbor color) pairs: the
+    pairs are sorted, and a key holds nothing else. Distinct colors thus keep
+    distinct keys at every iteration, as they do with the string form. A
+    stored key never holds a negative placeholder id (a frozen dictionary
+    stores nothing), so `items()` and `from_items()` convert between the two
+    forms without loss, and a dictionary read from a file gives every color
+    the index it had when it was written.
+    """
 
     def __init__(self):
-        self._index: dict[str, int] = {}
+        self._index: dict[ColorKey, int] = {}
         self.frozen = False
 
     def __len__(self) -> int:
         return len(self._index)
 
-    def lookup(self, key: str) -> int | None:
+    def lookup(self, key: ColorKey) -> int | None:
         idx = self._index.get(key)
         if idx is None and not self.frozen:
             idx = len(self._index)
@@ -41,17 +57,50 @@ class ColorDictionary:
         return self
 
     def items(self):
-        return self._index.items()
+        """(key, index) pairs in insertion order, keys in their string form."""
+        return ((_to_text(key), idx) for key, idx in self._index.items())
 
     @classmethod
     def from_items(cls, items) -> "ColorDictionary":
+        """A frozen dictionary from string-form (key, index) pairs. Raises
+        ValueError for a malformed, non-canonical or repeated key, or for
+        indices that are not 0..n-1."""
         d = cls()
-        for key, idx in items:
+        for text, idx in items:
+            key = _from_text(text)
+            if key in d._index:
+                raise ValueError(f"color key {text!r} appears twice")
             d._index[key] = idx
         if sorted(d._index.values()) != list(range(len(d._index))):
             raise ValueError("color dictionary indices are not dense")
         d.frozen = True
         return d
+
+
+def _to_text(key: ColorKey) -> str:
+    if isinstance(key, str):
+        return key
+    own, pairs = key
+    return f"s|{own}|" + ";".join(f"{label},{color}" for label, color in pairs)
+
+
+def _from_text(text: str) -> ColorKey:
+    tag, sep, rest = text.partition("|")
+    if tag == "c" and sep:
+        return text
+    if tag != "s":
+        raise ValueError(f"color key {text!r} has an unknown tag")
+    own, _, body = rest.partition("|")
+    pairs = []
+    for part in body.split(";") if body else ():
+        label, color = part.split(",")
+        pairs.append((int(label), int(color)))
+    key = (int(own), tuple(pairs))
+    if _to_text(key) != text:
+        raise ValueError(f"color key {text!r} is not canonical")
+    if key[0] < 0 or any(color < 0 for _, color in pairs):
+        raise ValueError(f"color key {text!r} holds a placeholder id")
+    return key
 
 
 def wl_features(graph: LabeledGraph, iterations: int, dictionary: ColorDictionary) -> FeatureVector:
@@ -61,9 +110,9 @@ def wl_features(graph: LabeledGraph, iterations: int, dictionary: ColorDictionar
     well-defined, but they are never counted and never enter the dictionary.
     """
     counts: FeatureVector = {}
-    temps: dict[str, int] = {}
+    temps: dict[ColorKey, int] = {}
 
-    def resolve(key: str) -> int:
+    def resolve(key: ColorKey) -> int:
         idx = dictionary.lookup(key)
         if idx is not None:
             counts[idx] = counts.get(idx, 0) + 1
@@ -82,12 +131,10 @@ def wl_features(graph: LabeledGraph, iterations: int, dictionary: ColorDictionar
         adjacency[v].append((label, u))
 
     for _ in range(iterations):
-        refined = []
-        for v in range(len(current)):
-            pairs = sorted((label, current[u]) for label, u in adjacency[v])
-            key = f"s|{current[v]}|" + ";".join(f"{l},{c}" for l, c in pairs)
-            refined.append(resolve(key))
-        current = refined
+        current = [
+            resolve((own, tuple(sorted([(label, current[u]) for label, u in adjacency[v]]))))
+            for v, own in enumerate(current)
+        ]
     return counts
 
 

@@ -280,6 +280,58 @@ def dataset_size_closed_form(alpha: int, beta: int, k: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# WL refinement on string keys
+
+
+class StringColorDictionary:
+    """Injective map from string color signatures to dense feature indices."""
+
+    def __init__(self):
+        self._index: dict[str, int] = {}
+        self.frozen = False
+
+    def lookup(self, key: str) -> int | None:
+        idx = self._index.get(key)
+        if idx is None and not self.frozen:
+            idx = len(self._index)
+            self._index[key] = idx
+        return idx
+
+    def items(self):
+        return self._index.items()
+
+
+def string_wl_features(graph, iterations: int, dictionary: StringColorDictionary) -> dict:
+    """WL color counts with every color spelt out as a string: "c|<color>" at
+    iteration 0, then "s|<own>|<label>,<color>;..." over the sorted pairs of
+    (edge label, neighbor color). Unknown colors get call-local negative ids
+    and are never counted."""
+    counts: dict[int, int] = {}
+    temps: dict[str, int] = {}
+
+    def resolve(key: str) -> int:
+        idx = dictionary.lookup(key)
+        if idx is not None:
+            counts[idx] = counts.get(idx, 0) + 1
+            return idx
+        return temps.setdefault(key, -1 - len(temps))
+
+    current = [resolve("c|" + color) for color in graph.colors]
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in graph.colors]
+    for u, v, label in graph.edges:
+        adjacency[u].append((label, v))
+        adjacency[v].append((label, u))
+    for _ in range(iterations):
+        refined = []
+        for v in range(len(current)):
+            pairs = sorted((label, current[u]) for label, u in adjacency[v])
+            key = f"s|{current[v]}|" + ";".join(f"{l},{c}" for l, c in pairs)
+            refined.append(resolve(key))
+        current = refined
+    return counts
+
+
+# ---------------------------------------------------------------------------
 # PDDL round trip: a canonical (untyped) printer and a structural signature
 
 def _var_list(arity: int) -> str:

@@ -19,7 +19,7 @@ from pslift.bench import (
 from pslift.generators import FAMILIES, generate, generate_task
 from pslift.lifted import ROOT, GroundAction, instantiations
 from pslift.pddl import load_task
-from pslift.ranking import LinearModel, save_model
+from pslift.ranking import LinearModel, load_model, save_model
 from pslift.search import SearchStats, gbfs_partial, gbfs_state
 from pslift.relaxation import FFHeuristic, RestrictedFFHeuristic
 from pslift.wl import ColorDictionary
@@ -304,6 +304,7 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "dataset size" in out and "chosen C" in out
+        assert f"dictionary size: {len(load_model(str(model_file)).dictionary)} colors" in out
 
         test_problem = tmp_path / "test.pddl"
         _, problem = generate("blocksworld", seed=33, blocks=4)

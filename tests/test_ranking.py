@@ -290,6 +290,10 @@ class TestTrainModel:
         _, report = train_model(corpus, TrainConfig(graph_kind="aoag"))
         assert report.ss_only_ratio > 1.0
 
+    def test_report_counts_dictionary(self):
+        model, report = train_model(tiny_corpus(n=3), TrainConfig(graph_kind="aeg"))
+        assert report.dictionary_size == len(model.dictionary) > 0
+
     def test_needs_two_instances(self, bw2):
         with pytest.raises(ValueError):
             split_train_val([("one", bw2, [])], 0.8)
@@ -406,6 +410,26 @@ class TestModelIO:
         count that is not a non-negative integer, is corrupt."""
         path = tmp_path / "m.model"
         save_model(LinearModel(np.zeros(0), ColorDictionary(), kind, iterations), str(path))
+        with pytest.raises(CorruptModel):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("entries", [
+        pytest.param([("c|a", 0), ("c|b", 5)], id="not-dense"),
+        pytest.param([("c|a", 0), ("c|a", 1)], id="duplicate"),
+        pytest.param([("c|a", 0), ("s|x|1,2", 1)], id="malformed"),
+        pytest.param([("c|a", 0), ("zz", 1)], id="unknown-tag"),
+        pytest.param([("s|0|1,2", 0), ("s|00|1,2", 1)], id="non-canonical"),
+        pytest.param([("c|a", 0), ("s|-1|0,0", 1)], id="placeholder-id"),
+    ])
+    def test_bad_dictionary_rejected(self, tmp_path, entries):
+        """A checksummed file whose dictionary does not read back as one that
+        training could have written is corrupt."""
+        lines = ["LLMODEL v1 aoag 2", "meta", f"dict {len(entries)}"]
+        lines += [f"{key}\t{idx}" for key, idx in entries]
+        lines.append("weights 0")
+        body = "\n".join(lines) + "\n"
+        path = tmp_path / "m.model"
+        path.write_text(body + f"checksum {hashlib.sha256(body.encode()).hexdigest()}\n")
         with pytest.raises(CorruptModel):
             load_model(str(path))
 
