@@ -159,6 +159,10 @@ def cmd_train(args) -> int:
           + " ".join(f"{k}={report.kind_counts[k]}" for k in ranking.KINDS))
     print(f"chosen C:        {report.chosen_c}")
     print(f"dictionary size: {report.dictionary_size} colors")
+    rows, columns, nonzeros = report.lp_shape
+    print(f"LP shape:        {rows} rows, {columns} columns, {nonzeros} nonzeros")
+    print("LP seconds:      "
+          + " ".join(f"C={c:g}:{seconds:.3f}" for c, seconds in report.c_seconds))
     print(f"validation loss: {report.validation_loss:.6f}")
     print(f"train satisfied: {report.satisfied:.3f}")
     print(f"model:           {args.output}")

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lifted import ROOT, PartialAction, State, _apply_effects, ground_effects, instantiations
+from .lifted import (PartialAction, State, _apply_effects, ground_effects, instantiations,
+                     n_applicable)
 from .pddl import Task
 from .relaxation import EmptyActionSet
 
@@ -97,11 +98,11 @@ class EffectPartition:
 _NO_EFFECTS = EffectPartition(frozenset(), frozenset(), frozenset(), frozenset())
 
 
-def _covers_all_applicable(task: Task, state: State, actions) -> bool:
-    """A_s subset of B, decided lazily: stop at the first applicable action
-    outside B."""
-    bset = set(actions)
-    return all(a in bset for a in instantiations(task, state, ROOT))
+def _covers_all_applicable(task: Task, state: State, actions: list) -> bool:
+    """A_s subset of B. B must hold distinct actions applicable in state, as
+    `instantiations` gives them; then B is a subset of A_s, and covers it
+    exactly when it is as large."""
+    return len(actions) == n_applicable(task, state)
 
 
 def effect_partition(task: Task, state: State, actions) -> tuple[EffectPartition, State]:

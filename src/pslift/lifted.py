@@ -8,10 +8,14 @@ action completes it. Nothing here ever grounds the whole task.
 The preconditions of a schema with its first k parameters bound form one
 conjunctive query, compiled once per (schema, k) by the join-plan builder that
 the relaxation's Datalog rules use, and run over an index of the state and
-the static atoms. The join's order follows the index, so the completions are
-sorted by object declaration index: actions come in schema order, then
-lexicographically by declaration index, the order on which the search's
-counters and the restricted FF value depend.
+the static atoms. One index per state serves every query on that state: the
+task keeps the index of the last state asked about, builds each index table
+on first use, and caches the completions of the empty prefix, so `children`
+and `instantiations` of ROOT and `n_applicable` run the join once per state.
+The join's order follows the index, so the completions are sorted by object
+declaration index: actions come in schema order, then lexicographically by
+declaration index, the order on which the search's counters and the
+restricted FF value depend.
 """
 
 from __future__ import annotations
@@ -224,9 +228,10 @@ def _fill(atoms, tables_of, tables) -> None:
 class _Query:
     """The applicable completions of a schema with its first k parameters
     bound, as a join plan. A binding holds the parameters, then the
-    constants of the preconditions and equality literals."""
+    constants of the preconditions and equality literals. A step names its
+    index table as (predicate, key positions)."""
 
-    __slots__ = ("template", "test", "steps", "tables_of", "n_tables")
+    __slots__ = ("template", "test", "steps")
 
     def __init__(self, schema: ActionSchema, k: int):
         body = _query_body(schema)
@@ -241,20 +246,75 @@ class _Query:
         self.test = _eqs_test(tuple(
             (slots[x], slots[y], want) for x, y, want in schema.equalities
             if x in bound and y in bound))
-        self.tables_of: dict = {}
+        _, self.steps = _join_steps(body, schema.equalities, slots, bound,
+                                    lambda i, pred, keyed: (pred, keyed))
 
-        def table(i, pred, keyed):
-            # one table per body atom, with the atom's position as its id
-            self.tables_of.setdefault(pred, []).append((i, _key_getter(keyed)))
-            return i
 
-        _, self.steps = _join_steps(body, schema.equalities, slots, bound, table)
-        self.n_tables = len(body)
+class _StateIndex:
+    """The args of the atoms of `state | static atoms`, `@object` included,
+    grouped by predicate in the order the union iterates them; the index
+    tables built from them on first use, keyed by (predicate, key
+    positions); and the completions of the empty prefix, by schema name."""
+
+    __slots__ = ("state", "groups", "tables", "roots")
+
+    def __init__(self, task: Task, state: State):
+        self.state = state
+        groups: dict = {OBJ: [(o,) for o in task.objects]}
+        # a state may hold static atoms too; the union lists each atom once
+        for pred, args in map(task.atom, state | task.static_atoms):
+            group = groups.get(pred)
+            if group is None:
+                groups[pred] = [args]
+            else:
+                group.append(args)
+        self.groups = groups
+        self.tables: dict = {}
+        self.roots: dict = {}
+
+    def table(self, name) -> dict:
+        table = self.tables.get(name)
+        if table is None:
+            pred, keyed = name
+            key_of = _key_getter(keyed)
+            table = self.tables[name] = {}
+            # one table of one predicate: a plain loop, about 3x cheaper
+            # than `_fill` with its per-predicate table lists
+            for args in self.groups.get(pred, ()):
+                key = key_of(args)
+                matches = table.get(key)
+                if matches is None:
+                    table[key] = [args]
+                else:
+                    matches.append(args)
+        return table
+
+
+def _state_index(task: Task, state: State) -> _StateIndex:
+    """The index of state, kept on the task for the last state asked about.
+    States are immutable, so an equal state may reuse it."""
+    index = task._info_cache.get("@state_index")
+    if index is None or (index.state is not state and index.state != state):
+        index = task._info_cache["@state_index"] = _StateIndex(task, state)
+    return index
 
 
 def _completions(task: Task, state: State, schema: ActionSchema, prefix: tuple[str, ...]) -> list:
     """The full argument tuples that extend prefix to an action applicable in
-    state, in join order."""
+    state, in join order. The list of the empty prefix is cached with the
+    state's index and shared by every caller, so callers must not mutate
+    it."""
+    index = _state_index(task, state)
+    if not prefix:
+        out = index.roots.get(schema.name)
+        if out is None:
+            out = index.roots[schema.name] = _join(task, index, schema, prefix)
+        return out
+    return _join(task, index, schema, prefix)
+
+
+def _join(task: Task, index: _StateIndex, schema: ActionSchema, prefix: tuple[str, ...]) -> list:
+    """The completions of prefix, by running its query over the index."""
     query = task._info_cache.get((schema.name, len(prefix)))
     if query is None:
         query = task._info_cache[schema.name, len(prefix)] = _Query(schema, len(prefix))
@@ -262,20 +322,16 @@ def _completions(task: Task, state: State, schema: ActionSchema, prefix: tuple[s
     b = list(prefix) + query.template[len(prefix):]
     if query.test is not None and not query.test(b):
         return out
-    tables = [{} for _ in range(query.n_tables)]
-    # a state may hold static atoms too; the union lists each atom once
-    _fill(map(task.atom, state | task.static_atoms), query.tables_of, tables)
-    if OBJ in query.tables_of:
-        _fill(((OBJ, (o,)) for o in task.objects), query.tables_of, tables)
-    steps = query.steps
+    steps = [(index.table(name), key_of, binds, same, eqs)
+             for name, key_of, binds, same, eqs in query.steps]
     n, last = len(schema.params), len(steps)
 
     def join(d):
         if d == last:
             out.append(tuple(b[:n]))
             return
-        tid, key_of, binds, same, eqs = steps[d]
-        for args in tables[tid].get(key_of(b), ()):
+        table, key_of, binds, same, eqs = steps[d]
+        for args in table.get(key_of(b), ()):
             for pos, slot in binds:
                 b[slot] = args[pos]
             if same and any(args[p] != args[q] for p, q in same):
@@ -351,6 +407,11 @@ def children(task: Task, state: State, rho: PartialAction) -> list[PartialAction
     objects = {args[k] for args in _completions(task, state, rho.schema, rho.prefix)}
     return [PartialAction(rho.schema, rho.prefix + (o,))
             for o in sorted(objects, key=task.object_index.__getitem__)]
+
+
+def n_applicable(task: Task, state: State) -> int:
+    """|A_s|, the number of ground actions applicable in state."""
+    return sum(len(_completions(task, state, s, ())) for s in task.schemas)
 
 
 def instantiations(task: Task, state: State, rho: PartialAction):

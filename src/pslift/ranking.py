@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +92,11 @@ def _applicable_levels(task: Task, state) -> list[list[PartialAction]]:
     return levels[:-1]
 
 
+def _check_sibling_cap(sibling_cap: int | None) -> None:
+    if sibling_cap is not None and sibling_cap < 0:
+        raise ValueError(f"sibling cap must be at least 0, not {sibling_cap}")
+
+
 def generate_dataset(
     task: Task,
     plan: list[GroundAction],
@@ -102,8 +108,10 @@ def generate_dataset(
 
     `feature_fn(state, rho)` maps a search node to its feature vector. Sibling
     enumeration is unlimited unless `sibling_cap` bounds each sibling list
-    (deterministically, keeping the first entries).
+    (deterministically, keeping the first entries). Raises ValueError for a
+    negative cap.
     """
+    _check_sibling_cap(sibling_cap)
     tuples: list[RankingTuple] = []
     cache: dict = {}
 
@@ -190,6 +198,9 @@ class LPResult:
     weights: np.ndarray
     slacks: np.ndarray
     objective: float
+    rows: int
+    columns: int
+    nonzeros: int
 
 
 def _diff(x: FeatureVector, x_prime: FeatureVector) -> dict[int, float]:
@@ -226,7 +237,7 @@ def train_lp(dataset: list[RankingTuple], C: float, dim: int) -> LPResult:
         raise SolverFailure(res.message)
     w = res.x[:dim] - res.x[dim : 2 * dim]
     z = res.x[2 * dim :]
-    return LPResult(w, z, float(res.fun))
+    return LPResult(w, z, float(res.fun), *a_ub.shape, a_ub.nnz)
 
 
 def sparse_dot(w: np.ndarray, fv: FeatureVector) -> float:
@@ -253,12 +264,18 @@ def tune_c(
     val_data: list[RankingTuple],
     dim: int,
     grid: tuple[float, ...] = DEFAULT_C_GRID,
+    seconds: list | None = None,
 ) -> tuple[float, LPResult, float]:
     """Grid search over C, minimizing the importance-weighted hinge loss on the
-    validation tuples; ties go to the smallest (most regularized) C."""
+    validation tuples; ties go to the smallest (most regularized) C. If
+    `seconds` is given, (C, wall seconds of its LP) is appended to it for
+    each C, in ascending order of C."""
     best = None
     for C in sorted(grid):
+        started = time.perf_counter()
         result = train_lp(train_data, C, dim)
+        if seconds is not None:
+            seconds.append((C, time.perf_counter() - started))
         loss = weighted_loss(result.weights, val_data)
         if best is None or loss < best[2] - 1e-12:
             best = (C, result, loss)
@@ -394,6 +411,8 @@ class TrainReport:
     satisfied: float
     ss_only_ratio: float
     dictionary_size: int
+    lp_shape: tuple[int, int, int]  # rows, columns, nonzeros
+    c_seconds: list[tuple[float, float]]  # (C, wall seconds of its LP)
     degenerate: int = 0
 
 
@@ -427,6 +446,7 @@ def train_model(
     config = config or TrainConfig()
     if config.iterations < 0:
         raise ValueError(f"WL iterations must be at least 0, not {config.iterations}")
+    _check_sibling_cap(config.sibling_cap)
     importances = config.resolved_importances()
     ordered = order_instances(instances)
     train_part, val_part = split_train_val(ordered, config.split)
@@ -456,7 +476,8 @@ def train_model(
         raise InvalidPlan("no training tuples (are all training plans empty?)")
 
     dim = len(dictionary)
-    chosen_c, result, val_loss = tune_c(train_data, val_data, dim, config.c_grid)
+    c_seconds: list = []
+    chosen_c, result, val_loss = tune_c(train_data, val_data, dim, config.c_grid, c_seconds)
 
     model = LinearModel(
         result.weights,
@@ -482,6 +503,8 @@ def train_model(
         satisfied=satisfied_fraction(result.weights, train_data),
         ss_only_ratio=total / ss if ss else math.inf,
         dictionary_size=dim,
+        lp_shape=(result.rows, result.columns, result.nonzeros),
+        c_seconds=c_seconds,
         degenerate=total - len(train_data) - len(val_data),
     )
     return model, report

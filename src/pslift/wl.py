@@ -108,12 +108,19 @@ def wl_features(graph: LabeledGraph, iterations: int, dictionary: ColorDictionar
 
     Unknown colors get call-local placeholder ids so refinement stays
     well-defined, but they are never counted and never enter the dictionary.
+    Raises ValueError for negative iterations.
     """
+    if iterations < 0:
+        raise ValueError(f"WL iterations must be at least 0, not {iterations}")
     counts: FeatureVector = {}
     temps: dict[ColorKey, int] = {}
+    # most keys are known; only a miss needs `lookup`, which may add the key
+    known = dictionary._index.get
 
     def resolve(key: ColorKey) -> int:
-        idx = dictionary.lookup(key)
+        idx = known(key)
+        if idx is None:
+            idx = dictionary.lookup(key)
         if idx is not None:
             counts[idx] = counts.get(idx, 0) + 1
             return idx

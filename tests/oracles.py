@@ -69,6 +69,13 @@ def oracle_applicable_actions(task: Task, state):
     ]
 
 
+def covers_all_applicable(task: Task, state, actions) -> bool:
+    """A_s subset of B, by set inclusion; B may hold any ground actions."""
+    bset = {(a.name, a.args) for a in actions}
+    return all((schema.name, args) in bset
+               for schema, args in oracle_applicable_actions(task, state))
+
+
 def oracle_apply(task: Task, state_keys, schema, args) -> frozenset:
     """Successor state on (pred, args) keys; assumes applicability."""
     dels = set(ground_atoms(task, schema, args, schema.delete))

@@ -28,6 +28,27 @@ import oracles
 from conftest import BW2_TEXT, BW_DOMAIN_TEXT
 
 
+def write_blocksworld_corpus(tmp_path, count: int):
+    """(domain file, instance dir, plan dir) of `count` 3-block instances
+    with optimal plans."""
+    inst_dir = tmp_path / "train"; inst_dir.mkdir()
+    plan_dir = tmp_path / "plans"; plan_dir.mkdir()
+    made = seed = 0
+    while made < count:
+        domain_text, problem = generate("blocksworld", seed=seed, blocks=3)
+        plan = oracles.bfs_plan(load_task(domain_text, problem))
+        seed += 1
+        if not plan:
+            continue
+        (inst_dir / f"p{made}.pddl").write_text(problem)
+        lines = [f"({name} {' '.join(args)})" for name, args in plan]
+        (plan_dir / f"p{made}.plan").write_text("\n".join(lines) + "\n")
+        made += 1
+    domain_file = tmp_path / "domain.pddl"
+    domain_file.write_text(domain_text)
+    return domain_file, inst_dir, plan_dir
+
+
 def plan_of(task, *steps):
     return [GroundAction(task.schema(name), tuple(args)) for name, *args in steps]
 
@@ -305,6 +326,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "dataset size" in out and "chosen C" in out
         assert f"dictionary size: {len(load_model(str(model_file)).dictionary)} colors" in out
+        assert "LP shape:" in out and " rows, " in out and " nonzeros" in out
+        assert "LP seconds:      C=1:" in out and " C=10:" in out
 
         test_problem = tmp_path / "test.pddl"
         _, problem = generate("blocksworld", seed=33, blocks=4)
@@ -395,6 +418,18 @@ class TestCli:
         assert len(lines) > 1
         kinds = {l.split(",")[0] for l in lines[1:]}
         assert kinds <= {"lp", "ls", "sp", "ss"}
+
+    @pytest.mark.parametrize("command", ["train", "generate-data"])
+    @pytest.mark.parametrize("flag", ["--sibling-cap", "--iterations"])
+    def test_negative_cap_or_iterations_exits_2(self, tmp_path, capsys, command, flag):
+        domain_file, inst_dir, plan_dir = write_blocksworld_corpus(tmp_path, 2)
+        output = tmp_path / "out"
+        rc = cli.main([command, str(domain_file), str(inst_dir), str(plan_dir),
+                       flag, "-1", "--output", str(output)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least 0, not -1" in err
+        assert not output.exists()
 
     def test_report_command(self, tmp_path):
         csv_file = tmp_path / "stats.csv"

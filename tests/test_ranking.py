@@ -137,6 +137,19 @@ class TestGenerateDataset:
         hist = kind_histogram(capped)
         assert hist["ls"] == 0 and hist["ss"] == 0 and hist["lp"] == 6
 
+    def test_negative_sibling_cap_rejected(self, bw2):
+        """A cap of -1 would slice off the last sibling of every list."""
+        with pytest.raises(ValueError, match="sibling cap"):
+            generate_dataset(bw2, bw2_plan(bw2), stub_phi_factory(), IMPS, sibling_cap=-1)
+
+    def test_negative_iterations_rejected(self, bw2):
+        """Refinement with -1 iterations would count as with 0."""
+        def feature_fn(state, rho):
+            return phi(bw2, state, rho, "aoag", -1, ColorDictionary())
+
+        with pytest.raises(ValueError, match="iterations"):
+            generate_dataset(bw2, bw2_plan(bw2), feature_fn, IMPS)
+
 
 def synthetic_task(alpha: int, beta: int, k: int) -> Task:
     """alpha schemas with k parameters, beta objects, no preconditions."""
@@ -204,6 +217,16 @@ class TestTrainLp:
         res = train_lp(data, C=5.0, dim=dim)
         for t, z in zip(data, res.slacks):
             assert abs(hinge_slack(res.weights, t) - z) <= 1e-6
+
+    def test_shape(self):
+        """One row per tuple; columns w+, w- and one slack per tuple; two
+        entries per feature that differs, plus the slack's."""
+        data = [
+            RankingTuple({0: 1}, {}, 1.0, 1.0, "lp"),
+            RankingTuple({0: 1, 1: 2}, {1: 2, 2: 1}, 0.0, 1.0, "ls"),
+        ]
+        res = train_lp(data, C=1.0, dim=3)
+        assert (res.rows, res.columns, res.nonzeros) == (2, 2 * 3 + 2, 3 + 5)
 
 
 class TestTuneC:
@@ -294,6 +317,16 @@ class TestTrainModel:
         model, report = train_model(tiny_corpus(n=3), TrainConfig(graph_kind="aeg"))
         assert report.dictionary_size == len(model.dictionary) > 0
 
+    def test_report_gives_lp_shape_and_seconds_per_c(self):
+        grid = (10.0, 0.1, 1.0)
+        _, report = train_model(tiny_corpus(n=3), TrainConfig(graph_kind="aoag", c_grid=grid))
+        rows, columns, nonzeros = report.lp_shape
+        assert rows == report.train_tuples
+        assert columns == 2 * report.dictionary_size + rows
+        assert nonzeros > rows
+        assert [c for c, _ in report.c_seconds] == sorted(grid)
+        assert all(seconds > 0 for _, seconds in report.c_seconds)
+
     def test_needs_two_instances(self, bw2):
         with pytest.raises(ValueError):
             split_train_val([("one", bw2, [])], 0.8)
@@ -303,6 +336,10 @@ class TestTrainModel:
         not write one."""
         with pytest.raises(ValueError):
             train_model(tiny_corpus(n=2), TrainConfig(iterations=-1))
+
+    def test_negative_sibling_cap_rejected(self):
+        with pytest.raises(ValueError, match="sibling cap"):
+            train_model(tiny_corpus(n=2), TrainConfig(sibling_cap=-1))
 
 
 class TestArgmaxSanity:
