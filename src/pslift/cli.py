@@ -7,6 +7,7 @@ LL_LOG environment variable sets the log level.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
@@ -35,36 +36,38 @@ def _limits(args) -> Limits:
     )
 
 
-def _make_heuristics(task, spec: str):
-    """(state heuristic, action-set heuristic, label) for 'ff' or 'model:PATH'."""
+def _make_heuristic(task, spec: str, space: str):
+    """(heuristic, label) for 'ff' or 'model:PATH', built for the search
+    space ("state" or "partial") only."""
+    partial = space == "partial"
     if spec == "ff":
-        return relaxation.FFHeuristic(task), relaxation.RestrictedFFHeuristic(task), "ff"
+        if partial:
+            return relaxation.RestrictedFFHeuristic(task), "ff"
+        return relaxation.FFHeuristic(task), "ff"
     if spec.startswith("model:"):
         model = load_model(spec.split(":", 1)[1])
         declared = model.metadata.get("domain")
         if declared and declared != task.domain_name:
             log.warning("model was trained on domain %s, task is %s", declared,
                         task.domain_name)
-        label = model.graph_kind
-        return model.state_heuristic(task), model.heuristic(task), label
+        heuristic = model.heuristic(task) if partial else model.state_heuristic(task)
+        return heuristic, model.graph_kind
     raise ValueError(f"unknown heuristic {spec!r} (use 'ff' or 'model:PATH')")
 
 
 def cmd_solve(args) -> int:
     task = load_task(Path(args.domain).read_text(), Path(args.problem).read_text())
-    state_h, action_set_h, label = _make_heuristics(task, args.heuristic)
+    heuristic, label = _make_heuristic(task, args.heuristic, args.search)
     config = args.config_name or f"{args.search}-{label}"
 
     if args.dump_datalog:
         program = relaxation.DatalogProgram(task, restricted=args.search == "partial")
         sys.stderr.write(program.dump())
 
+    run = search.gbfs_partial if args.search == "partial" else search.gbfs_state
     started = time.monotonic()
     try:
-        if args.search == "state":
-            result = search.gbfs_state(task, state_h, _limits(args))
-        else:
-            result = search.gbfs_partial(task, action_set_h, _limits(args))
+        result = run(task, heuristic, _limits(args))
         outcome = {
             search.SOLVED: bench.SOLVED,
             search.UNSOLVABLE: bench.UNSOLVED,
@@ -77,11 +80,22 @@ def cmd_solve(args) -> int:
             }.get(result.reason, bench.UNSOLVED)
         stats = result.stats
         plan = result.plan
+        # solved, unsolvable, or the limit that stopped the search
+        reason = result.reason or result.status
     except Exception as exc:  # noqa: BLE001 - reported as an Error row
         log.error("search failed: %s", exc)
-        outcome, stats, plan = bench.ERROR, search.SearchStats(), None
+        outcome, stats, plan, reason = bench.ERROR, search.SearchStats(), None, "error"
 
-    wall_ms = int(1000 * (time.monotonic() - started))
+    wall_s = time.monotonic() - started
+    if args.stats_json:
+        Path(args.stats_json).write_text(json.dumps({
+            "reason": reason,
+            "expansions": stats.expansions,
+            "evaluations": stats.evaluations,
+            "generated": stats.generated,
+            "wall_s": wall_s,
+        }, indent=1) + "\n")
+    wall_ms = int(1000 * wall_s)
     record = bench.RunRecord(
         domain=task.domain_name,
         instance=task.problem_name or Path(args.problem).stem,
@@ -249,6 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expansion-cap", type=int, default=None)
     p.add_argument("--output", default=None, help="plan file (default: stdout)")
     p.add_argument("--stats-csv", default=None)
+    p.add_argument("--stats-json", default=None, metavar="PATH",
+                   help="write the counters, the stop reason and the wall seconds as JSON")
     p.add_argument("--config-name", default=None)
     p.add_argument("--dump-datalog", action="store_true",
                    help="write the relaxation's rule program to stderr")

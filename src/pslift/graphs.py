@@ -14,6 +14,12 @@ atom id; then, in an action graph, one vertex per action of B, in the order of
 `instantiations`. The action vertices of `aoag` link to their arguments
 through `object_index`, so they rely on this layout.
 
+Each encoding runs in two steps. `aoag_key`/`aeg_key` give a node's graph
+key, and only they decide the special cases; `aoag_graph`/`aeg_graph` build
+the graph from the key alone. A key fixes the graph exactly, its vertex order
+included, so nodes with equal keys have equal WL feature vectors, with the
+same key order, and equal learned heuristic values.
+
 Color strings:
     ob{p,q}      object with static unary predicates p, q
     ag(P) ap(P) ug(P)     state/goal atom of predicate P
@@ -98,7 +104,7 @@ class EffectPartition:
 _NO_EFFECTS = EffectPartition(frozenset(), frozenset(), frozenset(), frozenset())
 
 
-def _covers_all_applicable(task: Task, state: State, actions: list) -> bool:
+def _covers_all_applicable(task: Task, state: State, actions) -> bool:
     """A_s subset of B. B must hold distinct actions applicable in state, as
     `instantiations` gives them; then B is a subset of A_s, and covers it
     exactly when it is as large."""
@@ -129,21 +135,29 @@ def effect_partition(task: Task, state: State, actions) -> tuple[EffectPartition
     return EffectPartition(unav_add, unav_del, opt_add, opt_del), s_prime
 
 
-def aoag(task: Task, state: State, rho: PartialAction) -> LabeledGraph:
-    """Shallow action embedding: the instance graph plus one vertex per action
-    in B, linked to its arguments by position.
+def aoag_key(task: Task, state: State, rho: PartialAction) -> tuple:
+    """The AOAG graph key of a node: the state whose instance graph is used,
+    and the extra action vertices, in the order of `instantiations`.
 
-    Special cases: when B covers all applicable actions the graph is exactly
-    ilg(state); when B is a singleton {a} it is ilg of the state after a.
+    This is the one place that decides the special cases. The tuple of actions
+    is empty for the root and when B covers all applicable actions (the graph
+    is ilg(state)), and for a singleton B = {a} (the graph is ilg of the state
+    after a).
     """
     if rho.is_root:
-        return ilg(task, state)
-    actions = list(instantiations(task, state, rho))
+        return state, ()
+    actions = tuple(instantiations(task, state, rho))
     if _covers_all_applicable(task, state, actions):
-        return ilg(task, state)
+        return state, ()
     if len(actions) == 1:
-        return ilg(task, _apply_effects(task, state, actions[0]))
+        return _apply_effects(task, state, actions[0]), ()
+    return state, actions
 
+
+def aoag_graph(task: Task, key: tuple) -> LabeledGraph:
+    """The AOAG graph of a key from `aoag_key`: the instance graph plus one
+    vertex per action, linked to its arguments by position."""
+    state, actions = key
     graph = ilg(task, state)
     index = task.object_index
     for action in actions:
@@ -153,21 +167,36 @@ def aoag(task: Task, state: State, rho: PartialAction) -> LabeledGraph:
     return graph
 
 
-def aeg(task: Task, state: State, rho: PartialAction) -> LabeledGraph:
-    """Deep action embedding: the state after B's unavoidable effects, plus
-    optional add/delete effect atoms, colored (alpha, beta, P) where alpha
-    classifies the atom (optional-add > optional-delete > unachieved > achieved)
-    and beta records goal membership."""
+def aoag(task: Task, state: State, rho: PartialAction) -> LabeledGraph:
+    """Shallow action embedding: the instance graph plus one vertex per action
+    in B, linked to its arguments by position (see `aoag_key` for the special
+    cases)."""
+    return aoag_graph(task, aoag_key(task, state, rho))
+
+
+def aeg_key(task: Task, state: State, rho: PartialAction) -> tuple:
+    """The AEG graph key of a node: (s', opt_add, opt_del), the state after
+    B's unavoidable effects and B's optional effects. The root, and B
+    covering all applicable actions, give (state, {}, {}); a singleton
+    B = {a} gives (state after a, {}, {})."""
     if rho.is_root:
-        part, s_prime = _NO_EFFECTS, state
-    else:
-        part, s_prime = effect_partition(task, state, instantiations(task, state, rho))
+        return state, frozenset(), frozenset()
+    part, s_prime = effect_partition(task, state, instantiations(task, state, rho))
+    return s_prime, part.opt_add, part.opt_del
+
+
+def aeg_graph(task: Task, key: tuple) -> LabeledGraph:
+    """The AEG graph of a key from `aeg_key`: the atoms of s', the goal and
+    the optional effects, colored (alpha, beta, P) where alpha classifies the
+    atom (optional-add > optional-delete > unachieved > achieved) and beta
+    records goal membership."""
+    s_prime, opt_add, opt_del = key
     goal = task.goal_fluent
 
     def color_of(i):
-        if i in part.opt_add:
+        if i in opt_add:
             alpha = "oa"
-        elif i in part.opt_del:
+        elif i in opt_del:
             alpha = "od"
         elif i in goal and i not in s_prime:
             alpha = "u"
@@ -176,4 +205,10 @@ def aeg(task: Task, state: State, rho: PartialAction) -> LabeledGraph:
         beta = "g" if i in goal else "ng"
         return f"{alpha}:{beta}({task.atom(i).pred})"
 
-    return _graph(task, goal | s_prime | part.opt_add | part.opt_del, color_of)
+    return _graph(task, goal | s_prime | opt_add | opt_del, color_of)
+
+
+def aeg(task: Task, state: State, rho: PartialAction) -> LabeledGraph:
+    """Deep action embedding: the state after B's unavoidable effects, plus
+    optional add/delete effect atoms (see `aeg_key` and `aeg_graph`)."""
+    return aeg_graph(task, aeg_key(task, state, rho))

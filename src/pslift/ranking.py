@@ -9,6 +9,11 @@ beat their applicable same-specificity alternatives, chain elements beat the
 state's root node, and the chosen action beats every other applicable action.
 Predecessor-style tuples demand a margin of 1, sibling-style tuples a margin
 of 0, and each family carries its own importance weight.
+
+A learned heuristic computes its value once per graph key and search: the key
+of a node (`graphs.aoag_key`, `graphs.aeg_key`) fixes its graph and the
+graph's vertex order, so equal keys give the same feature vector, summed in
+the same order, and the same value.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from . import wl
 from .lifted import ROOT, GroundAction, PartialAction, _apply_effects, children, decompose, is_applicable
 from .pddl import Task
 from .wl import AEG, AOAG, GRAPH_KINDS, ColorDictionary, FeatureVector, phi
@@ -240,8 +246,13 @@ def train_lp(dataset: list[RankingTuple], C: float, dim: int) -> LPResult:
     return LPResult(w, z, float(res.fun), *a_ub.shape, a_ub.nnz)
 
 
-def sparse_dot(w: np.ndarray, fv: FeatureVector) -> float:
-    return float(sum(w[i] * c for i, c in fv.items()))
+def sparse_dot(w, fv: FeatureVector) -> float:
+    """w . fv, added up in the key order of fv. `w` is an array or a list of
+    floats; both give the same sum, and a list is faster to index."""
+    total = 0.0
+    for i, c in fv.items():
+        total += w[i] * c
+    return float(total)
 
 
 def hinge_slack(w: np.ndarray, t: RankingTuple) -> float:
@@ -302,19 +313,43 @@ class LinearModel:
 
     def heuristic(self, task: Task):
         """Action-set heuristic callable (state, rho) -> float, lower is better."""
+        score = self._scorer(task)
 
         def h(state, rho):
-            return -evaluate(self, task, state, rho)
+            return -score(state, rho)
 
         return h
 
     def state_heuristic(self, task: Task):
         """State-space heuristic callable, lower is better (evaluates the root)."""
+        score = self._scorer(task)
 
         def h(state):
-            return -evaluate(self, task, state, ROOT)
+            return -score(state, ROOT)
 
         return h
+
+    def _scorer(self, task: Task):
+        """(state, rho) -> evaluate(self, task, state, rho), computed once per
+        graph key. A key fixes the graph and its vertex order, so equal keys
+        give equal feature vectors with the same key order, and the same sum.
+        Each call makes its own dict of scores, so a search that builds its
+        own heuristic keeps it for that search only."""
+        key_of, build = wl.graph_encoding(self.graph_kind)
+        weights = self.weights.tolist()
+        iterations, dictionary = self.iterations, self.dictionary
+        scores: dict = {}
+
+        def score(state, rho):
+            key = key_of(task, state, rho)
+            value = scores.get(key)
+            if value is None:
+                # through the module, so that tracers that wrap it see WL
+                fv = wl.wl_features(build(task, key), iterations, dictionary)
+                value = scores[key] = sparse_dot(weights, fv)
+            return value
+
+        return score
 
 
 def evaluate(model: LinearModel, task: Task, state, rho: PartialAction) -> float:

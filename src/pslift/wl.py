@@ -13,7 +13,7 @@ them so known colors downstream keep their meaning.
 
 from __future__ import annotations
 
-from .graphs import LabeledGraph, aeg, aoag
+from .graphs import LabeledGraph, aeg, aeg_graph, aeg_key, aoag, aoag_graph, aoag_key
 
 AOAG = "aoag"
 AEG = "aeg"
@@ -155,3 +155,15 @@ def phi(task, state, rho, graph_kind: str, iterations: int, dictionary: ColorDic
     else:
         raise ValueError(f"unknown graph kind: {graph_kind}")
     return wl_features(graph, iterations, dictionary)
+
+
+def graph_encoding(graph_kind: str):
+    """(key, build) of AOAG or AEG: `key(task, state, rho)` gives a node's
+    graph key and `build(task, key)` its graph, as `phi` would build it.
+    Equal keys give equal graphs, vertex order included."""
+    kind = graph_kind.lower()
+    if kind == AOAG:
+        return aoag_key, aoag_graph
+    if kind == AEG:
+        return aeg_key, aeg_graph
+    raise ValueError(f"unknown graph kind: {graph_kind}")

@@ -240,13 +240,16 @@ class RestrictedTask:
                 return tuple(Atom(pred, args) for pred, args in
                              ground_atoms(base, a.schema, a.args, atoms))
 
+            # an atom that a grounding both adds and deletes is added,
+            # (s - del) | add, so it leaves the delete list
+            add = ground(a.schema.add)
             schemas.append(
                 ActionSchema(
                     f"@restricted-{i}",
                     (),
                     ground(a.schema.pre),
-                    ground(a.schema.add) + (eps_atom,),
-                    ground(a.schema.delete),
+                    add + (eps_atom,),
+                    tuple(d for d in ground(a.schema.delete) if d not in add),
                     (),
                 )
             )
@@ -319,6 +322,82 @@ def string_wl_features(graph, iterations: int, dictionary) -> dict:
             refined.append(resolve(key))
         current = refined
     return counts
+
+
+# ---------------------------------------------------------------------------
+# AOAG and AEG graphs, built straight from a node
+
+
+def node_graph(task: Task, state, rho, kind: str):
+    """The AOAG ("aoag") or AEG ("aeg") graph of the node (state, rho), by the
+    definitions and without graph keys. B is every applicable grounding that
+    extends rho's prefix, found by scanning every grounding, in schema order
+    and then by object declaration index. The root and a B that covers A_s
+    are plain; a singleton AOAG B is the instance graph after its action.
+    Vertices: the objects in declaration order, the atoms by ascending atom
+    id, then AOAG's action vertices in B's order."""
+    from pslift.graphs import LabeledGraph
+
+    index = task.object_index
+    applicable = oracle_applicable_actions(task, state)
+    actions = []
+    if not rho.is_root:
+        k = len(rho.prefix)
+        actions = sorted(((s, a) for s, a in applicable
+                          if s.name == rho.schema.name and a[:k] == rho.prefix),
+                         key=lambda sa: [index[o] for o in sa[1]])
+    plain = rho.is_root or {(s.name, a) for s, a in actions} >= {
+        (s.name, a) for s, a in applicable}
+    keys = state_to_keys(task, state)
+    goal = frozenset((task.atom(g).pred, task.atom(g).args) for g in task.goal_fluent)
+    opt_add = opt_del = frozenset()
+    if kind == "aoag":
+        if plain:
+            actions = []
+        elif len(actions) == 1:
+            keys = oracle_apply(task, keys, *actions[0])
+            actions = []
+        atoms = keys | goal
+
+        def color(key):
+            tag = ("ag" if key in goal else "ap") if key in keys else "ug"
+            return f"{tag}({key[0]})"
+    else:
+        if not plain:
+            adds = [frozenset(ground_atoms(task, s, a, s.add)) for s, a in actions]
+            dels = [frozenset(ground_atoms(task, s, a, s.delete)) for s, a in actions]
+            unav_add, unav_del = frozenset.intersection(*adds), frozenset.intersection(*dels)
+            opt_add = frozenset.union(*adds) - unav_add
+            opt_del = frozenset.union(*dels) - unav_del
+            keys = (keys - unav_del) | unav_add
+        actions = []
+        atoms = keys | goal | opt_add | opt_del
+
+        def color(key):
+            if key in opt_add:
+                alpha = "oa"
+            elif key in opt_del:
+                alpha = "od"
+            elif key in goal and key not in keys:
+                alpha = "u"
+            else:
+                alpha = "a"
+            return f"{alpha}:{'g' if key in goal else 'ng'}({key[0]})"
+
+    unary: list[list[str]] = [[] for _ in task.objects]
+    for pred, args in static_keys(task):
+        if len(args) == 1:
+            unary[index[args[0]]].append(pred)
+    graph = LabeledGraph(["ob{" + ",".join(sorted(ps)) + "}" for ps in unary])
+    for key in sorted(atoms, key=lambda key: task.intern(*key)):
+        v = graph.add_vertex(color(key))
+        for pos, obj in enumerate(key[1], start=1):
+            graph.add_edge(v, index[obj], pos)
+    for schema, args in actions:
+        v = graph.add_vertex(f"act({schema.name})")
+        for pos, obj in enumerate(args, start=1):
+            graph.add_edge(v, index[obj], pos)
+    return graph
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import json
 import logging
 import pathlib
 
 import numpy as np
 import pytest
 
-from pslift import cli
+from pslift import cli, relaxation
 from pslift.bench import (
     CSV_HEADER,
     MalformedCSV,
@@ -25,7 +26,7 @@ from pslift.relaxation import FFHeuristic, RestrictedFFHeuristic
 from pslift.wl import ColorDictionary
 
 import oracles
-from conftest import BW2_TEXT, BW_DOMAIN_TEXT
+from conftest import BW2_TEXT, BW_DOMAIN_TEXT, SPANNER_MINI_DOMAIN, SPANNER_MINI_PROBLEM
 
 
 def write_blocksworld_corpus(tmp_path, count: int):
@@ -228,6 +229,50 @@ class TestCli:
         assert read_records(str(csv_file))[0].outcome == "Unsolved"
         assert [r.message for r in caplog.records
                 if r.levelno == logging.INFO] == ["search stopped: expansions limit reached"]
+
+    @pytest.mark.parametrize("space", ["state", "partial"])
+    @pytest.mark.parametrize("reason, flags, rc", [
+        ("solved", [], 0),
+        ("unsolvable", [], 1),
+        ("time", ["--time-limit", "0.0"], 1),
+        ("memory", ["--memory-limit", "1"], 1),
+        ("expansions", ["--expansion-cap", "1"], 1),
+    ])
+    def test_stats_json_gives_the_stop_reason(self, bw_files, tmp_path, capsys, space,
+                                              reason, flags, rc):
+        domain, problem = bw_files
+        if reason == "unsolvable":
+            domain.write_text(SPANNER_MINI_DOMAIN)
+            problem.write_text(SPANNER_MINI_PROBLEM.replace("(link p2 p3)", ""))
+        json_file = tmp_path / "stats.json"
+        csv_file = tmp_path / "stats.csv"
+        assert cli.main(["solve", str(domain), str(problem), "--search", space,
+                         "--stats-json", str(json_file), "--stats-csv", str(csv_file),
+                         "--output", str(tmp_path / "p.plan"), *flags]) == rc
+        stats = json.loads(json_file.read_text())
+        record = read_records(str(csv_file))[0]
+        assert stats["reason"] == reason
+        assert (stats["expansions"], stats["evaluations"], stats["generated"]) == (
+            record.stats.expansions, record.stats.evaluations, record.stats.generated)
+        assert int(1000 * stats["wall_s"]) == record.wall_ms
+        assert sorted(stats) == ["evaluations", "expansions", "generated", "reason", "wall_s"]
+
+    @pytest.mark.parametrize("space", ["state", "partial"])
+    def test_solve_builds_the_datalog_program_of_its_space_only(self, bw_files, monkeypatch,
+                                                                 tmp_path, space):
+        built = []
+        real = relaxation.DatalogProgram
+
+        class Counted(real):
+            def __init__(self, task, restricted=False):
+                built.append(restricted)
+                super().__init__(task, restricted)
+
+        monkeypatch.setattr(relaxation, "DatalogProgram", Counted)
+        domain, problem = bw_files
+        assert cli.main(["solve", str(domain), str(problem), "--search", space,
+                         "--output", str(tmp_path / "p.plan")]) == 0
+        assert built == [space == "partial"]
 
     def test_solve_malformed_domain_exits_2_without_traceback(self, bw_files, tmp_path,
                                                               capsys):

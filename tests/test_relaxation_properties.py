@@ -1,7 +1,9 @@
 """Tests of the goal cut-off: on random STRIPS tasks and on generator tasks,
 at random-walk states, the heuristic values, which stop the fixpoint after
 the layer that derives the goal, equal extraction from the full fixpoint of
-`relaxed_reach`, and are inf exactly on the oracle's relaxed dead ends."""
+`relaxed_reach`, and are inf exactly on the oracle's relaxed dead ends.
+Restricted reachability with an action set B matches the grounded fixpoint
+of the materialised restricted task."""
 
 import math
 import random
@@ -64,3 +66,33 @@ def test_cut_h_on_generator_walks(family, params):
             check_cutoff(task, program, restricted, state)
             actions = list(instantiations(task, state, ROOT))
             state = _apply_effects(task, state, rng.choice(actions))
+
+
+@settings(SETTINGS)
+@given(st.data())
+def test_restricted_reach_matches_the_restricted_task(data):
+    """At a random reachable state, with B from `instantiations` of a random
+    node of the partial action tree, `relaxed_reach(state, B)` reaches the
+    atoms, at the layers, that the oracle's fixpoint reaches on
+    `restrict_task(task, B).as_task()`."""
+    task = random_strips_task(data)
+    state = task.initial_state
+    for _ in range(data.draw(st.integers(0, 3))):
+        actions = list(instantiations(task, state, ROOT))
+        if not actions:
+            break
+        state = _apply_effects(task, state, data.draw(st.sampled_from(actions)))
+    kids = children(task, state, ROOT)
+    if not kids:
+        return
+    rho = data.draw(st.sampled_from(kids))
+    while not rho.is_full and data.draw(st.booleans()):
+        rho = data.draw(st.sampled_from(children(task, state, rho)))
+    actions = list(instantiations(task, state, rho))
+
+    reach = DatalogProgram(task, restricted=True).relaxed_reach(state, actions)
+    restricted = oracles.restrict_task(task, actions).as_task()
+    start = oracles.intern_keys(restricted, oracles.state_to_keys(task, state))
+    atoms, layers = oracles.relaxed_reachable(restricted, start)
+    assert reach.atoms == atoms
+    assert {key: reach.layers[key] for key in atoms} == layers
