@@ -124,7 +124,8 @@ def _load_training_corpus(args):
     instance_dir = Path(args.instances)
     plan_dir = Path(args.plans)
     corpus = []
-    problems = sorted(instance_dir.glob("*.pddl"))
+    # `pslift gen` writes domain.pddl next to the problems it generates
+    problems = sorted(p for p in instance_dir.glob("*.pddl") if not p.samefile(args.domain))
     if not problems:
         raise PddlError(f"no .pddl instances under {instance_dir}")
     for prob_path in problems:
@@ -148,21 +149,20 @@ def _train_config(args) -> TrainConfig:
         if len(parts) != 4:
             raise ValueError("--importances wants four values: lp,ls,sp,ss")
         importances = dict(zip(ranking.KINDS, parts))
-    config = TrainConfig(
+    return TrainConfig(
         graph_kind=args.graph,
         iterations=args.iterations,
         importances=importances,
+        c_grid=(tuple(float(x) for x in args.c_grid.split(","))
+                if args.c_grid else ranking.DEFAULT_C_GRID),
         split=args.split,
         sibling_cap=args.sibling_cap,
     )
-    if args.c_grid:
-        config.c_grid = tuple(float(x) for x in args.c_grid.split(","))
-    return config
 
 
 def cmd_train(args) -> int:
-    corpus = _load_training_corpus(args)
     config = _train_config(args)
+    corpus = _load_training_corpus(args)
     model, report = train_model(
         corpus, config, metadata={"domain": corpus[0][1].domain_name}
     )
@@ -184,8 +184,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate_data(args) -> int:
-    corpus = _load_training_corpus(args)
     config = _train_config(args)
+    corpus = _load_training_corpus(args)
     importances = config.resolved_importances()
     dictionary = ranking.ColorDictionary()
     rows = ["kind,delta,sigma,x,x_prime"]

@@ -6,9 +6,15 @@ are pruned exactly: a child is produced only if at least one applicable ground
 action completes it. Nothing here ever grounds the whole task.
 
 The preconditions of a schema with its first k parameters bound form one
-conjunctive query, compiled once per (schema, k) by the join-plan builder that
-the relaxation's Datalog rules use, and run over an index of the state and
-the static atoms. One index per state serves every query on that state: the
+conjunctive query with head (schema name, parameters), compiled once per
+(schema, k) and run over an index of the state and the static atoms, by the
+join planner (`_join_steps`) and the backtracking executor (`_descend`) that
+the relaxation's Datalog rules run on too. The executor's head cut-off and
+first-completion exit change nothing for these queries. Every binding slot is
+a parameter or a constant, and an index table lists each atom once, so two
+join paths give two parameter tuples and no head is cut as already derived;
+once every parameter is bound, each later step is fully keyed and matches at
+most one atom. One index per state serves every query on that state: the
 task keeps the index of the last state asked about, builds each index table
 on first use, and caches the completions of the empty prefix, so `children`
 and `instantiations` of ROOT and `n_applicable` run the join once per state.
@@ -124,7 +130,7 @@ def decompose(action: GroundAction) -> list[PartialAction]:
 # ---------------------------------------------------------------------------
 # conjunctive queries, shared with the relaxation: a body of (pred, args) atoms
 # over binding slots, joined through index tables that map the values at an
-# atom's bound positions to the args of the matching atoms
+# atom's bound positions to the args of the matching atoms, and a head atom
 
 OBJ = "@object"
 
@@ -153,6 +159,16 @@ def _key_getter(idx):
     return itemgetter(*idx) if idx else _no_key
 
 
+def _tuple_getter(idx):
+    """The tuple of a sequence's items at positions idx."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda seq: (seq[i],)
+    if not idx:
+        return lambda seq: ()
+    return itemgetter(*idx)
+
+
 @lru_cache(maxsize=1024)
 def _eqs_test(eqs):
     """A test of equality literals ((slot, slot, want_equal), ...) on a
@@ -178,18 +194,31 @@ def _binder(args, bound, slots):
     return binds, same
 
 
-def _join_steps(body, eqs, slots, bound, table, first=None):
-    """Join plan of a query with the terms in `bound` known: body atom
-    `first` first, if given, then the others most-bound first (counting
-    bound argument positions), ties by position. `slots` maps terms to
-    binding slots; `table(i, pred, keyed)` is the id of the index table that
-    body atom i looks up by its argument positions `keyed`.
+class _Plan:
+    """A join plan. A step is (table id, key getter over the binding, [(arg
+    position, slot)] to bind, [(position, position)] that must be equal,
+    test of the equality literals that become fully bound there, or None).
+    The head is (pred, head_args(binding)), with every head term bound after
+    `head_at` steps (0: the head is ground)."""
 
-    Returns (body positions in join order, steps). A step is (table id, key
-    getter over the binding, [(arg position, slot)] to bind, [(position,
-    position)] that must be equal, test of the equality literals that become
-    fully bound there, or None)."""
-    order, steps = [], []
+    __slots__ = ("steps", "n", "head_at", "pred", "head_args")
+
+    def __init__(self, steps, head_at, pred, head_args):
+        self.steps = steps
+        self.n = len(steps)
+        self.head_at = head_at
+        self.pred = pred
+        self.head_args = head_args
+
+
+def _join_steps(body, eqs, slots, bound, table, head, first=None) -> _Plan:
+    """Join plan of a query with the terms in `bound` known and head atom
+    `head`, (pred, terms): body atom `first` first, if given, then the
+    others most-bound first (counting bound argument positions), ties by
+    position. `slots` maps terms to binding slots; `table(i, pred, keyed)`
+    is the id of the index table that body atom i looks up by its argument
+    positions `keyed`."""
+    steps, head_at = [], 0
     todo = list(range(len(body)))
     while todo:
         i = min(todo, key=lambda i: (i != first, -sum(a in bound for a in body[i][1]), i))
@@ -206,9 +235,45 @@ def _join_steps(body, eqs, slots, bound, table, first=None):
             _key_getter([slots[args[pos]] for pos in keyed]),
             binds, same, test,
         ))
-        order.append(i)
+        if not bound.issuperset(head[1]):
+            head_at += 1
         bound = after
-    return order, steps
+    return _Plan(steps, head_at, head[0], _tuple_getter([slots[a] for a in head[1]]))
+
+
+def _descend(plan, d, b, tables, known, derive) -> bool:
+    """Bind body atoms d.. of plan in binding b, with `tables` by table id,
+    and call derive(head, b) on each completion. Once the head is bound, a
+    head in `known` prunes the branch, and below that point the first
+    completion ends it: True when a head was derived there."""
+    tid, key_of, binds, same, eqs = plan.steps[d]
+    matches = tables[tid].get(key_of(b))
+    if matches is None:
+        return False
+    head_at = plan.head_at
+    d += 1
+    last = d == plan.n
+    for args in matches:
+        for pos, slot in binds:
+            b[slot] = args[pos]
+        if same and any(args[p] != args[q] for p, q in same):
+            continue
+        if eqs is not None and not eqs(b):
+            continue
+        if d == head_at:
+            head = (plan.pred, plan.head_args(b))
+            if head in known:
+                continue
+            if last:
+                derive(head, b)
+            else:
+                _descend(plan, d, b, tables, known, derive)
+        elif last:
+            derive((plan.pred, plan.head_args(b)), b)
+            return True
+        elif _descend(plan, d, b, tables, known, derive) and d > head_at:
+            return True
+    return False
 
 
 def _fill(atoms, tables_of, tables) -> None:
@@ -228,10 +293,10 @@ def _fill(atoms, tables_of, tables) -> None:
 class _Query:
     """The applicable completions of a schema with its first k parameters
     bound, as a join plan. A binding holds the parameters, then the
-    constants of the preconditions and equality literals. A step names its
-    index table as (predicate, key positions)."""
+    constants of the preconditions and equality literals. The plan's table
+    ids index `tables`, the (predicate, key positions) of its tables."""
 
-    __slots__ = ("template", "test", "steps")
+    __slots__ = ("template", "test", "plan", "tables")
 
     def __init__(self, schema: ActionSchema, k: int):
         body = _query_body(schema)
@@ -246,8 +311,12 @@ class _Query:
         self.test = _eqs_test(tuple(
             (slots[x], slots[y], want) for x, y, want in schema.equalities
             if x in bound and y in bound))
-        _, self.steps = _join_steps(body, schema.equalities, slots, bound,
-                                    lambda i, pred, keyed: (pred, keyed))
+        ids: dict = {}
+        self.plan = _join_steps(
+            body, schema.equalities, slots, bound,
+            lambda i, pred, keyed: ids.setdefault((pred, keyed), len(ids)),
+            (schema.name, params))
+        self.tables = list(ids)
 
 
 class _StateIndex:
@@ -271,23 +340,6 @@ class _StateIndex:
         self.groups = groups
         self.tables: dict = {}
         self.roots: dict = {}
-
-    def table(self, name) -> dict:
-        table = self.tables.get(name)
-        if table is None:
-            pred, keyed = name
-            key_of = _key_getter(keyed)
-            table = self.tables[name] = {}
-            # one table of one predicate: a plain loop, about 3x cheaper
-            # than `_fill` with its per-predicate table lists
-            for args in self.groups.get(pred, ()):
-                key = key_of(args)
-                matches = table.get(key)
-                if matches is None:
-                    table[key] = [args]
-                else:
-                    matches.append(args)
-        return table
 
 
 def _state_index(task: Task, state: State) -> _StateIndex:
@@ -318,29 +370,30 @@ def _join(task: Task, index: _StateIndex, schema: ActionSchema, prefix: tuple[st
     query = task._info_cache.get((schema.name, len(prefix)))
     if query is None:
         query = task._info_cache[schema.name, len(prefix)] = _Query(schema, len(prefix))
-    out: list = []
     b = list(prefix) + query.template[len(prefix):]
     if query.test is not None and not query.test(b):
-        return out
-    steps = [(index.table(name), key_of, binds, same, eqs)
-             for name, key_of, binds, same, eqs in query.steps]
-    n, last = len(schema.params), len(steps)
-
-    def join(d):
-        if d == last:
-            out.append(tuple(b[:n]))
-            return
-        table, key_of, binds, same, eqs = steps[d]
-        for args in table.get(key_of(b), ()):
-            for pos, slot in binds:
-                b[slot] = args[pos]
-            if same and any(args[p] != args[q] for p, q in same):
-                continue
-            if eqs is not None and not eqs(b):
-                continue
-            join(d + 1)
-
-    join(0)
+        return []
+    plan = query.plan
+    if not plan.steps:
+        return [plan.head_args(b)]
+    tables = []
+    for name in query.tables:
+        table = index.tables.get(name)
+        if table is None:
+            # one table of one predicate: a plain loop, about 3x cheaper
+            # than `_fill` with its per-predicate table lists
+            table = index.tables[name] = {}
+            key_of = _key_getter(name[1])
+            for args in index.groups.get(name[0], ()):
+                key = key_of(args)
+                matches = table.get(key)
+                if matches is None:
+                    table[key] = [args]
+                else:
+                    matches.append(args)
+        tables.append(table)
+    out: list = []
+    _descend(plan, 0, b, tables, (), lambda head, _: out.append(head[1]))
     return out
 
 

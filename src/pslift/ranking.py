@@ -80,6 +80,11 @@ class TrainConfig:
     split: float = 0.8
     sibling_cap: int | None = None
 
+    def __post_init__(self):
+        for c in self.c_grid:
+            if not (math.isfinite(c) and c >= 0):
+                raise ValueError(f"C must be finite and at least 0, not {c:g}")
+
     def resolved_importances(self) -> dict[str, float]:
         return self.importances or default_importances(self.graph_kind)
 
@@ -419,9 +424,15 @@ def load_model(path: str) -> LinearModel:
             raise CorruptModel(f"expected a 'weights' section, found {tag!r}")
         n_w = int(count)
         weights = np.zeros(n_dict)
+        last = -1
         for line in lines[pos + 1 : pos + 1 + n_w]:
             i, v = line.split("\t")
-            weights[int(i)] = float(v)
+            i, v = int(i), float(v)
+            # save_model writes finite weights by ascending index
+            if not (last < i < n_dict and math.isfinite(v)):
+                raise CorruptModel(f"weight {i}: {v} after index {last} of {n_dict}")
+            weights[i] = v
+            last = i
         pos += 1 + n_w
         if pos != len(lines) - 1:
             raise CorruptModel("trailing or missing content")

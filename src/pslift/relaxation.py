@@ -17,8 +17,9 @@ same first bindings while enumerating far fewer:
 
 * Join plans. The most-bound-first order depends only on which variables are
   bound, i.e. on the rule and the seed position, so one plan per (rule, seed
-  position) is built with the program, by the join-plan builder that
-  successor generation in `lifted` shares. Each step of a plan names the
+  position) is built with the program. Successor generation shares both the
+  planner and the executor: plans come from `lifted._join_steps` and run on
+  `lifted._descend`, the one backtracking join. Each step of a plan names the
   index key (already bound or constant positions), the positions that bind
   new variable slots, repeated-variable checks, and the equality literals
   that become fully bound there. Index lists are filled in commit order, so a
@@ -68,10 +69,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 
-from .lifted import (OBJ, PartialAction, State, _fill, _is_var, _join_steps, _key_getter,
-                     _query_body, instantiations, is_applicable)
+from .lifted import (OBJ, PartialAction, State, _descend, _fill, _is_var, _join_steps,
+                     _key_getter, _query_body, _tuple_getter, instantiations, is_applicable)
 from .pddl import Task
 
 INF = float("inf")
@@ -91,28 +91,16 @@ class EmptyActionSet(Exception):
     pass
 
 
-def _tuple_getter(idx):
-    """The tuple of a sequence's items at positions idx."""
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda seq: (seq[i],)
-    if not idx:
-        return lambda seq: ()
-    return itemgetter(*idx)
-
-
 class _Rule:
     """A rule with its variables and constants laid out as binding slots:
     variables first (in order of first appearance in the body), then
     constants. A binding is a sequence indexed by slot."""
 
     __slots__ = ("head", "body", "eqs", "schema", "slots", "template",
-                 "ground", "live", "head_args", "body_args", "param_args", "plans")
+                 "ground", "live", "body_args", "param_args", "plans")
 
     def __init__(self, head, body, eqs, schema):
-        # (pred, args) with '?' vars or constants, as a plain tuple: the
-        # join's inner loop indexes it, and indexing a tuple subclass is slower
-        self.head = tuple(head)
+        self.head = tuple(head)   # (pred, args) with '?' vars or constants
         self.body = tuple(body)
         self.eqs = tuple(eqs)
         self.schema = schema      # ActionSchema for schema rules, else None
@@ -129,14 +117,13 @@ class _Rule:
             raise ValueError(f"head variable missing from the body: {self.text()}")
 
         slot = self.slots.__getitem__
-        self.head_args = _tuple_getter([slot(a) for a in head[1]])
         self.body_args = [(p, _tuple_getter([slot(a) for a in args]))
                           for p, args in self.body]
         self.param_args = (_tuple_getter([slot(p) for p in schema.params])
                            if schema is not None else None)
         self.live = all((x == y) == want for x, y, want in self.eqs
                         if not _is_var(x) and not _is_var(y))
-        self.plans: list = []     # one _Plan per seed position, set by the program
+        self.plans: list = []     # one join plan per seed position, set by the program
 
     def text(self) -> str:
         def fmt(a):
@@ -158,23 +145,6 @@ class _Rule:
 
     def body_of(self, binding) -> list:
         return [(p, args(binding)) for p, args in self.body_args]
-
-
-class _Plan:
-    """Join order of a rule seeded at one body position.
-
-    Step 0 binds the seed atom from the atoms new in the previous layer; the
-    later steps bind the other body atoms most-bound first. The steps are
-    those of `lifted._join_steps`."""
-
-    __slots__ = ("rule", "steps", "n", "head_at")
-
-    def __init__(self, rule, steps, head_at):
-        self.rule = rule
-        self.steps = steps
-        self.n = len(steps)
-        # body atoms bound once every head variable is (0: the head is ground)
-        self.head_at = head_at
 
 
 @dataclass
@@ -249,24 +219,15 @@ class DatalogProgram:
         return tid
 
     def _compile(self, rule: _Rule) -> None:
-        """One plan per seed position: the seed first, then the other body
-        atoms in the order of `lifted._join_steps`."""
+        """One plan per seed position: step 0 binds the seed atom from the
+        atoms new in the previous layer, the later steps the other body atoms
+        in the order of `lifted._join_steps`."""
         if rule.ground or not rule.live:
             return
         constants = {a for a in rule.slots if not _is_var(a)}   # bound from the start
-        head_args = set(rule.head[1])
-
-        for k in range(len(rule.body)):
-            order, steps = _join_steps(rule.body, rule.eqs, rule.slots, constants,
-                                       partial(self._table, k), first=k)
-            # the number of steps that bind every head variable
-            bound, head_at = set(constants), 0
-            for i in order:
-                if head_args <= bound:
-                    break
-                bound.update(rule.body[i][1])
-                head_at += 1
-            rule.plans.append(_Plan(rule, steps, head_at))
+        rule.plans = [_join_steps(rule.body, rule.eqs, rule.slots, constants,
+                                  partial(self._table, k), rule.head, first=k)
+                      for k in range(len(rule.body))]
 
     # -- fixpoint -----------------------------------------------------------
 
@@ -309,39 +270,9 @@ class DatalogProgram:
             achievers[head] = (source, binding)
             new.append(head)
 
-        def descend(plan, d, b):
-            """Bind body atoms d.. of the plan (atoms before d are bound).
-            True when a head was derived below the point where the head
-            became bound."""
-            tid, key_of, binds, same, eqs = plan.steps[d]
-            matches = tables[tid].get(key_of(b))
-            if matches is None:
-                return False
-            rule = plan.rule
-            head_at = plan.head_at
-            d += 1
-            last = d == plan.n
-            for args in matches:
-                for pos, slot in binds:
-                    b[slot] = args[pos]
-                if same and any(args[p] != args[q] for p, q in same):
-                    continue
-                if eqs is not None and not eqs(b):
-                    continue
-                if d == head_at:
-                    head = (rule.head[0], rule.head_args(b))
-                    if head in layers:
-                        continue
-                    if last:
-                        derive(rule, head, tuple(b))
-                    else:
-                        descend(plan, d, b)
-                elif last:
-                    derive(rule, (rule.head[0], rule.head_args(b)), tuple(b))
-                    return True
-                elif descend(plan, d, b) and d > head_at:
-                    return True
-            return False
+        def fire(head, b):
+            # a head derived by the rule that runs now
+            derive(rule, head, tuple(b))
 
         while pending:
             layer += 1
@@ -364,9 +295,9 @@ class DatalogProgram:
                 for k, plan in enumerate(rule.plans):
                     if k and layer == 1:
                         break
-                    # skip a seed without new atoms; descend is True only
+                    # skip a seed without new atoms; _descend is True only
                     # once it has derived a ground head
-                    if tables[plan.steps[0][0]] and descend(plan, 0, b):
+                    if tables[plan.steps[0][0]] and _descend(plan, 0, b, tables, layers, fire):
                         break
             if layer == 1:
                 # B is applicable in the state: each action fires here only

@@ -424,6 +424,25 @@ class TestCli:
         assert rc in (0, 1)
         assert any("trained on domain" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("command", ["train", "generate-data"])
+    def test_corpus_in_the_gen_layout(self, tmp_path, monkeypatch, command):
+        """The README's layout: `pslift gen --out instances/` puts domain.pddl
+        next to the problems, and training reads the instance directory with
+        that domain file in it."""
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gen", "blocksworld", "--blocks", "3", "--count", "3",
+                         "--out", "instances/"]) == 0
+        domain_text = pathlib.Path("instances/domain.pddl").read_text()
+        pathlib.Path("plans").mkdir()
+        for problem in pathlib.Path("instances").glob("blocksworld-*.pddl"):
+            plan = oracles.bfs_plan(load_task(domain_text, problem.read_text()))
+            lines = [f"({name} {' '.join(args)})" for name, args in plan]
+            (pathlib.Path("plans") / f"{problem.stem}.plan").write_text("\n".join(lines) + "\n")
+        rc = cli.main([command, "instances/domain.pddl", "instances/", "plans/",
+                       "--c-grid", "1", "--output", "out"])
+        assert rc == 0
+        assert pathlib.Path("out").exists()
+
     def test_train_missing_plan_names_instance(self, tmp_path, capsys):
         inst_dir = tmp_path / "train"; inst_dir.mkdir()
         plan_dir = tmp_path / "plans"; plan_dir.mkdir()
@@ -465,7 +484,7 @@ class TestCli:
         assert kinds <= {"lp", "ls", "sp", "ss"}
 
     @pytest.mark.parametrize("command", ["train", "generate-data"])
-    @pytest.mark.parametrize("flag", ["--sibling-cap", "--iterations"])
+    @pytest.mark.parametrize("flag", ["--sibling-cap", "--iterations", "--c-grid"])
     def test_negative_cap_or_iterations_exits_2(self, tmp_path, capsys, command, flag):
         domain_file, inst_dir, plan_dir = write_blocksworld_corpus(tmp_path, 2)
         output = tmp_path / "out"

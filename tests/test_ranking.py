@@ -341,6 +341,13 @@ class TestTrainModel:
         with pytest.raises(ValueError, match="sibling cap"):
             train_model(tiny_corpus(n=2), TrainConfig(sibling_cap=-1))
 
+    @pytest.mark.parametrize("c", [-1.0, -0.5, math.nan, math.inf])
+    def test_bad_c_rejected(self, c):
+        """A negative C makes the LP unbounded, and a C that is not finite
+        fails inside the solver; the config rejects both before training."""
+        with pytest.raises(ValueError, match="finite and at least 0"):
+            TrainConfig(c_grid=(1.0, c))
+
 
 class TestArgmaxSanity:
     def test_plan_action_outranks_state_siblings(self):
@@ -469,6 +476,33 @@ class TestModelIO:
         path.write_text(body + f"checksum {hashlib.sha256(body.encode()).hexdigest()}\n")
         with pytest.raises(CorruptModel):
             load_model(str(path))
+
+    @pytest.mark.parametrize("weights", [
+        pytest.param([(-1, 1.0)], id="negative-index"),
+        pytest.param([(2, 1.0)], id="index-out-of-range"),
+        pytest.param([(0, 1.0), (0, 2.0)], id="repeated-index"),
+        pytest.param([(1, 1.0), (0, 2.0)], id="descending-index"),
+        pytest.param([(0, math.nan)], id="nan"),
+        pytest.param([(1, math.inf)], id="inf"),
+        pytest.param([(0, -math.inf)], id="minus-inf"),
+    ])
+    def test_bad_weights_rejected(self, tmp_path, weights):
+        """A checksummed file whose weights are not the ascending, finite
+        entries of dictionary indices that save_model writes is corrupt."""
+        path = tmp_path / "m.model"
+
+        def write(entries):
+            lines = ["LLMODEL v1 aoag 2", "meta", "dict 2", "c|a\t0", "c|b\t1",
+                     f"weights {len(entries)}"]
+            lines += [f"{i}\t{v!r}" for i, v in entries]
+            body = "\n".join(lines) + "\n"
+            path.write_text(body + f"checksum {hashlib.sha256(body.encode()).hexdigest()}\n")
+
+        write(weights)
+        with pytest.raises(CorruptModel):
+            load_model(str(path))
+        write([(0, 1.5), (1, -2.0)])   # the same file with good weights loads
+        assert list(load_model(str(path)).weights) == [1.5, -2.0]
 
     @pytest.mark.parametrize("tag,wrong", [("dict", "dixt"), ("weights", "weighs")])
     def test_wrong_section_tag_rejected_under_O(self, tmp_path, tag, wrong):
