@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .lifted import GroundAction, _apply_effects, unsatisfied
+from .lifted import PartialAction, _apply_effects, unsatisfied
 from .pddl import Task
 from .search import SearchStats
 
@@ -40,7 +40,7 @@ class PlanCheck:
         return self.valid
 
 
-def validate_plan(task: Task, plan: list[GroundAction]) -> PlanCheck:
+def validate_plan(task: Task, plan: list[PartialAction]) -> PlanCheck:
     """Apply the plan from the initial state; valid iff every action is
     applicable in turn and the final state satisfies the goal."""
     state = task.initial_state

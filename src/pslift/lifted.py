@@ -1,9 +1,11 @@
-"""Lifted task semantics: states, ground actions, and the partial action tree.
+"""Lifted task semantics: states, and the partial action tree.
 
 A partial action is a schema with a prefix of its parameters instantiated; the
-root (no schema chosen) is `ROOT`. Children extend the prefix by one object and
-are pruned exactly: a child is produced only if at least one applicable ground
-action completes it. Nothing here ever grounds the whole task.
+root (no schema chosen) is `ROOT`, and a full one is the ground action that
+search applies (`GroundAction` only adds an arity check). Children extend the
+prefix by one object and are pruned exactly: a child is produced only if at
+least one applicable ground action completes it. Nothing here ever grounds the
+whole task.
 
 The preconditions of a schema with its first k parameters bound form one
 conjunctive query with head (schema name, parameters), compiled once per
@@ -16,9 +18,8 @@ join paths give two parameter tuples and no head is cut as already derived;
 once every parameter is bound, each later step is fully keyed and matches at
 most one atom. One index per state serves every query on that state: the
 task keeps the index of the last state asked about, builds each index table
-on first use, and caches the completions of the empty prefix, so `children`
-and `instantiations` of ROOT and `n_applicable` run the join once per state.
-The join's order follows the index, so the completions are sorted by object
+on first use, and caches the completions of each (schema, prefix), so a
+prefix's join runs once per state. Each cached list is sorted once by object
 declaration index: actions come in schema order, then lexicographically by
 declaration index, the order on which the search's counters and the
 restricted FF value depend.
@@ -38,49 +39,30 @@ class NotApplicable(Exception):
     pass
 
 
-class GroundAction:
-    """A schema instantiated with one object per parameter."""
-
-    __slots__ = ("schema", "args", "_hash")
-
-    def __init__(self, schema: ActionSchema, args: tuple[str, ...]):
-        if len(args) != len(schema.params):
-            raise ValueError(f"{schema.name} expects {len(schema.params)} args")
-        self.schema = schema
-        self.args = args
-        self._hash = hash((schema.name, args))
-
-    @property
-    def name(self) -> str:
-        return self.schema.name
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroundAction)
-            and self.schema.name == other.schema.name
-            and self.args == other.args
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"({' '.join((self.schema.name,) + self.args)})"
-
-
 class PartialAction:
-    """A schema with its first k parameters instantiated; ROOT has no schema."""
+    """A schema with its first k parameters, `args`, instantiated; ROOT has
+    no schema. A full partial action (k = the schema's arity) is the ground
+    action that search applies."""
 
-    __slots__ = ("schema", "prefix", "_hash")
+    __slots__ = ("schema", "args", "_key", "_hash")
 
-    def __init__(self, schema: ActionSchema | None, prefix: tuple[str, ...] = ()):
-        if schema is None and prefix:
+    def __init__(self, schema: ActionSchema | None, args: tuple[str, ...] = ()):
+        if schema is None and args:
             raise ValueError("the root partial action has no prefix")
-        if schema is not None and len(prefix) > len(schema.params):
+        if schema is not None and len(args) > len(schema.params):
             raise ValueError("prefix longer than parameter list")
         self.schema = schema
-        self.prefix = prefix
-        self._hash = hash((schema.name if schema else None, prefix))
+        self.args = args
+        self._key = key = (schema.name if schema else None, args)
+        self._hash = hash(key)
+
+    @property
+    def name(self) -> str | None:
+        return self._key[0]
+
+    @property
+    def prefix(self) -> tuple[str, ...]:
+        return self.args
 
     @property
     def is_root(self) -> bool:
@@ -88,23 +70,13 @@ class PartialAction:
 
     @property
     def is_full(self) -> bool:
-        return self.schema is not None and len(self.prefix) == len(self.schema.params)
+        return self.schema is not None and len(self.args) == len(self.schema.params)
 
     def specificity(self) -> int:
-        return 0 if self.schema is None else len(self.prefix) + 1
-
-    def as_ground_action(self) -> GroundAction:
-        if not self.is_full:
-            raise ValueError(f"{self} is not fully instantiated")
-        return GroundAction(self.schema, self.prefix)
+        return 0 if self.schema is None else len(self.args) + 1
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PartialAction)
-            and (self.schema.name if self.schema else None)
-            == (other.schema.name if other.schema else None)
-            and self.prefix == other.prefix
-        )
+        return isinstance(other, PartialAction) and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -112,14 +84,26 @@ class PartialAction:
     def __repr__(self):
         if self.schema is None:
             return "<root>"
-        shown = self.prefix + ("*",) * (len(self.schema.params) - len(self.prefix))
+        shown = self.args + ("*",) * (len(self.schema.params) - len(self.args))
         return f"({' '.join((self.schema.name,) + shown)})"
+
+
+class GroundAction(PartialAction):
+    """A schema instantiated with one object per parameter: a full partial
+    action, checked for its arity."""
+
+    __slots__ = ()
+
+    def __init__(self, schema: ActionSchema, args: tuple[str, ...]):
+        if len(args) != len(schema.params):
+            raise ValueError(f"{schema.name} expects {len(schema.params)} args")
+        super().__init__(schema, args)
 
 
 ROOT = PartialAction(None, ())
 
 
-def decompose(action: GroundAction) -> list[PartialAction]:
+def decompose(action: PartialAction) -> list[PartialAction]:
     """[ROOT, A(*..*), A(o1,*..), ..., a] with strictly increasing specificity."""
     steps: list[PartialAction] = [ROOT]
     for k in range(len(action.args) + 1):
@@ -323,9 +307,10 @@ class _StateIndex:
     """The args of the atoms of `state | static atoms`, `@object` included,
     grouped by predicate in the order the union iterates them; the index
     tables built from them on first use, keyed by (predicate, key
-    positions); and the completions of the empty prefix, by schema name."""
+    positions); and the sorted completions of each prefix asked about, keyed
+    by (schema name, prefix)."""
 
-    __slots__ = ("state", "groups", "tables", "roots")
+    __slots__ = ("state", "groups", "tables", "completions")
 
     def __init__(self, task: Task, state: State):
         self.state = state
@@ -339,7 +324,7 @@ class _StateIndex:
                 group.append(args)
         self.groups = groups
         self.tables: dict = {}
-        self.roots: dict = {}
+        self.completions: dict = {}
 
 
 def _state_index(task: Task, state: State) -> _StateIndex:
@@ -353,16 +338,17 @@ def _state_index(task: Task, state: State) -> _StateIndex:
 
 def _completions(task: Task, state: State, schema: ActionSchema, prefix: tuple[str, ...]) -> list:
     """The full argument tuples that extend prefix to an action applicable in
-    state, in join order. The list of the empty prefix is cached with the
-    state's index and shared by every caller, so callers must not mutate
-    it."""
+    state, sorted lexicographically by object declaration index. Each list is
+    sorted once, cached with the state's index and shared by every caller, so
+    callers must not mutate it."""
     index = _state_index(task, state)
-    if not prefix:
-        out = index.roots.get(schema.name)
-        if out is None:
-            out = index.roots[schema.name] = _join(task, index, schema, prefix)
-        return out
-    return _join(task, index, schema, prefix)
+    key = (schema.name, prefix)
+    out = index.completions.get(key)
+    if out is None:
+        out = index.completions[key] = _join(task, index, schema, prefix)
+        order = task.object_index.__getitem__
+        out.sort(key=lambda args: tuple(map(order, args)))
+    return out
 
 
 def _join(task: Task, index: _StateIndex, schema: ActionSchema, prefix: tuple[str, ...]) -> list:
@@ -400,7 +386,7 @@ def _join(task: Task, index: _StateIndex, schema: ActionSchema, prefix: tuple[st
 # ---------------------------------------------------------------------------
 # public operations
 
-def unsatisfied(task: Task, state: State, action: GroundAction) -> str | None:
+def unsatisfied(task: Task, state: State, action: PartialAction) -> str | None:
     """The first precondition (neither in state nor static) or equality
     literal of action that fails, described; None if action is applicable."""
     binding = dict(zip(action.schema.params, action.args))
@@ -416,13 +402,13 @@ def unsatisfied(task: Task, state: State, action: GroundAction) -> str | None:
     return None
 
 
-def is_applicable(task: Task, state: State, action: GroundAction) -> bool:
+def is_applicable(task: Task, state: State, action: PartialAction) -> bool:
     """True iff every precondition holds in state (or statically) and the
     equality literals are satisfied."""
     return unsatisfied(task, state, action) is None
 
 
-def ground_effects(task: Task, action: GroundAction) -> tuple[list[int], list[int]]:
+def ground_effects(task: Task, action: PartialAction) -> tuple[list[int], list[int]]:
     """Interned (add ids, delete ids) of a ground action."""
     binding = dict(zip(action.schema.params, action.args))
     adds = [task.intern(a.pred, tuple(binding.get(x, x) for x in a.args))
@@ -432,12 +418,12 @@ def ground_effects(task: Task, action: GroundAction) -> tuple[list[int], list[in
     return adds, dels
 
 
-def _apply_effects(task: Task, state: State, action: GroundAction) -> State:
+def _apply_effects(task: Task, state: State, action: PartialAction) -> State:
     adds, dels = ground_effects(task, action)
     return (state - frozenset(dels)) | frozenset(adds)
 
 
-def apply(task: Task, state: State, action: GroundAction) -> State:
+def apply(task: Task, state: State, action: PartialAction) -> State:
     """(state minus deletes) union adds; raises NotApplicable on bad input."""
     if not is_applicable(task, state, action):
         raise NotApplicable(repr(action))
@@ -456,10 +442,9 @@ def children(task: Task, state: State, rho: PartialAction) -> list[PartialAction
         return [PartialAction(s, ()) for s in task.schemas if _completions(task, state, s, ())]
     if rho.is_full:
         return []
-    k = len(rho.prefix)
-    objects = {args[k] for args in _completions(task, state, rho.schema, rho.prefix)}
-    return [PartialAction(rho.schema, rho.prefix + (o,))
-            for o in sorted(objects, key=task.object_index.__getitem__)]
+    k = len(rho.args)
+    objects = dict.fromkeys(args[k] for args in _completions(task, state, rho.schema, rho.args))
+    return [PartialAction(rho.schema, rho.args + (o,)) for o in objects]
 
 
 def n_applicable(task: Task, state: State) -> int:
@@ -470,8 +455,6 @@ def n_applicable(task: Task, state: State) -> int:
 def instantiations(task: Task, state: State, rho: PartialAction):
     """Yield the applicable ground actions extending rho (all of A_s for ROOT),
     in schema order, then lexicographically by object declaration index."""
-    index = task.object_index.__getitem__
     for schema in task.schemas if rho.is_root else (rho.schema,):
-        completions = _completions(task, state, schema, rho.prefix)
-        for args in sorted(completions, key=lambda args: tuple(map(index, args))):
-            yield GroundAction(schema, args)
+        for args in _completions(task, state, schema, rho.args):
+            yield PartialAction(schema, args)

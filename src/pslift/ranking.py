@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from . import wl
-from .lifted import ROOT, GroundAction, PartialAction, _apply_effects, children, decompose, is_applicable
+from .lifted import ROOT, PartialAction, _apply_effects, children, decompose, is_applicable
 from .pddl import Task
 from .wl import AEG, AOAG, GRAPH_KINDS, ColorDictionary, FeatureVector, phi
 
@@ -84,6 +84,12 @@ class TrainConfig:
         for c in self.c_grid:
             if not (math.isfinite(c) and c >= 0):
                 raise ValueError(f"C must be finite and at least 0, not {c:g}")
+        for kind, sigma in (self.importances or {}).items():
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise ValueError(
+                    f"importance {kind} must be finite and at least 0, not {sigma:g}")
+        if not 0 < self.split < 1:
+            raise ValueError(f"split must lie strictly between 0 and 1, not {self.split:g}")
 
     def resolved_importances(self) -> dict[str, float]:
         return self.importances or default_importances(self.graph_kind)
@@ -110,7 +116,7 @@ def _check_sibling_cap(sibling_cap: int | None) -> None:
 
 def generate_dataset(
     task: Task,
-    plan: list[GroundAction],
+    plan: list[PartialAction],
     feature_fn,
     importances: dict[str, float],
     sibling_cap: int | None = None,
@@ -179,7 +185,7 @@ def generate_dataset(
                              importances["ss"], "ss")
             )
 
-        prev = (state, PartialAction(action.schema, action.args))
+        prev = (state, action)
         state = _apply_effects(task, state, action)
 
     if plan and not task.is_goal(state):
@@ -470,7 +476,7 @@ def informative(dataset: list[RankingTuple]) -> list[RankingTuple]:
     return [t for t in dataset if t.x != t.x_prime]
 
 
-def order_instances(instances: list[tuple[str, Task, list[GroundAction]]]):
+def order_instances(instances: list[tuple[str, Task, list[PartialAction]]]):
     """Ascending by problem size (object count), ties by name."""
     return sorted(instances, key=lambda item: (len(item[1].objects), item[0]))
 
@@ -483,7 +489,7 @@ def split_train_val(instances, ratio: float):
 
 
 def train_model(
-    instances: list[tuple[str, Task, list[GroundAction]]],
+    instances: list[tuple[str, Task, list[PartialAction]]],
     config: TrainConfig | None = None,
     metadata: dict[str, str] | None = None,
 ) -> tuple[LinearModel, TrainReport]:

@@ -18,7 +18,7 @@ import resource
 import time
 from dataclasses import dataclass
 
-from .lifted import ROOT, GroundAction, _apply_effects, children, instantiations
+from .lifted import ROOT, GroundAction, PartialAction, _apply_effects, children, instantiations
 from .pddl import Task
 
 INF = float("inf")
@@ -52,7 +52,7 @@ class SearchStats:
 @dataclass
 class SearchResult:
     status: str
-    plan: list[GroundAction] | None
+    plan: list[PartialAction] | None
     stats: SearchStats
     reason: str = ""
 
@@ -71,10 +71,10 @@ class SearchNode:
         self.generating_action = generating_action
 
 
-def extract_plan(goal_node: SearchNode) -> list[GroundAction]:
+def extract_plan(goal_node: SearchNode) -> list[PartialAction]:
     """The generating actions along the root-to-goal chain, i.e. exactly the
     fully instantiated partial actions that were crossed."""
-    plan: list[GroundAction] = []
+    plan: list[PartialAction] = []
     node = goal_node
     while node is not None:
         if node.generating_action is not None:
@@ -152,7 +152,7 @@ def _gbfs(task: Task, evaluate, expand, limits: Limits | None) -> SearchResult:
     return finish(UNSOLVABLE)
 
 
-def _cross(task: Task, node: SearchNode, action: GroundAction, closed: set, stats):
+def _cross(task: Task, node: SearchNode, action: PartialAction, closed: set, stats):
     """The child that applying `action` at `node` reaches, or None when its
     state is closed; generated either way."""
     succ = _apply_effects(task, node.state, action)
@@ -193,7 +193,7 @@ def gbfs_partial(task: Task, heuristic, limits: Limits | None = None) -> SearchR
 
     def successors(node, stats):
         if node.rho.is_full:
-            child = _cross(task, node, node.rho.as_ground_action(), closed, stats)
+            child = _cross(task, node, node.rho, closed, stats)
             return [] if child is None else [child]
         kids = children(task, node.state, node.rho)
         stats.generated += len(kids)
@@ -213,14 +213,14 @@ def gbfs_partial(task: Task, heuristic, limits: Limits | None = None) -> SearchR
 # ---------------------------------------------------------------------------
 # plan text format (IPC style)
 
-def format_plan(plan: list[GroundAction]) -> str:
+def format_plan(plan: list[PartialAction]) -> str:
     lines = [f"({' '.join((a.schema.name,) + a.args)})" for a in plan]
     lines.append(f"; cost = {len(plan)} (unit cost)")
     return "\n".join(lines) + "\n"
 
 
-def parse_plan(text: str, task: Task) -> list[GroundAction]:
-    plan: list[GroundAction] = []
+def parse_plan(text: str, task: Task) -> list[PartialAction]:
+    plan: list[PartialAction] = []
     for raw in text.splitlines():
         line = raw.split(";", 1)[0].strip()
         if not line:

@@ -495,6 +495,25 @@ class TestCli:
         assert err.startswith("error:") and "at least 0, not -1" in err
         assert not output.exists()
 
+    @pytest.mark.parametrize("command", ["train", "generate-data"])
+    @pytest.mark.parametrize("option, message", [
+        ("--importances=-1,1,1,1", "importance lp must be finite and at least 0, not -1"),
+        ("--importances=nan,1,1,1", "importance lp must be finite and at least 0, not nan"),
+        ("--split=-1", "split must lie strictly between 0 and 1, not -1"),
+        ("--split=nan", "split must lie strictly between 0 and 1, not nan"),
+    ], ids=["negative-importance", "nan-importance", "negative-split", "nan-split"])
+    def test_bad_importance_or_split_exits_2(self, tmp_path, capsys, command, option, message):
+        """A negative importance makes the LP unbounded, and a split outside
+        (0, 1) or a NaN fails deep in training; both exit 2 before any work."""
+        domain_file, inst_dir, plan_dir = write_blocksworld_corpus(tmp_path, 4)
+        output = tmp_path / "out"
+        rc = cli.main([command, str(domain_file), str(inst_dir), str(plan_dir),
+                       option, "--output", str(output)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not output.exists()
+
     def test_report_command(self, tmp_path):
         csv_file = tmp_path / "stats.csv"
         append_record(str(csv_file), RunRecord("bw", "i1", "partial-ff", "Solved", 2,

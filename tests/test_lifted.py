@@ -17,6 +17,8 @@ from pslift.lifted import (
 
 import oracles
 from pslift.pddl import ActionSchema, Atom, Task
+from pslift.relaxation import FFHeuristic, RestrictedFFHeuristic
+from pslift.search import gbfs_partial, gbfs_state
 
 
 def act(task, name, *args):
@@ -110,6 +112,37 @@ class TestInstantiations:
     def test_full_rho_yields_itself(self, bw2):
         rho = PartialAction(bw2.schema("pickup"), ("a",))
         assert list(instantiations(bw2, bw2.initial_state, rho)) == [act(bw2, "pickup", "a")]
+
+
+class TestActionContract:
+    """A ground action is the full partial action of the same schema and
+    arguments: one type, one equality, one hash and one printed form."""
+
+    def test_ground_action_is_the_full_partial_action(self, bw2):
+        schema = bw2.schema("stack")
+        ground, full = GroundAction(schema, ("a", "b")), PartialAction(schema, ("a", "b"))
+        assert ground == full and full == ground
+        assert hash(ground) == hash(full)
+        assert repr(ground) == repr(full) == "(stack a b)"
+        assert ground.name == "stack" and ground.args == ("a", "b")
+        assert ground != PartialAction(schema, ("a",))
+        assert ground != GroundAction(schema, ("b", "a"))
+        assert ground != GroundAction(bw2.schema("unstack"), ("a", "b"))
+        assert ground != ("stack", ("a", "b"))
+
+    def test_wrong_arity_raises(self, bw2):
+        with pytest.raises(ValueError, match="^stack expects 2 args$"):
+            GroundAction(bw2.schema("stack"), ("a",))
+        with pytest.raises(ValueError, match="^pickup expects 1 args$"):
+            GroundAction(bw2.schema("pickup"), ("a", "b"))
+
+    def test_both_search_spaces_plan_with_one_action_type(self):
+        task = generate_task("blocksworld", seed=2, blocks=4)
+        partial = gbfs_partial(task, RestrictedFFHeuristic(task))
+        state = gbfs_state(task, FFHeuristic(task))
+        assert partial.plan and state.plan
+        assert {type(a) for a in partial.plan + state.plan} == {PartialAction}
+        assert all(a.is_full for a in partial.plan + state.plan)
 
 
 class TestDecompose:

@@ -348,6 +348,18 @@ class TestTrainModel:
         with pytest.raises(ValueError, match="finite and at least 0"):
             TrainConfig(c_grid=(1.0, c))
 
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_bad_importance_rejected(self, sigma):
+        """A negative importance makes the LP unbounded, and one that is not
+        finite fails inside the solver; the config rejects both."""
+        with pytest.raises(ValueError, match="importance ss must be finite and at least 0"):
+            TrainConfig(importances={"lp": 1.0, "ls": 1.0, "sp": 1.0, "ss": sigma})
+
+    @pytest.mark.parametrize("split", [-1.0, 0.0, 1.0, 2.0, math.nan])
+    def test_split_outside_the_open_unit_interval_rejected(self, split):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            TrainConfig(split=split)
+
 
 class TestArgmaxSanity:
     def test_plan_action_outranks_state_siblings(self):
