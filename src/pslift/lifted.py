@@ -7,27 +7,26 @@ prefix by one object and are pruned exactly: a child is produced only if at
 least one applicable ground action completes it. Nothing here ever grounds the
 whole task.
 
-The preconditions of a schema with its first k parameters bound form one
-conjunctive query with head (schema name, parameters), compiled once per
-(schema, k) and run over an index of the state and the static atoms, by the
-join planner (`_join_steps`) and the backtracking executor (`_descend`) that
-the relaxation's Datalog rules run on too. The executor's head cut-off and
-first-completion exit change nothing for these queries. Every binding slot is
-a parameter or a constant, and an index table lists each atom once, so two
-join paths give two parameter tuples and no head is cut as already derived;
-once every parameter is bound, each later step is fully keyed and matches at
-most one atom. One index per state serves every query on that state: the
-task keeps the index of the last state asked about, builds each index table
-on first use, and caches the completions of each (schema, prefix), so a
-prefix's join runs once per state. Each cached list is sorted once by object
-declaration index: actions come in schema order, then lexicographically by
-declaration index, the order on which the search's counters and the
-restricted FF value depend.
+The preconditions of a schema form its successor rule, a `_Rule` like the
+relaxation's Datalog rules, with head (schema name, parameters). It is
+compiled once per task and schema into one join plan by the planner
+(`_join_steps`) and run by the backtracking executor (`_descend`) that the
+Datalog rules run on too, once per state over an index of the state and the
+static atoms. The executor's head cut-off and first-completion exit change
+nothing for this query. Every binding slot is a parameter or a constant, and
+an index table lists each atom once, so two join paths give two parameter
+tuples and no head is cut as already derived. The task keeps the index of the
+last state asked about, builds each index table on first use, and sorts the
+join's result once by object declaration index: actions come in schema order,
+then lexicographically by declaration index, the order on which the search's
+counters and the restricted FF value depend. That one list fixes the state's
+partial action tree: a prefix's completions are a run of its parent's list.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from operator import itemgetter
 
 from .pddl import ActionSchema, Task
@@ -274,41 +273,73 @@ def _fill(atoms, tables_of, tables) -> None:
                 matches.append(args)
 
 
-class _Query:
-    """The applicable completions of a schema with its first k parameters
-    bound, as a join plan. A binding holds the parameters, then the
-    constants of the preconditions and equality literals. The plan's table
-    ids index `tables`, the (predicate, key positions) of its tables."""
+class _Rule:
+    """A rule with its variables and constants laid out as binding slots:
+    variables first (in order of first appearance in the body), then
+    constants. A binding is a sequence indexed by slot."""
 
-    __slots__ = ("template", "test", "plan", "tables")
+    __slots__ = ("head", "body", "eqs", "schema", "slots", "template",
+                 "ground", "live", "body_args", "param_args", "plans")
 
-    def __init__(self, schema: ActionSchema, k: int):
-        body = _query_body(schema)
-        terms = [a for _, args in body for a in args]
-        terms += [t for x, y, _ in schema.equalities for t in (x, y)]
-        constants = [a for a in dict.fromkeys(terms) if not _is_var(a)]
-        params = schema.params
-        slots = {a: i for i, a in enumerate(params + tuple(constants))}
-        self.template = [None] * len(params) + constants
-        bound = set(params[:k]).union(constants)
-        # equality literals bound before the join, by the prefix
-        self.test = _eqs_test(tuple(
-            (slots[x], slots[y], want) for x, y, want in schema.equalities
-            if x in bound and y in bound))
-        ids: dict = {}
-        self.plan = _join_steps(
-            body, schema.equalities, slots, bound,
-            lambda i, pred, keyed: ids.setdefault((pred, keyed), len(ids)),
-            (schema.name, params))
-        self.tables = list(ids)
+    def __init__(self, head, body, eqs, schema):
+        self.head = tuple(head)   # (pred, args) with '?' vars or constants
+        self.body = tuple(body)
+        self.eqs = tuple(eqs)
+        self.schema = schema      # ActionSchema for schema rules, else None
+
+        terms = [a for _, args in self.body for a in args]
+        terms = dict.fromkeys(terms + list(head[1]) + [t for x, y, _ in self.eqs for t in (x, y)])
+        variables = [a for a in terms if _is_var(a)]
+        constants = [a for a in terms if not _is_var(a)]
+        self.slots = {a: i for i, a in enumerate(variables + constants)}
+        self.template = [None] * len(variables) + constants
+        self.ground = not variables
+        if any(_is_var(a) and not any(a in args for _, args in self.body)
+               for a in head[1]):
+            raise ValueError(f"head variable missing from the body: {self.text()}")
+
+        slot = self.slots.__getitem__
+        self.body_args = [(p, _tuple_getter([slot(a) for a in args]))
+                          for p, args in self.body]
+        self.param_args = (_tuple_getter([slot(p) for p in schema.params])
+                           if schema is not None else None)
+        self.live = all((x == y) == want for x, y, want in self.eqs
+                        if not _is_var(x) and not _is_var(y))
+        self.plans: list = []     # the join plans of the rule, set by its user
+
+    def plan(self, table, first=None) -> _Plan:
+        """`_join_steps` of the rule, with its constants bound from the start."""
+        constants = {a for a in self.slots if not _is_var(a)}
+        return _join_steps(self.body, self.eqs, self.slots, constants, table, self.head, first)
+
+    def text(self) -> str:
+        def fmt(a):
+            pred, args = a
+            return f"{pred}({','.join(args)})" if args else pred
+
+        body = [fmt(b) for b in self.body]
+        for x, y, want in self.eqs:
+            body.append(f"{x}{'=' if want else '!='}{y}")
+        rhs = ", ".join(body) if body else "true"
+        return f"{fmt(self.head)} :- {rhs}."
+
+    # -- lazy achiever expansion ---------------------------------------------
+
+    def action_of(self, binding):
+        if self.schema is not None:
+            return (self.schema.name, self.param_args(binding))
+        return None
+
+    def body_of(self, binding) -> list:
+        return [(p, args(binding)) for p, args in self.body_args]
 
 
 class _StateIndex:
     """The args of the atoms of `state | static atoms`, `@object` included,
     grouped by predicate in the order the union iterates them; the index
     tables built from them on first use, keyed by (predicate, key
-    positions); and the sorted completions of each prefix asked about, keyed
-    by (schema name, prefix)."""
+    positions); and the sorted completions of each prefix asked about and
+    of its siblings, keyed by (schema name, prefix)."""
 
     __slots__ = ("state", "groups", "tables", "completions")
 
@@ -338,32 +369,47 @@ def _state_index(task: Task, state: State) -> _StateIndex:
 
 def _completions(task: Task, state: State, schema: ActionSchema, prefix: tuple[str, ...]) -> list:
     """The full argument tuples that extend prefix to an action applicable in
-    state, sorted lexicographically by object declaration index. Each list is
-    sorted once, cached with the state's index and shared by every caller, so
-    callers must not mutate it."""
+    state, sorted lexicographically by object declaration index. A prefix's
+    list is the run of its parent's list with its last object at that
+    position; the parent's list is sorted, so the runs are contiguous and one
+    pass caches all siblings. Lists are cached with the state's index and
+    shared by every caller, so callers must not mutate them."""
     index = _state_index(task, state)
+    cache = index.completions
     key = (schema.name, prefix)
-    out = index.completions.get(key)
+    out = cache.get(key)
     if out is None:
-        out = index.completions[key] = _join(task, index, schema, prefix)
-        order = task.object_index.__getitem__
-        out.sort(key=lambda args: tuple(map(order, args)))
+        if prefix:
+            parent = prefix[:-1]
+            runs = groupby(_completions(task, state, schema, parent), itemgetter(len(parent)))
+            for o, run in runs:
+                cache[schema.name, parent + (o,)] = list(run)
+            out = cache.setdefault(key, [])
+        else:
+            out = cache[key] = _join(task, index, schema)
+            order = task.object_index.__getitem__
+            out.sort(key=lambda args: tuple(map(order, args)))
     return out
 
 
-def _join(task: Task, index: _StateIndex, schema: ActionSchema, prefix: tuple[str, ...]) -> list:
-    """The completions of prefix, by running its query over the index."""
-    query = task._info_cache.get((schema.name, len(prefix)))
+def _join(task: Task, index: _StateIndex, schema: ActionSchema) -> list:
+    """The applicable argument tuples of schema, by running its successor
+    rule over the index; the plan's table ids index `names`."""
+    query = task._info_cache.get(("@rule", schema.name))
     if query is None:
-        query = task._info_cache[schema.name, len(prefix)] = _Query(schema, len(prefix))
-    b = list(prefix) + query.template[len(prefix):]
-    if query.test is not None and not query.test(b):
+        rule = _Rule((schema.name, schema.params), _query_body(schema), schema.equalities, schema)
+        names: dict = {}
+        rule.plans = [rule.plan(lambda i, pred, keyed: names.setdefault((pred, keyed), len(names)))]
+        query = task._info_cache["@rule", schema.name] = (rule, list(names))
+    rule, names = query
+    if not rule.live:
         return []
-    plan = query.plan
+    plan = rule.plans[0]
+    b = list(rule.template)
     if not plan.steps:
         return [plan.head_args(b)]
     tables = []
-    for name in query.tables:
+    for name in names:
         table = index.tables.get(name)
         if table is None:
             # one table of one predicate: a plain loop, about 3x cheaper

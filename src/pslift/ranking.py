@@ -81,6 +81,14 @@ class TrainConfig:
     sibling_cap: int | None = None
 
     def __post_init__(self):
+        if self.graph_kind.lower() not in GRAPH_KINDS:
+            raise ValueError(f"unknown graph kind {self.graph_kind!r}")
+        if self.iterations < 0:
+            raise ValueError(f"WL iterations must be at least 0, not {self.iterations}")
+        _check_sibling_cap(self.sibling_cap)
+        if self.importances is not None and sorted(self.importances) != sorted(KINDS):
+            raise ValueError(f"importances need exactly the keys {', '.join(KINDS)}, "
+                             f"not {', '.join(sorted(self.importances)) or 'none'}")
         for c in self.c_grid:
             if not (math.isfinite(c) and c >= 0):
                 raise ValueError(f"C must be finite and at least 0, not {c:g}")
@@ -496,9 +504,6 @@ def train_model(
     """End-to-end: order and split instances, grow the color dictionary on the
     training share, freeze it, featurize validation, tune C, package."""
     config = config or TrainConfig()
-    if config.iterations < 0:
-        raise ValueError(f"WL iterations must be at least 0, not {config.iterations}")
-    _check_sibling_cap(config.sibling_cap)
     importances = config.resolved_importances()
     ordered = order_instances(instances)
     train_part, val_part = split_train_val(ordered, config.split)

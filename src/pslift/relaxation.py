@@ -17,8 +17,8 @@ same first bindings while enumerating far fewer:
 
 * Join plans. The most-bound-first order depends only on which variables are
   bound, i.e. on the rule and the seed position, so one plan per (rule, seed
-  position) is built with the program. Successor generation shares both the
-  planner and the executor: plans come from `lifted._join_steps` and run on
+  position) is built with the program. Successor generation shares the rule
+  type `lifted._Rule`, the planner `lifted._join_steps` and the executor
   `lifted._descend`, the one backtracking join. Each step of a plan names the
   index key (already bound or constant positions), the positions that bind
   new variable slots, repeated-variable checks, and the equality literals
@@ -59,10 +59,11 @@ given set B open it. All of B is applicable in the state, so each action of
 B fires at layer 1 and never again; the fixpoint therefore applies B directly
 after the layer-1 rules, in the given order: each add atom not yet reached
 enters layer 1 with that action as its achiever, and the gate enters right
-after the adds of B[0]. The order of B is part of the result, as it decides
-the achiever of an atom that two actions of B add. Extraction counts such an
-achiever by the action itself and does not expand it, as its preconditions
-are all at layer 0.
+after the adds of B[0], so at layer 1 a restricted program runs only the
+goal rule: a schema rule's join would fail at the gate step. The order of B is
+part of the result, as it decides the achiever of an atom that two actions of
+B add. Extraction counts such an achiever by the action itself and does not
+expand it, as its preconditions are all at layer 0.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .lifted import (OBJ, PartialAction, State, _descend, _fill, _is_var, _join_steps,
-                     _key_getter, _query_body, _tuple_getter, instantiations, is_applicable)
+from .lifted import (OBJ, PartialAction, State, _descend, _fill, _key_getter, _query_body,
+                     _Rule, instantiations, is_applicable)
 from .pddl import Task
 
 INF = float("inf")
@@ -89,62 +90,6 @@ _ALL, _OLD, _DELTA = 0, 1, 2
 
 class EmptyActionSet(Exception):
     pass
-
-
-class _Rule:
-    """A rule with its variables and constants laid out as binding slots:
-    variables first (in order of first appearance in the body), then
-    constants. A binding is a sequence indexed by slot."""
-
-    __slots__ = ("head", "body", "eqs", "schema", "slots", "template",
-                 "ground", "live", "body_args", "param_args", "plans")
-
-    def __init__(self, head, body, eqs, schema):
-        self.head = tuple(head)   # (pred, args) with '?' vars or constants
-        self.body = tuple(body)
-        self.eqs = tuple(eqs)
-        self.schema = schema      # ActionSchema for schema rules, else None
-
-        terms = [a for _, args in self.body for a in args]
-        terms = dict.fromkeys(terms + list(head[1]) + [t for x, y, _ in self.eqs for t in (x, y)])
-        variables = [a for a in terms if _is_var(a)]
-        constants = [a for a in terms if not _is_var(a)]
-        self.slots = {a: i for i, a in enumerate(variables + constants)}
-        self.template = [None] * len(variables) + constants
-        self.ground = not variables
-        if any(_is_var(a) and not any(a in args for _, args in self.body)
-               for a in head[1]):
-            raise ValueError(f"head variable missing from the body: {self.text()}")
-
-        slot = self.slots.__getitem__
-        self.body_args = [(p, _tuple_getter([slot(a) for a in args]))
-                          for p, args in self.body]
-        self.param_args = (_tuple_getter([slot(p) for p in schema.params])
-                           if schema is not None else None)
-        self.live = all((x == y) == want for x, y, want in self.eqs
-                        if not _is_var(x) and not _is_var(y))
-        self.plans: list = []     # one join plan per seed position, set by the program
-
-    def text(self) -> str:
-        def fmt(a):
-            pred, args = a
-            return f"{pred}({','.join(args)})" if args else pred
-
-        body = [fmt(b) for b in self.body]
-        for x, y, want in self.eqs:
-            body.append(f"{x}{'=' if want else '!='}{y}")
-        rhs = ", ".join(body) if body else "true"
-        return f"{fmt(self.head)} :- {rhs}."
-
-    # -- lazy achiever expansion ---------------------------------------------
-
-    def action_of(self, binding):
-        if self.schema is not None:
-            return (self.schema.name, self.param_args(binding))
-        return None
-
-    def body_of(self, binding) -> list:
-        return [(p, args(binding)) for p, args in self.body_args]
 
 
 @dataclass
@@ -179,6 +124,8 @@ class DatalogProgram:
                 self.rules.append(_Rule(add, body, schema.equalities, schema))
         goal_body = [task.atom(g) for g in sorted(task.goal)]
         self.rules.append(_Rule((GOAL, ()), goal_body, (), None))
+        # no schema rule of a restricted program fires before the gate
+        self._layer1_rules = self.rules[-1:] if restricted else self.rules
 
         self.base_facts: list[tuple] = [task.atom(i) for i in sorted(task.static_atoms)]
         self.base_facts.extend((OBJ, (o,)) for o in task.objects)
@@ -224,10 +171,7 @@ class DatalogProgram:
         in the order of `lifted._join_steps`."""
         if rule.ground or not rule.live:
             return
-        constants = {a for a in rule.slots if not _is_var(a)}   # bound from the start
-        rule.plans = [_join_steps(rule.body, rule.eqs, rule.slots, constants,
-                                  partial(self._table, k), rule.head, first=k)
-                      for k in range(len(rule.body))]
+        rule.plans = [rule.plan(partial(self._table, k), first=k) for k in range(len(rule.body))]
 
     # -- fixpoint -----------------------------------------------------------
 
@@ -277,7 +221,7 @@ class DatalogProgram:
         while pending:
             layer += 1
             new = []
-            for rule in self.rules:
+            for rule in self._layer1_rules if layer == 1 else self.rules:
                 if rule.ground:
                     if rule.head in layers or not rule.live:
                         continue

@@ -261,3 +261,30 @@ class TestAgainstBruteForce:
                     task, oracles.state_to_keys(task, state), schema, args
                 )
                 assert got == expected
+
+
+class TestOneJoinPerState:
+    @pytest.mark.parametrize("family,params,seed", SMALL_TASKS)
+    def test_whole_tree_joins_each_schema_once(self, family, params, seed, monkeypatch):
+        """Every partial action's completions are a run of its parent's, so
+        exploring a state's whole partial action tree joins each schema once."""
+        from pslift import lifted
+        task = generate_task(family, seed=seed, **params)
+        joined = []
+        join = lifted._join
+
+        def spy(*args):
+            joined.append(args[2].name)
+            return join(*args)
+
+        monkeypatch.setattr(lifted, "_join", spy)
+        # distinct states, as the task keeps the index of the last one
+        for state in dict.fromkeys(random_states(task, random.Random(seed + 4), 3)):
+            joined.clear()
+            frontier = [ROOT]
+            while frontier:
+                rho = frontier.pop()
+                list(instantiations(task, state, rho))
+                frontier.extend(children(task, state, rho))
+            lifted.n_applicable(task, state)
+            assert sorted(joined) == sorted(s.name for s in task.schemas)

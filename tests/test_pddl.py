@@ -16,8 +16,40 @@ from pslift.pddl import (
     parse_instance,
 )
 
+import oracles
 from oracles import signature, write_domain, write_problem
 from conftest import BW2_TEXT, BW_DOMAIN_TEXT, SPANNER_MINI_DOMAIN, SPANNER_MINI_PROBLEM
+from pslift.bench import validate_plan
+from pslift.lifted import ROOT, GroundAction, apply, instantiations
+from pslift.relaxation import FFHeuristic, RestrictedFFHeuristic
+from pslift.search import gbfs_partial, gbfs_state
+
+# a truck loads only at the constant `depot`
+DEPOT_DOMAIN = """
+(define (domain depot-run)
+  (:requirements :strips :typing)
+  (:types truck place - object)
+  (:constants depot - place)
+  (:predicates (at ?v - truck ?p - place) (road ?from ?to - place) (loaded ?v - truck))
+  (:action drive
+    :parameters (?v - truck ?from ?to - place)
+    :precondition (and (at ?v ?from) (road ?from ?to))
+    :effect (and (at ?v ?to) (not (at ?v ?from))))
+  (:action load
+    :parameters (?v - truck)
+    :precondition (and (at ?v depot))
+    :effect (and (loaded ?v)))
+)
+"""
+
+DEPOT_PROBLEM = """
+(define (problem depot-run-1)
+  (:domain depot-run)
+  (:objects t1 - truck field farm - place)
+  (:init (at t1 field) (road field depot) (road depot farm) (road field farm))
+  (:goal (and (loaded t1) (at t1 farm)))
+)
+"""
 
 
 class TestParseDomain:
@@ -149,6 +181,30 @@ class TestCompileTypes:
     def test_untyped_input_unchanged(self, bw2):
         names = {p.name for p in bw2.predicates}
         assert names == {"on", "ontable", "clear", "handempty", "holding"}
+
+    def test_domain_constants(self):
+        """A typed constant comes first among the objects, with its type
+        atoms, and binds like any object where a precondition names it."""
+        task = load_task(DEPOT_DOMAIN, DEPOT_PROBLEM)
+        assert task.objects == ("depot", "t1", "field", "farm")
+        assert task.find("place", ("depot",)) in task.static_atoms
+        assert task.find("truck", ("depot",)) is None
+        assert Atom("at", ("?v", "depot")) in task.schema("load").pre
+
+        oracle_plan = oracles.bfs_plan(task)
+        assert len(oracle_plan) == 3
+        state = task.initial_state
+        for name, args in oracle_plan:
+            got = {(a.name, a.args) for a in instantiations(task, state, ROOT)}
+            want = {(s.name, a) for s, a in oracles.oracle_applicable_actions(task, state)}
+            assert got == want
+            state = apply(task, state, GroundAction(task.schema(name), args))
+        assert task.is_goal(state)
+        for search, h in ((gbfs_state, FFHeuristic(task)),
+                          (gbfs_partial, RestrictedFFHeuristic(task))):
+            result = search(task, h)
+            assert result.solved and len(result.plan) == len(oracle_plan)
+            assert validate_plan(task, result.plan)
 
     def test_unknown_type_rejected(self):
         domain = """(define (domain bad) (:requirements :typing)

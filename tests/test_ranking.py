@@ -355,6 +355,23 @@ class TestTrainModel:
         with pytest.raises(ValueError, match="importance ss must be finite and at least 0"):
             TrainConfig(importances={"lp": 1.0, "ls": 1.0, "sp": 1.0, "ss": sigma})
 
+    @pytest.mark.parametrize("fields,message", [
+        (dict(importances={"lp": 1.0, "ls": 1.0}), "exactly the keys"),
+        (dict(importances={}), "exactly the keys"),
+        (dict(importances={"lp": 1.0, "ls": 1.0, "sp": 1.0, "ss": 1.0, "pp": 1.0}),
+         "exactly the keys"),
+        (dict(graph_kind="gnn"), "unknown graph kind"),
+        (dict(iterations=-1), "WL iterations"),
+        (dict(sibling_cap=-1), "sibling cap"),
+    ], ids=["missing-importance", "no-importances", "unknown-importance",
+            "unknown-graph-kind", "negative-iterations", "negative-sibling-cap"])
+    def test_bad_field_rejected_up_front(self, fields, message):
+        """The config rejects these before featurisation starts, where a
+        missing importance would fail as a bare KeyError and an unknown graph
+        kind would get the AOAG importances."""
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**fields)
+
     @pytest.mark.parametrize("split", [-1.0, 0.0, 1.0, 2.0, math.nan])
     def test_split_outside_the_open_unit_interval_rejected(self, split):
         with pytest.raises(ValueError, match="strictly between 0 and 1"):

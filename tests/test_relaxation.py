@@ -7,6 +7,7 @@ from pslift.generators import generate_task
 from pslift.lifted import ROOT, GroundAction, instantiations, _apply_effects
 from pslift.relaxation import (
     EPSILON,
+    GATE,
     EmptyActionSet,
     DatalogProgram,
     FFHeuristic,
@@ -221,6 +222,28 @@ class TestHFFRestricted:
             program.h_ff_restricted(s0, actions)
         with pytest.raises(ValueError):
             program.relaxed_reach(s0, actions)
+
+    def test_no_schema_rule_joins_before_the_gate(self, bw2, monkeypatch):
+        """The gate enters after the layer-1 rules, so a schema rule's join
+        there could only enumerate its body and fail at the gate step."""
+        from pslift import relaxation
+        program = RestrictedFFHeuristic(bw2).program
+        schema_plans = {id(p) for r in program.rules if r.schema is not None for p in r.plans}
+        entered = []
+        descend = relaxation._descend
+
+        def spy(plan, d, b, tables, known, derive):
+            if id(plan) in schema_plans:
+                entered.append(GATE in known)
+            return descend(plan, d, b, tables, known, derive)
+
+        monkeypatch.setattr(relaxation, "_descend", spy)
+        s0 = bw2.initial_state
+        actions = list(instantiations(bw2, s0, ROOT))
+        for chosen in ([actions[0]], actions):
+            program.relaxed_reach(s0, chosen)
+            program.h_ff_restricted(s0, chosen)
+        assert entered and all(entered)
 
     def test_gate_achiever_is_first_action(self, bw2):
         # the order of B is part of h: the gate's achiever is B[0]

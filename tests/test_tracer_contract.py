@@ -15,10 +15,12 @@ import pathlib
 import pytest
 
 from pslift.lifted import ROOT, instantiations
+from pslift.ranking import load_model
 from pslift.relaxation import DatalogProgram, FFHeuristic, RestrictedFFHeuristic
 from pslift.search import gbfs_partial, gbfs_state
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+MODELS = pathlib.Path(__file__).resolve().parent / "fixtures" / "models"
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +61,9 @@ def test_heuristics_expose_their_program(bw2):
     assert program._extract(program.relaxed_reach(s0, actions)) == restricted(s0, ROOT)
 
 
-@pytest.mark.parametrize("space", ["state", "partial"])
-def test_traced_search_matches_the_plain_one(spans, bw3_stack, space):
-    if space == "state":
-        def run():
-            return gbfs_state(bw3_stack, FFHeuristic(bw3_stack))
-    else:
-        def run():
-            return gbfs_partial(bw3_stack, RestrictedFFHeuristic(bw3_stack))
+def _traced_and_plain(spans, space, run):
+    """The tracer of a traced run(), after checking that it restores every
+    patched name and gives the plan and counters of a plain run()."""
 
     def patched():
         return [getattr(importlib.import_module(m), attr) for m, attr, _, _ in spans.PATCHES]
@@ -86,7 +83,38 @@ def test_traced_search_matches_the_plain_one(spans, bw3_stack, space):
     counters = [(r.stats.expansions, r.stats.evaluations, r.stats.generated)
                 for r in (plain, traced)]
     assert counters[0] == counters[1]
+    return tracer
+
+
+@pytest.mark.parametrize("space", ["state", "partial"])
+def test_traced_search_matches_the_plain_one(spans, bw3_stack, space):
+    if space == "state":
+        def run():
+            return gbfs_state(bw3_stack, FFHeuristic(bw3_stack))
+    else:
+        def run():
+            return gbfs_partial(bw3_stack, RestrictedFFHeuristic(bw3_stack))
+
+    tracer = _traced_and_plain(spans, space, run)
     assert tracer.counts[(space, "lifted.instantiations_calls")] > 0
     names = {tracer.names[i] for i in tracer.name}
     if space == "partial":
         assert "lifted.children" in names
+
+
+@pytest.mark.parametrize("kind", ["aoag", "aeg"])
+@pytest.mark.parametrize("space", ["state", "partial"])
+def test_traced_learned_search_matches_the_plain_one(spans, bw3_stack, space, kind):
+    """The `wl.refine` note reads the colours of the graph that
+    `wl_features` receives."""
+    model = load_model(str(MODELS / f"tiny-{kind}.model"))
+    if space == "state":
+        def run():
+            return gbfs_state(bw3_stack, model.state_heuristic(bw3_stack))
+    else:
+        def run():
+            return gbfs_partial(bw3_stack, model.heuristic(bw3_stack))
+
+    tracer = _traced_and_plain(spans, space, run)
+    assert "wl.refine" in {tracer.names[i] for i in tracer.name}
+    assert tracer.notes["wl.refine"]
