@@ -28,14 +28,6 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _limits(args) -> Limits:
-    return Limits(
-        time_s=args.time_limit,
-        memory_mb=args.memory_limit,
-        max_expansions=args.expansion_cap,
-    )
-
-
 def _make_heuristic(task, spec: str, space: str):
     """(heuristic, label) for 'ff' or 'model:PATH', built for the search
     space ("state" or "partial") only."""
@@ -56,18 +48,19 @@ def _make_heuristic(task, spec: str, space: str):
 
 
 def cmd_solve(args) -> int:
+    limits = Limits(time_s=args.time_limit, memory_mb=args.memory_limit,
+                    max_expansions=args.expansion_cap)
     task = load_task(Path(args.domain).read_text(), Path(args.problem).read_text())
     heuristic, label = _make_heuristic(task, args.heuristic, args.search)
     config = args.config_name or f"{args.search}-{label}"
 
     if args.dump_datalog:
-        program = relaxation.DatalogProgram(task, restricted=args.search == "partial")
-        sys.stderr.write(program.dump())
+        sys.stderr.write(relaxation.DatalogProgram(task).dump())
 
     run = search.gbfs_partial if args.search == "partial" else search.gbfs_state
     started = time.monotonic()
     try:
-        result = run(task, heuristic, _limits(args))
+        result = run(task, heuristic, limits)
         outcome = {
             search.SOLVED: bench.SOLVED,
             search.UNSOLVABLE: bench.UNSOLVED,
@@ -267,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the counters, the stop reason and the wall seconds as JSON")
     p.add_argument("--config-name", default=None)
     p.add_argument("--dump-datalog", action="store_true",
-                   help="write the relaxation's rule program to stderr")
+                   help="write the relaxation's rule program, which both search "
+                        "spaces run, to stderr")
     p.set_defaults(fn=cmd_solve)
 
     for name, fn in (("train", cmd_train), ("generate-data", cmd_generate_data)):

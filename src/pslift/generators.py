@@ -76,6 +76,11 @@ FERRY_DOMAIN = """\
 """
 
 
+def _at_least(name: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, not {value}")
+
+
 def _problem_text(name: str, domain: str, objects: list[str], init: list[str], goal: list[str]) -> str:
     lines = [f"(define (problem {name})", f"  (:domain {domain})"]
     lines.append(f"  (:objects {' '.join(objects)})")
@@ -136,6 +141,8 @@ def gen_blocksworld(blocks: int = 4, seed: int = 0, goal_atoms: int | None = Non
                     name: str = "blocksworld") -> tuple[str, str]:
     """Random towers; the goal is the `on` relation of a random walk's end
     state (optionally sampled down to `goal_atoms` atoms)."""
+    _at_least("blocks", blocks, 1)
+    _at_least("goal_atoms", goal_atoms or 0, 0)
     rng = random.Random(f"bw|{blocks}|{seed}")
     names = [f"b{i}" for i in range(1, blocks + 1)]
     init = _tower_init(_random_towers(names, rng))
@@ -159,15 +166,15 @@ def gen_blocksworld(blocks: int = 4, seed: int = 0, goal_atoms: int | None = Non
 
 def gen_blocksworld_large(blocks: int = 30, goal_atoms: int = 2, seed: int = 0) -> tuple[str, str]:
     """Many blocks, tiny goal: only a handful of blocks matter."""
-    domain, problem = gen_blocksworld(blocks, seed, goal_atoms=goal_atoms,
-                                      name="blocksworld-large")
-    return domain, problem
+    return gen_blocksworld(blocks, seed, goal_atoms=goal_atoms, name="blocksworld-large")
 
 
 def gen_warehouse(stacks: int = 6, boxes: int | None = None, marked: int = 2,
                   seed: int = 0) -> tuple[str, str]:
     """Stacks of boxes; tops move between stacks in one action, so branching is
     quadratic in the stack count. Marked boxes must leave the warehouse."""
+    _at_least("stacks", stacks, 1)
+    _at_least("marked", marked, 1)
     if boxes is None:
         boxes = 2 * stacks
     if boxes < stacks:
@@ -209,6 +216,8 @@ def gen_warehouse(stacks: int = 6, boxes: int | None = None, marked: int = 2,
 
 
 def gen_ferry(cars: int = 3, locations: int = 3, seed: int = 0) -> tuple[str, str]:
+    _at_least("cars", cars, 0)
+    _at_least("locations", locations, 1)
     rng = random.Random(f"ferry|{cars}|{locations}|{seed}")
     car_names = [f"c{i}" for i in range(1, cars + 1)]
     loc_names = [f"l{i}" for i in range(1, locations + 1)]

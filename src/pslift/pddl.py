@@ -317,12 +317,6 @@ class Task:
 
     # -- queries ----------------------------------------------------------------
 
-    def predicate(self, name: str) -> Predicate:
-        p = self._pred.get(name)
-        if p is None:
-            raise UndeclaredPredicate(name)
-        return p
-
     def schema(self, name: str) -> ActionSchema:
         s = self._schema_by_name.get(name)
         if s is None:

@@ -54,16 +54,17 @@ binding) and expanded into action and body atoms only for the atoms that
 extraction visits.
 
 The action-set variant evaluates the transformed task in which a fresh 0-ary
-gate predicate guards every original schema and only the actions of the
-given set B open it. All of B is applicable in the state, so each action of
-B fires at layer 1 and never again; the fixpoint therefore applies B directly
-after the layer-1 rules, in the given order: each add atom not yet reached
-enters layer 1 with that action as its achiever, and the gate enters right
-after the adds of B[0], so at layer 1 a restricted program runs only the
-goal rule: a schema rule's join would fail at the gate step. The order of B is
-part of the result, as it decides the achiever of an atom that two actions of
-B add. Extraction counts such an achiever by the action itself and does not
-expand it, as its preconditions are all at layer 0.
+gate `@epsilon` guards every original schema and only the actions of the
+given set B open it; B enters at evaluation, not into the program. Each
+action of B is applicable, so it fires at layer 1 only: layer 1 runs the
+goal rule, then gives each add atom not yet reached the first action of B
+that adds it as achiever, which extraction counts as it is, and the gate
+after the adds of B[0]. Schema rules run from layer 2 on, never with B empty.
+A gate body atom would be every plan's last join step and match once; only
+the plan it seeds is needed: the rule's last, opening plan, which binds the
+body from the atoms older than the previous layer, at layer 2 only, after
+the seed plans unless they derived a ground head. Extraction pushes the gate
+with the body of each schema rule achiever, so B[0] is counted.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class ReachResult:
 
     @property
     def atoms(self) -> frozenset:
-        """The fluent atoms reached, plus the gate when restricted."""
+        """The fluent atoms reached, plus the gate when B was given."""
         return frozenset(
             key for key in self.layers if key[0] == EPSILON or key[0] not in _INTERNAL
         )
@@ -112,20 +113,15 @@ class ReachResult:
 class DatalogProgram:
     """Datalog view of a task, shared by h_ff and its restricted variant."""
 
-    def __init__(self, task: Task, restricted: bool = False):
+    def __init__(self, task: Task):
         self.task = task
-        self.restricted = restricted
         self.rules: list[_Rule] = []
         for schema in task.schemas:
             body = _query_body(schema)
-            if restricted:
-                body.append(GATE)
             for add in schema.add:
                 self.rules.append(_Rule(add, body, schema.equalities, schema))
         goal_body = [task.atom(g) for g in sorted(task.goal)]
         self.rules.append(_Rule((GOAL, ()), goal_body, (), None))
-        # no schema rule of a restricted program fires before the gate
-        self._layer1_rules = self.rules[-1:] if restricted else self.rules
 
         self.base_facts: list[tuple] = [task.atom(i) for i in sorted(task.static_atoms)]
         self.base_facts.extend((OBJ, (o,)) for o in task.objects)
@@ -168,18 +164,19 @@ class DatalogProgram:
     def _compile(self, rule: _Rule) -> None:
         """One plan per seed position: step 0 binds the seed atom from the
         atoms new in the previous layer, the later steps the other body atoms
-        in the order of `lifted._join_steps`."""
+        in the order of `lifted._join_steps`; then the opening plan, with
+        every body atom from the atoms older than the previous layer."""
         if rule.ground or not rule.live:
             return
-        rule.plans = [rule.plan(partial(self._table, k), first=k) for k in range(len(rule.body))]
+        rule.plans = [rule.plan(partial(self._table, k), first=k) for k in range(len(rule.body) + 1)]
 
     # -- fixpoint -----------------------------------------------------------
 
-    def _fixpoint(self, state: State, chosen=(), full=False) -> ReachResult:
-        """Layers and achievers of the program from state; `chosen` is the
-        action set B of the restriction transform, all applicable in state.
-        The fixpoint stops after the layer that derives the goal, which is
-        all that extraction reads, unless `full` asks for every layer."""
+    def _fixpoint(self, state: State, chosen=None, full=False) -> ReachResult:
+        """Layers and achievers of the program from state; `chosen` is None or
+        the action set B of the restriction transform, all applicable in
+        state. The fixpoint stops after the layer that derives the goal, which
+        is all that extraction reads, unless `full` asks for every layer."""
         task = self.task
         layers = dict(self._base_layers)
         achievers: dict = {}
@@ -208,6 +205,8 @@ class DatalogProgram:
         new: list = []
         layer = 0
         pending = bool(layers)
+        # the first layer of the schema rules; with B, it opens them
+        first = 1 if chosen is None else 2 if chosen else INF
 
         def derive(source, head, binding):
             layers[head] = layer
@@ -221,7 +220,9 @@ class DatalogProgram:
         while pending:
             layer += 1
             new = []
-            for rule in self._layer1_rules if layer == 1 else self.rules:
+            # seed 0 at layer 1; the opening plan only at an opening layer
+            stop = 1 if layer == 1 else None if layer == first else -1
+            for rule in self.rules if layer >= first else self.rules[-1:]:
                 if rule.ground:
                     if rule.head in layers or not rule.live:
                         continue
@@ -230,20 +231,17 @@ class DatalogProgram:
                         if found is None or found >= layer:
                             break
                     else:
-                        if rule.body or layer == 1:
-                            derive(rule, rule.head, tuple(rule.template))
+                        derive(rule, rule.head, tuple(rule.template))
                     continue
                 if not rule.plans or (rule.plans[0].head_at == 0 and rule.head in layers):
                     continue
                 b = list(rule.template)
-                for k, plan in enumerate(rule.plans):
-                    if k and layer == 1:
-                        break
-                    # skip a seed without new atoms; _descend is True only
-                    # once it has derived a ground head
+                for plan in rule.plans[:stop]:
+                    # skip a plan whose first table is empty; _descend is
+                    # True only once it has derived a ground head
                     if tables[plan.steps[0][0]] and _descend(plan, 0, b, tables, layers, fire):
                         break
-            if layer == 1:
+            if layer == 1 and chosen:
                 # B is applicable in the state: each action fires here only
                 for action in chosen:
                     binding = dict(zip(action.schema.params, action.args))
@@ -270,6 +268,7 @@ class DatalogProgram:
     def _extract(self, reach: ReachResult) -> float:
         if GOAL_KEY not in reach.layers:
             return INF
+        gated = GATE in reach.layers
         actions = set()
         seen = set()
         stack = [GOAL_KEY]
@@ -284,9 +283,11 @@ class DatalogProgram:
                 actions.add(source)
                 continue
             action_key = source.action_of(binding)
+            stack.extend(source.body_of(binding))
             if action_key is not None:
                 actions.add(action_key)
-            stack.extend(source.body_of(binding))
+                if gated:
+                    stack.append(GATE)
         return len(actions)
 
     def relaxed_reach(self, state: State, actions=None) -> ReachResult:
@@ -298,15 +299,10 @@ class DatalogProgram:
 
     def h_ff(self, state: State) -> float:
         """Relaxed-plan size, 0 iff the goal already holds, inf on dead ends."""
-        if self.restricted:
-            raise ValueError("use h_ff_restricted on a restricted program")
         return self._extract(self._fixpoint(state))
 
     def _chosen(self, state: State, actions) -> list:
-        """The action set B as a list; the transform needs a restricted
-        program and every action of B applicable in state."""
-        if not self.restricted:
-            raise ValueError("an action set needs a restricted program")
+        """The action set B as a list, each action checked applicable in state."""
         actions = list(actions)
         for action in actions:
             if not is_applicable(self.task, state, action):
@@ -343,7 +339,7 @@ class RestrictedFFHeuristic:
 
     def __init__(self, task: Task):
         self.task = task
-        self.program = DatalogProgram(task, restricted=True)
+        self.program = DatalogProgram(task)
 
     def __call__(self, state: State, rho: PartialAction) -> float:
         actions = list(instantiations(self.task, state, rho))

@@ -36,6 +36,11 @@ class Limits:
     memory_mb: float | None = None
     max_expansions: int | None = None
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not value >= 0:  # also NaN, never reached
+                raise ValueError(f"{name} must be at least 0, not {value}")
+
 
 @dataclass
 class SearchStats:

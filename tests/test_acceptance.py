@@ -218,7 +218,7 @@ def test_criterion_3_restriction_oracle():
     checked = failures = 0
     for family, params, seed in domains:
         task = generate_task(family, seed=seed, **params)
-        program = DatalogProgram(task, restricted=True)
+        program = DatalogProgram(task)
         rng = random.Random(seed)
         states = walk_states(task, rng, 17)
         for state in states:

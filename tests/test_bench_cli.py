@@ -264,15 +264,16 @@ class TestCli:
         real = relaxation.DatalogProgram
 
         class Counted(real):
-            def __init__(self, task, restricted=False):
-                built.append(restricted)
-                super().__init__(task, restricted)
+            def __init__(self, task):
+                built.append(task)
+                super().__init__(task)
 
         monkeypatch.setattr(relaxation, "DatalogProgram", Counted)
         domain, problem = bw_files
         assert cli.main(["solve", str(domain), str(problem), "--search", space,
                          "--output", str(tmp_path / "p.plan")]) == 0
-        assert built == [space == "partial"]
+        # one program serves both spaces: a solve builds it once
+        assert len(built) == 1
 
     def test_solve_malformed_domain_exits_2_without_traceback(self, bw_files, tmp_path,
                                                               capsys):
@@ -342,6 +343,40 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("family,name,minimum", [
+        ("blocksworld", "blocks", 1),
+        ("blocksworld", "goal_atoms", 0),
+        ("blocksworld-large", "blocks", 1),
+        ("ferry-like", "cars", 0),
+        ("ferry-like", "locations", 1),
+        ("warehouse-like", "stacks", 1),
+        ("warehouse-like", "marked", 1),
+    ])
+    def test_gen_size_below_its_minimum_exits_2(self, tmp_path, capsys, family, name, minimum):
+        rc = cli.main(["gen", family, "--out", str(tmp_path / "inst"),
+                       "--" + name.replace("_", "-"), str(minimum - 1)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"{name} must be at least {minimum}" in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--time-limit", "-1"),
+        ("--time-limit", "nan"),
+        ("--memory-limit", "-3"),
+        ("--expansion-cap", "-5"),
+    ])
+    def test_solve_meaningless_limit_exits_2(self, bw_files, tmp_path, capsys, flag, value):
+        domain, problem = bw_files
+        csv_file = tmp_path / "stats.csv"
+        rc = cli.main(["solve", str(domain), str(problem), "--stats-csv", str(csv_file),
+                       flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be at least 0" in err
+        # rejected before the search: no result row is written
+        assert not csv_file.exists()
 
     def test_train_and_solve_with_model(self, tmp_path, capsys):
         inst_dir = tmp_path / "train"

@@ -40,6 +40,21 @@ class TestBuildDatalog:
         goal_rules = [r.text() for r in program.rules if r.head[0] == "@goal"]
         assert goal_rules == ["@goal :- on(a,b)."]
 
+    @pytest.mark.parametrize("family,params", [
+        ("blocksworld", dict(blocks=3)),
+        ("ferry-like", dict(cars=2, locations=2)),
+        ("warehouse-like", dict(stacks=2, boxes=3, marked=1)),
+    ])
+    def test_no_rule_body_holds_the_gate(self, family, params):
+        # the action set B enters at evaluation: both heuristics run the
+        # same rules, and no rule waits for the gate
+        task = generate_task(family, seed=0, **params)
+        plain = FFHeuristic(task).program
+        restricted = RestrictedFFHeuristic(task).program
+        assert restricted.dump() == plain.dump()
+        for program in (plain, restricted):
+            assert all(pred != EPSILON for r in program.rules for pred, _ in r.body)
+
 
 class TestRelaxedReach:
     def test_bw2_everything_reachable(self, bw2):
@@ -103,6 +118,27 @@ class TestRelaxedReach:
         assert {k: v for k, v in reach.layers.items()
                 if not k[0].startswith("@")} == oracle_layers
         assert reach.layers[("at", ("bob", "p3"))] == 1
+
+    def test_static_extension_stays_with_its_state(self, spanner_mini):
+        # the extension is indexed for one evaluation only: a later state
+        # without it, on the same program, must not see it
+        task = spanner_mini
+        program = DatalogProgram(task)
+        s0 = task.initial_state
+        shortcut = s0 | {task.intern("link", ("p1", "p3"))}
+        for state in (shortcut, s0, shortcut, s0):
+            plain, oracle_layers = oracles.relaxed_reachable(task, state)
+            reach = program.relaxed_reach(state)
+            assert {k: v for k, v in reach.layers.items()
+                    if not k[0].startswith("@")} == oracle_layers
+            assert program.h_ff(state) == oracles.optimal_relaxed_plan_length(task, state)
+            actions = list(instantiations(task, state, ROOT))
+            assert program.relaxed_reach(state, actions).atoms == plain | {(EPSILON, ())}
+            restricted = oracles.restrict_task(task, actions).as_task()
+            start = oracles.intern_keys(restricted, oracles.state_to_keys(task, state))
+            assert (program.h_ff_restricted(state, actions)
+                    == oracles.optimal_relaxed_plan_length(restricted, start))
+        assert program.h_ff(shortcut) == 1 and program.h_ff(s0) == 2
 
 
 class TestHFF:
@@ -281,7 +317,7 @@ class TestRestrictedReachability:
     ])
     def test_full_and_singleton_sets(self, family, params, seed):
         task = generate_task(family, seed=seed, **params)
-        program = DatalogProgram(task, restricted=True)
+        program = DatalogProgram(task)
         rng = random.Random(seed)
         for state in random_reachable_states(task, rng, 5):
             actions = list(instantiations(task, state, ROOT))

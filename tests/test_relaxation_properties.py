@@ -90,7 +90,7 @@ def test_restricted_reach_matches_the_restricted_task(data):
         rho = data.draw(st.sampled_from(children(task, state, rho)))
     actions = list(instantiations(task, state, rho))
 
-    reach = DatalogProgram(task, restricted=True).relaxed_reach(state, actions)
+    reach = DatalogProgram(task).relaxed_reach(state, actions)
     restricted = oracles.restrict_task(task, actions).as_task()
     start = oracles.intern_keys(restricted, oracles.state_to_keys(task, state))
     atoms, layers = oracles.relaxed_reachable(restricted, start)

@@ -116,6 +116,17 @@ class TestGbfsPartial:
 class TestLimits:
     """Limits are honoured close to where they are crossed."""
 
+    @pytest.mark.parametrize("field,value", [
+        ("time_s", -1.0), ("time_s", float("nan")), ("memory_mb", -3.0),
+        ("memory_mb", float("nan")), ("max_expansions", -5),
+    ])
+    def test_negative_or_nan_limit_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 0"):
+            Limits(**{field: value})
+
+    def test_zero_and_infinite_limits_are_accepted(self):
+        assert Limits(time_s=0.0, memory_mb=float("inf"), max_expansions=0).time_s == 0.0
+
     @pytest.mark.parametrize("space", ["state", "partial"])
     def test_time_limit_overshoot_is_at_most_one_evaluation(self, space):
         task = generate_task("blocksworld", seed=1, blocks=8)
