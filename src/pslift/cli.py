@@ -48,6 +48,11 @@ def _make_heuristic(task, spec: str, space: str):
 
 
 def cmd_solve(args) -> int:
+    # checked here as well as in Limits, so that the message names the flag
+    for flag, value in (("--time-limit", args.time_limit), ("--memory-limit", args.memory_limit),
+                        ("--expansion-cap", args.expansion_cap)):
+        if value is not None and not value >= 0:  # also NaN
+            raise ValueError(f"{flag} must be at least 0, not {value}")
     limits = Limits(time_s=args.time_limit, memory_mb=args.memory_limit,
                     max_expansions=args.expansion_cap)
     task = load_task(Path(args.domain).read_text(), Path(args.problem).read_text())
@@ -183,9 +188,11 @@ def cmd_generate_data(args) -> int:
     dictionary = ranking.ColorDictionary()
     rows = ["kind,delta,sigma,x,x_prime"]
     for _, task, plan in corpus:
-        def feature_fn(state, rho, _task=task):
+        memo: dict = {}  # one WL memo per task
+
+        def feature_fn(state, rho, _task=task, _memo=memo):
             return ranking.phi(_task, state, rho, config.graph_kind,
-                               config.iterations, dictionary)
+                               config.iterations, dictionary, _memo)
 
         for t in ranking.generate_dataset(task, plan, feature_fn, importances,
                                           config.sibling_cap):

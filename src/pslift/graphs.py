@@ -4,21 +4,24 @@ Three encodings share one graph type: the instance graph of a state (objects
 plus state and goal atoms), its extension with explicit action vertices, and
 the effect-level encoding built from the unavoidable/optional effects of an
 action set. Object vertices carry the set of arity-1 static predicates true of
-the object; atoms of static predicates are otherwise ignored. Edge labels are
-1-based argument positions. A graph holds only what WL refinement reads: the
-color of each vertex and the labeled edges.
+the object; atoms of static predicates are otherwise ignored.
 
-Vertex layout: the objects first, in declaration order, so that the vertex of
-an object is its `task.object_index`; then one vertex per atom, by ascending
-atom id; then, in an action graph, one vertex per action of B, in the order of
-`instantiations`. The action vertices of `aoag` link to their arguments
-through `object_index`, so they rely on this layout.
+Every encoding is bipartite: an atom or action vertex (a fact vertex) is
+linked only to its argument objects, the edge to its k-th argument labeled k.
+A `LabeledGraph` holds just that, and nothing else WL refinement reads: the
+initial color of each vertex, and each fact vertex's argument object vertices
+in position order. Vertex layout: the objects first, in declaration order, so
+that the vertex of an object is its `task.object_index`; then one vertex per
+atom, by ascending atom id; then, in an action graph, one vertex per action
+of B, in the order of `instantiations`.
 
 Each encoding runs in two steps. `aoag_key`/`aeg_key` give a node's graph
 key, and only they decide the special cases; `aoag_graph`/`aeg_graph` build
-the graph from the key alone. A key fixes the graph exactly, its vertex order
-included, so nodes with equal keys have equal WL feature vectors, with the
-same key order, and equal learned heuristic values.
+the graph from the key alone, reading each atom's argument vertices and color
+strings from a table kept per task, so a build formats no string. A key fixes
+the graph exactly, its vertex order included, so nodes with equal keys have
+equal WL feature vectors, with the same key order, and equal learned
+heuristic values. `aoag` and `aeg` build a node's graph in one call.
 
 Color strings:
     ob{p,q}      object with static unary predicates p, q
@@ -29,25 +32,26 @@ Color strings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lifted import (PartialAction, State, _apply_effects, ground_effects, instantiations,
                      n_applicable)
 from .pddl import Task
 from .relaxation import EmptyActionSet
 
+# the color tags of an atom vertex, the instance graph's and then the effect
+# graph's, and of an action vertex
+_TAGS = ("ag", "ap", "ug", "oa:g", "oa:ng", "od:g", "od:ng", "u:g", "a:g", "a:ng", "act")
+
 
 @dataclass
 class LabeledGraph:
-    colors: list[str] = field(default_factory=list)
-    edges: list[tuple[int, int, int]] = field(default_factory=list)
+    """`colors[v]` is vertex v's initial color: the objects' first, then the
+    fact vertices'. `args[j]` holds the argument object vertices of fact
+    vertex `len(colors) - len(args) + j`, by position."""
 
-    def add_vertex(self, color: str) -> int:
-        self.colors.append(color)
-        return len(self.colors) - 1
-
-    def add_edge(self, u: int, v: int, label: int) -> None:
-        self.edges.append((u, v, label))
+    colors: list[str]
+    args: list[tuple[int, ...]]
 
 
 def object_colors(task: Task) -> tuple[str, ...]:
@@ -66,27 +70,41 @@ def object_colors(task: Task) -> tuple[str, ...]:
     return colors
 
 
-def _graph(task: Task, atom_ids, color_of) -> LabeledGraph:
-    """The object vertices, then a vertex per atom by ascending id, linked to
-    its arguments by position."""
-    graph = LabeledGraph(list(object_colors(task)))
+def _colors(task: Task, name: str) -> dict:
+    """tag -> color of the atoms of predicate `name`, or of the actions of
+    schema `name`; made once per task."""
+    colors = task._info_cache.get(("@colors", name))
+    if colors is None:
+        colors = task._info_cache["@colors", name] = {tag: f"{tag}({name})" for tag in _TAGS}
+    return colors
+
+
+def _graph(task: Task, atom_ids, tag_of) -> LabeledGraph:
+    """The object vertices, then a vertex per atom by ascending id, colored
+    by its tag `tag_of(i)`. The task keeps each atom's argument object
+    vertices and tag -> color dict."""
+    table = task._info_cache.setdefault("@atom_vertices", {})
     index = task.object_index
+    colors = list(object_colors(task))
+    args = []
     for i in sorted(atom_ids):
-        v = graph.add_vertex(color_of(i))
-        for pos, obj in enumerate(task.atom(i).args, start=1):
-            graph.add_edge(v, index[obj], pos)
-    return graph
+        entry = table.get(i)
+        if entry is None:
+            atom = task.atom(i)
+            entry = table[i] = (tuple(index[obj] for obj in atom.args), _colors(task, atom.pred))
+        args.append(entry[0])
+        colors.append(entry[1][tag_of(i)])
+    return LabeledGraph(colors, args)
 
 
 def ilg(task: Task, state: State) -> LabeledGraph:
     """Objects plus state and goal atoms, colored by goal membership."""
     goal = task.goal_fluent
 
-    def color_of(i):
-        tag = ("ag" if i in goal else "ap") if i in state else "ug"
-        return f"{tag}({task.atom(i).pred})"
+    def tag_of(i):
+        return ("ag" if i in goal else "ap") if i in state else "ug"
 
-    return _graph(task, state | goal, color_of)
+    return _graph(task, state | goal, tag_of)
 
 
 @dataclass(frozen=True)
@@ -161,9 +179,8 @@ def aoag_graph(task: Task, key: tuple) -> LabeledGraph:
     graph = ilg(task, state)
     index = task.object_index
     for action in actions:
-        v = graph.add_vertex(f"act({action.schema.name})")
-        for pos, obj in enumerate(action.args, start=1):
-            graph.add_edge(v, index[obj], pos)
+        graph.colors.append(_colors(task, action.schema.name)["act"])
+        graph.args.append(tuple(index[obj] for obj in action.args))
     return graph
 
 
@@ -193,19 +210,20 @@ def aeg_graph(task: Task, key: tuple) -> LabeledGraph:
     s_prime, opt_add, opt_del = key
     goal = task.goal_fluent
 
-    def color_of(i):
+    def tag_of(i):
+        if i in goal:
+            if i in opt_add:
+                return "oa:g"
+            if i in opt_del:
+                return "od:g"
+            return "a:g" if i in s_prime else "u:g"
         if i in opt_add:
-            alpha = "oa"
-        elif i in opt_del:
-            alpha = "od"
-        elif i in goal and i not in s_prime:
-            alpha = "u"
-        else:
-            alpha = "a"
-        beta = "g" if i in goal else "ng"
-        return f"{alpha}:{beta}({task.atom(i).pred})"
+            return "oa:ng"
+        if i in opt_del:
+            return "od:ng"
+        return "a:ng"
 
-    return _graph(task, goal | s_prime | opt_add | opt_del, color_of)
+    return _graph(task, goal | s_prime | opt_add | opt_del, tag_of)
 
 
 def aeg(task: Task, state: State, rho: PartialAction) -> LabeledGraph:

@@ -13,7 +13,9 @@ of 0, and each family carries its own importance weight.
 A learned heuristic computes its value once per graph key and search: the key
 of a node (`graphs.aoag_key`, `graphs.aeg_key`) fixes its graph and the
 graph's vertex order, so equal keys give the same feature vector, summed in
-the same order, and the same value.
+the same order, and the same value. Search and training featurize through the
+same graphs and the same WL code, each with one first-refinement memo per task
+(see `wl`).
 """
 
 from __future__ import annotations
@@ -352,19 +354,21 @@ class LinearModel:
         """(state, rho) -> evaluate(self, task, state, rho), computed once per
         graph key. A key fixes the graph and its vertex order, so equal keys
         give equal feature vectors with the same key order, and the same sum.
-        Each call makes its own dict of scores, so a search that builds its
-        own heuristic keeps it for that search only."""
+        Each call makes its own dict of scores and its own WL memo for the
+        task, so a search that builds its own heuristic keeps them for that
+        search only."""
         key_of, build = wl.graph_encoding(self.graph_kind)
         weights = self.weights.tolist()
         iterations, dictionary = self.iterations, self.dictionary
         scores: dict = {}
+        memo: dict = {}
 
         def score(state, rho):
             key = key_of(task, state, rho)
             value = scores.get(key)
             if value is None:
                 # through the module, so that tracers that wrap it see WL
-                fv = wl.wl_features(build(task, key), iterations, dictionary)
+                fv = wl.wl_features(build(task, key), iterations, dictionary, memo)
                 value = scores[key] = sparse_dot(weights, fv)
             return value
 
@@ -511,8 +515,10 @@ def train_model(
     dictionary = ColorDictionary()
 
     def dataset_for(name, task, plan):
+        memo: dict = {}
+
         def feature_fn(state, rho):
-            return phi(task, state, rho, config.graph_kind, config.iterations, dictionary)
+            return phi(task, state, rho, config.graph_kind, config.iterations, dictionary, memo)
 
         try:
             return generate_dataset(task, plan, feature_fn, importances, config.sibling_cap)

@@ -80,7 +80,6 @@ INF = float("inf")
 
 EPSILON = "@epsilon"
 GOAL = "@goal"
-_INTERNAL = {EPSILON, GOAL, OBJ}
 GATE = (EPSILON, ())
 GOAL_KEY = (GOAL, ())
 
@@ -101,13 +100,6 @@ class ReachResult:
 
     layers: dict
     achievers: dict
-
-    @property
-    def atoms(self) -> frozenset:
-        """The fluent atoms reached, plus the gate when B was given."""
-        return frozenset(
-            key for key in self.layers if key[0] == EPSILON or key[0] not in _INTERNAL
-        )
 
 
 class DatalogProgram:

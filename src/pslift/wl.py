@@ -1,4 +1,4 @@
-"""Weisfeiler-Lehman color refinement over labeled graphs.
+"""Weisfeiler-Lehman color refinement over bipartite labeled graphs.
 
 Refined colors are canonical signatures (own color plus the sorted multiset of
 (edge label, neighbor color) pairs), interned injectively in a ColorDictionary;
@@ -9,11 +9,40 @@ spell the tuple as `s|own|label,color;label,color`. Feature vectors count
 color occurrences over iterations 0..L. A frozen dictionary never grows:
 colors it has not seen contribute nothing, but refinement still runs over
 them so known colors downstream keep their meaning.
+
+The graphs are those of `graphs`: object vertices, then fact vertices, each
+fact vertex linked to its argument objects with labels 1, 2, ... in order.
+A fact vertex's pairs are thus `((1, c(arg 1)), (2, c(arg 2)), ...)`, sorted
+as they are built. An object's pairs are gathered from the fact vertices that
+name it.
+
+The first refinement memo. Object vertices always start with the colors of
+`graphs.object_colors`, fixed per task. So a fact vertex's iteration-1 color
+is a function of its initial color id and its argument objects, for one task
+and one dictionary, and `wl_features` can keep it in a dict `memo` that the
+caller owns for that task and dictionary (one per search in the learned
+heuristic, one per task in training). The memo holds known ids only (>= 0).
+That is sound in both kinds of dictionary:
+- A growing dictionary gives every key an id and never changes an id once
+  given, so a memo hit names the key that a lookup would have found; the
+  lookup would have added nothing.
+- A frozen dictionary knows a refined key only if it knows every id in it,
+  since it stores no key that holds an unknown color. So a known refined id
+  implies known inputs, and an unknown input makes every key that holds it
+  unknown, whatever placeholder stands for it. That is also why one
+  placeholder, -1, serves every unknown color: it is never counted, never
+  stored, and never part of a known key.
+A hit counts its color at the point where the lookup would have counted it,
+so feature vectors keep their key order, which `ranking.sparse_dot` sums in.
+
+`phi` featurizes a node through the graph key and build of
+`graph_encoding`, as the learned heuristic does. `aoag` and `aeg` stay
+importable here because the benchmark's tracer wraps them by these names.
 """
 
 from __future__ import annotations
 
-from .graphs import LabeledGraph, aeg, aeg_graph, aeg_key, aoag, aoag_graph, aoag_key
+from .graphs import LabeledGraph, aeg, aeg_graph, aeg_key, aoag, aoag_graph, aoag_key  # noqa: F401
 
 AOAG = "aoag"
 AEG = "aeg"
@@ -103,17 +132,24 @@ def _from_text(text: str) -> ColorKey:
     return key
 
 
-def wl_features(graph: LabeledGraph, iterations: int, dictionary: ColorDictionary) -> FeatureVector:
+UNKNOWN = -1  # the id of every color a frozen dictionary does not know
+
+
+def wl_features(graph: LabeledGraph, iterations: int, dictionary: ColorDictionary,
+                memo: dict | None = None) -> FeatureVector:
     """Count colors of every vertex at iterations 0..L against the dictionary.
 
-    Unknown colors get call-local placeholder ids so refinement stays
-    well-defined, but they are never counted and never enter the dictionary.
+    Vertices are refined in vertex order, iteration by iteration. Unknown
+    colors are never counted and never enter the dictionary. `memo` keeps
+    the iteration-1 colors of fact vertices for the graph's task and this
+    dictionary (see the module docstring); without one, the call has its own.
     Raises ValueError for negative iterations.
     """
     if iterations < 0:
         raise ValueError(f"WL iterations must be at least 0, not {iterations}")
+    if memo is None:
+        memo = {}
     counts: FeatureVector = {}
-    temps: dict[ColorKey, int] = {}
     # most keys are known; only a miss needs `lookup`, which may add the key
     known = dictionary._index.get
 
@@ -121,40 +157,48 @@ def wl_features(graph: LabeledGraph, iterations: int, dictionary: ColorDictionar
         idx = known(key)
         if idx is None:
             idx = dictionary.lookup(key)
-        if idx is not None:
-            counts[idx] = counts.get(idx, 0) + 1
-            return idx
-        t = temps.get(key)
-        if t is None:
-            t = -1 - len(temps)
-            temps[key] = t
-        return t
+            if idx is None:
+                return UNKNOWN
+        counts[idx] = counts.get(idx, 0) + 1
+        return idx
 
     current = [resolve("c|" + color) for color in graph.colors]
+    facts = graph.args
+    n = len(current) - len(facts)
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for v, args in enumerate(facts, n):
+        for label, u in enumerate(args, 1):
+            incident[u].append((label, v))
 
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in graph.colors]
-    for u, v, label in graph.edges:
-        adjacency[u].append((label, v))
-        adjacency[v].append((label, u))
-
-    for _ in range(iterations):
-        current = [
-            resolve((own, tuple(sorted([(label, current[u]) for label, u in adjacency[v]]))))
-            for v, own in enumerate(current)
-        ]
+    for iteration in range(iterations):
+        refined = [resolve((current[u], tuple(sorted([(label, current[v])
+                                                      for label, v in incident[u]]))))
+                   for u in range(n)]
+        if iteration:
+            refined += [resolve((own, tuple([(label, current[u])
+                                             for label, u in enumerate(args, 1)])))
+                        for own, args in zip(current[n:], facts)]
+        else:
+            for own, args in zip(current[n:], facts):
+                idx = memo.get((own, args))
+                if idx is None:
+                    idx = resolve((own, tuple([(label, current[u])
+                                               for label, u in enumerate(args, 1)])))
+                    if idx != UNKNOWN:
+                        memo[own, args] = idx
+                else:
+                    counts[idx] = counts.get(idx, 0) + 1
+                refined.append(idx)
+        current = refined
     return counts
 
 
-def phi(task, state, rho, graph_kind: str, iterations: int, dictionary: ColorDictionary) -> FeatureVector:
-    """Feature vector of a (state, partial action) pair through AOAG or AEG."""
-    kind = graph_kind.lower()
-    if kind == AOAG:
-        graph = aoag(task, state, rho)
-    elif kind == AEG:
-        graph = aeg(task, state, rho)
-    else:
-        raise ValueError(f"unknown graph kind: {graph_kind}")
-    return wl_features(graph, iterations, dictionary)
+def phi(task, state, rho, graph_kind: str, iterations: int, dictionary: ColorDictionary,
+        memo: dict | None = None) -> FeatureVector:
+    """Feature vector of a (state, partial action) pair through AOAG or AEG.
+    `memo` is as in `wl_features`: one per task and dictionary, or none."""
+    key_of, build = graph_encoding(graph_kind)
+    return wl_features(build(task, key_of(task, state, rho)), iterations, dictionary, memo)
 
 
 def graph_encoding(graph_kind: str):

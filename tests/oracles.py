@@ -172,6 +172,14 @@ def h_add(task: Task, state):
     return value
 
 
+def reached_atoms(reach) -> frozenset:
+    """The (pred, args) keys that a `relaxation.ReachResult` reached: the
+    fluent and static atoms, plus the gate when B was given; the program's
+    other internal facts (their predicates start with "@") are left out."""
+    return frozenset(key for key in reach.layers
+                     if key[0] == EPSILON or not key[0].startswith("@"))
+
+
 def relaxed_goal_reachable(task: Task, state) -> bool:
     reachable, _ = relaxed_reachable(task, state)
     statics = static_keys(task)
@@ -293,12 +301,20 @@ def dataset_size_closed_form(alpha: int, beta: int, k: int, n: int) -> int:
 # WL refinement on string keys
 
 
+def edges(graph) -> list[tuple[int, int, int]]:
+    """The labeled edges (fact vertex, object vertex, label) of a bipartite
+    `graphs.LabeledGraph`, by fact vertex and then by label."""
+    first = len(graph.colors) - len(graph.args)
+    return [(v, u, label) for v, args in enumerate(graph.args, first)
+            for label, u in enumerate(args, start=1)]
+
+
 def string_wl_features(graph, iterations: int, dictionary) -> dict:
     """WL color counts with every color spelt out as a string: "c|<color>" at
     iteration 0, then "s|<own>|<label>,<color>;..." over the sorted pairs of
-    (edge label, neighbor color). `dictionary` is a `wl.ColorDictionary`
-    that holds only such strings. Unknown colors get call-local negative ids
-    and are never counted."""
+    (edge label, neighbor color), the graph taken as its plain edge list.
+    `dictionary` is a `wl.ColorDictionary` that holds only such strings.
+    Unknown colors get call-local negative ids and are never counted."""
     counts: dict[int, int] = {}
     temps: dict[str, int] = {}
 
@@ -311,7 +327,7 @@ def string_wl_features(graph, iterations: int, dictionary) -> dict:
 
     current = [resolve("c|" + color) for color in graph.colors]
     adjacency: list[list[tuple[int, int]]] = [[] for _ in graph.colors]
-    for u, v, label in graph.edges:
+    for u, v, label in edges(graph):
         adjacency[u].append((label, v))
         adjacency[v].append((label, u))
     for _ in range(iterations):
@@ -388,15 +404,13 @@ def node_graph(task: Task, state, rho, kind: str):
     for pred, args in static_keys(task):
         if len(args) == 1:
             unary[index[args[0]]].append(pred)
-    graph = LabeledGraph(["ob{" + ",".join(sorted(ps)) + "}" for ps in unary])
+    graph = LabeledGraph(["ob{" + ",".join(sorted(ps)) + "}" for ps in unary], [])
     for key in sorted(atoms, key=lambda key: task.intern(*key)):
-        v = graph.add_vertex(color(key))
-        for pos, obj in enumerate(key[1], start=1):
-            graph.add_edge(v, index[obj], pos)
+        graph.colors.append(color(key))
+        graph.args.append(tuple(index[obj] for obj in key[1]))
     for schema, args in actions:
-        v = graph.add_vertex(f"act({schema.name})")
-        for pos, obj in enumerate(args, start=1):
-            graph.add_edge(v, index[obj], pos)
+        graph.colors.append(f"act({schema.name})")
+        graph.args.append(tuple(index[obj] for obj in args))
     return graph
 
 

@@ -375,6 +375,7 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must be at least 0" in err
+        assert flag in err  # the flag, not the field of Limits
         # rejected before the search: no result row is written
         assert not csv_file.exists()
 

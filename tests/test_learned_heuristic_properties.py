@@ -1,10 +1,14 @@
 """The learned heuristic computes one value per graph key and search. On
 random tasks and on generator walks, for AOAG and AEG and in both search
-spaces, the value of every node equals -evaluate(...) of that node, and the
-graph built from the node's key equals the graph built straight from the
-node (`oracles.node_graph`), so nodes with equal keys have identical colors
-and edges. The walks visit singleton-B nodes and nodes whose B covers A_s,
-which share their keys with other nodes."""
+spaces, the value of every node equals -evaluate(...) of that node, and also
+the value that the string-key WL oracle gives on the graph built straight from
+the node (`oracles.node_graph`), against a string-key dictionary grown
+alongside the model's. The graph built from the node's key equals that graph,
+so nodes with equal keys have identical colors and edges. The walks visit
+singleton-B nodes and nodes whose B covers A_s, which share their keys with
+other nodes. One model may score several tasks: each task gets its own
+first-refinement memo.
+"""
 
 import random
 from collections import Counter
@@ -19,7 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 import pslift.wl  # noqa: E402
 from pslift.generators import generate_task  # noqa: E402
 from pslift.lifted import ROOT, _apply_effects, children, instantiations, n_applicable  # noqa: E402
-from pslift.ranking import LinearModel, evaluate  # noqa: E402
+from pslift.ranking import LinearModel, evaluate, sparse_dot  # noqa: E402
 from pslift.search import Limits, gbfs_partial, gbfs_state  # noqa: E402
 from pslift.wl import GRAPH_KINDS, ColorDictionary, graph_encoding, phi  # noqa: E402
 
@@ -60,18 +64,24 @@ def random_walk(task, rng, steps: int) -> list:
     return states
 
 
-def random_model(task, state, kind: str, iterations: int, seed: int) -> LinearModel:
-    """Random weights over the colors of the nodes at state; colors of other
-    states may be unknown to the frozen dictionary."""
-    dictionary = ColorDictionary()
-    for rho in tree(task, state):
-        phi(task, state, rho, kind, iterations, dictionary)
+def random_model(situations, kind: str, iterations: int, seed: int) -> tuple:
+    """(model, oracle): a model of random weights over the colors of the nodes
+    at the (task, state) pairs `situations` (colors of other states may be
+    unknown to its frozen dictionary), and the string-key dictionary grown
+    alongside, node by node."""
+    dictionary, oracle = ColorDictionary(), ColorDictionary()
+    for task, state in situations:
+        for rho in tree(task, state):
+            phi(task, state, rho, kind, iterations, dictionary)
+            oracles.string_wl_features(oracles.node_graph(task, state, rho, kind),
+                                       iterations, oracle)
+    assert list(dictionary.items()) == list(oracle.items())
     rng = random.Random(seed)
     weights = np.array([rng.uniform(-1.0, 1.0) for _ in range(len(dictionary))])
-    return LinearModel(weights, dictionary.freeze(), kind, iterations)
+    return LinearModel(weights, dictionary.freeze(), kind, iterations), oracle.freeze()
 
 
-def check_walk(task, states, model) -> Counter:
+def check_walk(task, states, model, oracle) -> Counter:
     """Every node of the partial action tree at each state, in walk order;
     returns how many nodes of each case were seen."""
     partial_h, state_h = model.heuristic(task), model.state_heuristic(task)
@@ -81,9 +91,12 @@ def check_walk(task, states, model) -> Counter:
     for state in states:
         assert state_h(state) == -evaluate(model, task, state, ROOT)
         for rho in tree(task, state):
-            assert partial_h(state, rho) == -evaluate(model, task, state, rho)
+            value = partial_h(state, rho)
+            assert value == -evaluate(model, task, state, rho)
             key = key_of(task, state, rho)
             graph = oracles.node_graph(task, state, rho, model.graph_kind)
+            fv = oracles.string_wl_features(graph, model.iterations, oracle)
+            assert value == -sparse_dot(model.weights, fv)
             assert build(task, key) == graph
             assert graphs.setdefault(key, graph) == graph
             cases[node_case(task, state, rho)] += 1
@@ -98,7 +111,7 @@ def test_memoised_values_on_random_tasks(data):
     iterations = data.draw(st.integers(0, 2))
     states = random_walk(task, random.Random(data.draw(st.integers(0, 9))),
                          data.draw(st.integers(0, 3)))
-    check_walk(task, states, random_model(task, task.initial_state, kind, iterations, 0))
+    check_walk(task, states, *random_model([(task, task.initial_state)], kind, iterations, 0))
 
 
 @pytest.mark.parametrize("kind", GRAPH_KINDS)
@@ -107,8 +120,22 @@ def test_memoised_values_on_generator_walks(kind):
     for family, params in GENERATOR_TASKS:
         task = generate_task(family, seed=0, **params)
         states = random_walk(task, random.Random(1), 5)
-        cases += check_walk(task, states, random_model(task, states[0], kind, 2, 1))
+        cases += check_walk(task, states, *random_model([(task, states[0])], kind, 2, 1))
     assert cases["singleton"] and cases["covers"] and cases["several"]
+
+
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+def test_one_model_scores_two_tasks(kind):
+    """Two warehouse-like tasks of one size whose marked box differs, so that
+    one object vertex has different colors in the two, scored by one model,
+    the second task after the first."""
+    tasks = [generate_task("warehouse-like", seed=seed, stacks=2, boxes=4, marked=1)
+             for seed in (0, 1)]
+    walks = [random_walk(task, random.Random(2), 3) for task in tasks]
+    model, oracle = random_model([(task, walk[0]) for task, walk in zip(tasks, walks)],
+                                 kind, 2, 3)
+    for task, states in zip(tasks, walks):
+        check_walk(task, states, model, oracle)
 
 
 @pytest.mark.parametrize("kind", GRAPH_KINDS)
@@ -126,7 +153,7 @@ def test_searches_refine_each_key_once(kind, monkeypatch):
     repeats = 0
     for family, params in GENERATOR_TASKS:
         task = generate_task(family, seed=2, **params)
-        model = random_model(task, task.initial_state, kind, 2, 2)
+        model, _ = random_model([(task, task.initial_state)], kind, 2, 2)
         key_of, _ = graph_encoding(kind)
         for search, space_h in ((gbfs_partial, model.heuristic),
                                 (gbfs_state, model.state_heuristic)):

@@ -327,6 +327,30 @@ class TestTrainModel:
         assert [c for c, _ in report.c_seconds] == sorted(grid)
         assert all(seconds > 0 for _, seconds in report.c_seconds)
 
+    @pytest.mark.parametrize("kind", ["aoag", "aeg"])
+    def test_dictionary_matches_the_string_oracle(self, kind):
+        """Training grows the dictionary that string-key WL grows on the
+        graphs built straight from the training nodes, in dataset order.
+        The tasks mark different boxes, so one object vertex has different
+        colors in different tasks: no WL state may pass between them."""
+        corpus = []
+        for seed in range(5):
+            task = generate_task("warehouse-like", seed=seed, stacks=2, boxes=4, marked=1)
+            plan = [GroundAction(task.schema(name), args)
+                    for name, args in oracles.bfs_plan(task)]
+            corpus.append((f"wh-{seed}", task, plan))
+        config = TrainConfig(graph_kind=kind)
+        model, _ = train_model(corpus, config)
+        oracle = ColorDictionary()
+        train_part, _ = split_train_val(order_instances(corpus), config.split)
+        for _, task, plan in train_part:
+            def feature_fn(state, rho, task=task):
+                graph = oracles.node_graph(task, state, rho, kind)
+                return oracles.string_wl_features(graph, config.iterations, oracle)
+
+            generate_dataset(task, plan, feature_fn, config.resolved_importances())
+        assert list(model.dictionary.items()) == list(oracle.items())
+
     def test_needs_two_instances(self, bw2):
         with pytest.raises(ValueError):
             split_train_val([("one", bw2, [])], 0.8)

@@ -94,5 +94,5 @@ def test_restricted_reach_matches_the_restricted_task(data):
     restricted = oracles.restrict_task(task, actions).as_task()
     start = oracles.intern_keys(restricted, oracles.state_to_keys(task, state))
     atoms, layers = oracles.relaxed_reachable(restricted, start)
-    assert reach.atoms == atoms
+    assert oracles.reached_atoms(reach) == atoms
     assert {key: reach.layers[key] for key in atoms} == layers

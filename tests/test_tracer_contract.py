@@ -15,9 +15,11 @@ import pathlib
 import pytest
 
 from pslift.lifted import ROOT, instantiations
-from pslift.ranking import load_model
+from pslift.ranking import TrainConfig, load_model, save_model, train_model
 from pslift.relaxation import DatalogProgram, FFHeuristic, RestrictedFFHeuristic
 from pslift.search import gbfs_partial, gbfs_state
+
+from test_ranking import tiny_corpus
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 MODELS = pathlib.Path(__file__).resolve().parent / "fixtures" / "models"
@@ -118,3 +120,26 @@ def test_traced_learned_search_matches_the_plain_one(spans, bw3_stack, space, ki
     tracer = _traced_and_plain(spans, space, run)
     assert "wl.refine" in {tracer.names[i] for i in tracer.name}
     assert tracer.notes["wl.refine"]
+
+
+@pytest.mark.parametrize("kind", ["aoag", "aeg"])
+def test_traced_training_matches_the_plain_one(spans, tmp_path, kind):
+    """Training with every span installed writes the model file of a plain
+    run byte for byte, and the tracer sees its WL calls."""
+    corpus = tiny_corpus(n=3)
+
+    def train(path):
+        model, _ = train_model(corpus, TrainConfig(graph_kind=kind))
+        save_model(model, str(path))
+        return path.read_bytes()
+
+    plain = train(tmp_path / "plain.model")
+    tracer = spans.Tracer()
+    tracer.solve = f"train-{kind}"
+    tracer.install()
+    try:
+        traced = train(tmp_path / "traced.model")
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert tracer.notes["wl.refine"] and tracer.notes["ranking.dataset"]

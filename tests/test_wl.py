@@ -8,41 +8,30 @@ from pslift.wl import AEG, AOAG, ColorDictionary, phi, wl_features
 
 
 def path_graph():
-    g = LabeledGraph()
-    v1 = g.add_vertex("c")
-    v2 = g.add_vertex("c")
-    v3 = g.add_vertex("c")
-    g.add_edge(v1, v2, 1)
-    g.add_edge(v2, v3, 1)
-    return g
+    """A path of three vertices of color c: an object between two unary facts
+    on it."""
+    return LabeledGraph(["c", "c", "c"], [(0,), (0,)])
 
 
-def random_graph(rng, n=8, colors=("r", "g", "b"), labels=(1, 2)):
-    g = LabeledGraph()
-    for _ in range(n):
-        g.add_vertex(rng.choice(colors))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.4:
-                g.add_edge(i, j, rng.choice(labels))
-    return g
+def random_graph(rng, objects=4, facts=5, colors=("r", "g", "b")):
+    """Objects, then facts of arity 0 to 3 on random objects, repeats
+    included."""
+    return LabeledGraph(
+        [rng.choice(colors) for _ in range(objects + facts)],
+        [tuple(rng.randrange(objects) for _ in range(rng.randrange(4))) for _ in range(facts)])
 
 
 def permuted(g, rng):
-    perm = list(range(len(g.colors)))
-    rng.shuffle(perm)
-    out = LabeledGraph()
-    order = sorted(range(len(perm)), key=lambda i: perm[i])
-    for i in order:
-        out.add_vertex(g.colors[i])
-    new_id = {i: perm[i] for i in range(len(perm))}
-    edges = [(new_id[u], new_id[v], l) for u, v, l in g.edges]
-    rng.shuffle(edges)
-    for u, v, l in edges:
-        if rng.random() < 0.5:
-            u, v = v, u
-        out.add_edge(u, v, l)
-    return out
+    """The same graph with its objects and its fact vertices each put in a
+    random order."""
+    n = len(g.colors) - len(g.args)
+    objects = list(range(n))
+    rng.shuffle(objects)
+    new_id = {old: new for new, old in enumerate(objects)}
+    facts = list(range(len(g.args)))
+    rng.shuffle(facts)
+    return LabeledGraph([g.colors[u] for u in objects] + [g.colors[n + j] for j in facts],
+                        [tuple(new_id[u] for u in g.args[j]) for j in facts])
 
 
 class TestWlFeatures:
@@ -100,10 +89,7 @@ class TestWlFeatures:
         wl_features(g1, 1, d)
         d.freeze()
         size = len(d)
-        g2 = LabeledGraph()
-        a = g2.add_vertex("never-seen")
-        b = g2.add_vertex("c")
-        g2.add_edge(a, b, 1)
+        g2 = LabeledGraph(["c", "never-seen"], [(0,)])
         fv = wl_features(g2, 1, d)
         assert len(d) == size  # no growth
         known_c = d.lookup("c|c")
