@@ -1,18 +1,25 @@
 """Brute-force oracles, independent of the lifted machinery under test.
 
-Everything here grounds exhaustively (itertools.product over objects) and works
-directly on atom (pred, args) tuples, so it shares no code path with the
-package's matcher, Datalog engine, or search.
+Everything here grounds exhaustively (itertools.product over objects) or
+filters full atom lists, and works directly on atom (pred, args) tuples, so it
+shares no code path with the package's matcher, Datalog engine, or search.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
 from pslift.pddl import ActionSchema, Atom, Task
-from pslift.relaxation import EPSILON
+
+# the internal predicates of the relaxation's program, spelt out here: the
+# gate of the restriction transform, the goal rule's head and the atoms that
+# give each object
+EPSILON = "@epsilon"
+GOAL = "@goal"
+OBJECT = "@object"
 
 
 def ground_atoms(task, schema, args, atoms):
@@ -274,6 +281,154 @@ class RestrictedTask:
 
 def restrict_task(task: Task, actions) -> RestrictedTask:
     return RestrictedTask(task, list(actions))
+
+
+# ---------------------------------------------------------------------------
+# the FF value, by the enumeration order that the relaxation specifies
+
+
+def _is_var(term: str) -> bool:
+    return term.startswith("?")
+
+
+def _reference_rules(task: Task, actions) -> list:
+    """(head, body, equalities, action) of each rule, in program order: one
+    rule per add effect of each schema, whose body is the preconditions plus
+    an `@object` atom for each parameter that no precondition mentions; then
+    the goal rule, with the goal atoms by ascending atom id. With an action
+    set B, every schema body ends in the gate `@epsilon`, and B's actions
+    follow the goal rule: for B[i], one ground rule per add effect, then the
+    gate, each with B[i]'s ground preconditions as body. `action` is what
+    the relaxed plan counts: (schema name, parameter terms), or
+    ("@restricted-i", ()) for B[i], or None for the goal rule."""
+    rules = []
+    for schema in task.schemas:
+        body = [(a.pred, a.args) for a in schema.pre]
+        mentioned = {t for a in schema.pre for t in a.args}
+        body += [(OBJECT, (p,)) for p in schema.params if p not in mentioned]
+        if actions is not None:
+            body.append((EPSILON, ()))
+        for add in schema.add:
+            rules.append(((add.pred, add.args), body, schema.equalities,
+                          (schema.name, schema.params)))
+    rules.append(((GOAL, ()), [tuple(task.atom(g)) for g in sorted(task.goal)], (), None))
+    for i, a in enumerate(actions or ()):
+        pre = ground_atoms(task, a.schema, a.args, a.schema.pre)
+        heads = ground_atoms(task, a.schema, a.args, a.schema.add) + [(EPSILON, ())]
+        rules.extend((head, pre, (), (f"@restricted-{i}", ())) for head in heads)
+    return rules
+
+
+def _match(pattern, fact, binding):
+    """binding extended so that pattern (pred, terms) equals fact, or None."""
+    pred, terms = pattern
+    if fact[0] != pred or len(fact[1]) != len(terms):
+        return None
+    out = dict(binding)
+    for term, value in zip(terms, fact[1]):
+        if not _is_var(term):
+            if term != value:
+                return None
+        elif out.setdefault(term, value) != value:
+            return None
+    return out
+
+
+def _matches(pattern, facts, binding) -> list:
+    """The extensions of binding that match pattern with a fact of facts,
+    in the order of facts."""
+    out = (_match(pattern, fact, binding) for fact in facts)
+    return [b for b in out if b is not None]
+
+
+def _bindings(rule, seed, delta, known):
+    """The bindings of a rule's body with body atom `seed` matched in delta,
+    in the specified order: the seed atom's matches in commit order, then the
+    other body atoms most-bound first (counting the argument positions that
+    hold a constant or an already bound variable), ties by position, each
+    over its matches among the atoms in known, in commit order. The
+    equality literals filter the complete bindings."""
+    _, body, equalities, _ = rule
+    for first in _matches(body[seed], delta, {}):
+        order, todo = [], [i for i in range(len(body)) if i != seed]
+        bound = set(first)
+        while todo:
+            i = min(todo, key=lambda i: (-sum(not _is_var(t) or t in bound
+                                              for t in body[i][1]), i))
+            todo.remove(i)
+            order.append(body[i])
+            bound.update(t for t in body[i][1] if _is_var(t))
+        partial = [first]
+        for atom in order:
+            partial = [b for b in partial for b in _matches(atom, known, b)]
+        yield from (b for b in partial if _holds(equalities, b))
+
+
+def _holds(equalities, binding) -> bool:
+    return all((binding.get(x, x) == binding.get(y, y)) == want for x, y, want in equalities)
+
+
+def ff_reference(task: Task, state, actions=None) -> float:
+    """The FF value of state, with the restriction transform to the action
+    set `actions` (B, a list of applicable ground actions) when given: the
+    number of distinct actions in the relaxed plan extracted from each
+    reached atom's first achiever, inf if the goal is not reached.
+
+    A naive lifted fixpoint in unit-cost layers over the rules of
+    `_reference_rules`, with no index, no semi-naive skip and no cut-off of
+    any kind: at layer L, each rule in program order, for each seed position
+    k in order, enumerates `_bindings` with body atom k from the atoms of
+    layer L - 1 and the others from every atom below L, and a binding
+    derives its head at L unless the head is already derived. A rule with
+    an empty body fires at layer 1. The fixpoint runs until a layer derives
+    nothing new.
+
+    Commit order: the static atoms by ascending atom id, then one `@object`
+    atom per object in declaration order, then the state's other atoms, then
+    each layer's derived atoms in the order derived. The state's own order
+    is the iteration order of the `state` frozenset, which depends on how
+    the set was built and not only on its atoms, so it cannot be specified
+    independently: it is an input, read from the object the caller passes."""
+    layers: dict = {}   # atom -> layer, in commit order
+    for key in ([tuple(task.atom(i)) for i in sorted(task.static_atoms)]
+                + [(OBJECT, (o,)) for o in task.objects]
+                + [tuple(task.atom(i)) for i in state]):
+        layers.setdefault(key, 0)
+    achievers: dict = {}
+    rules = _reference_rules(task, None if actions is None else list(actions))
+    layer, changed = 0, True
+    while changed:
+        layer += 1
+        changed = False
+        known = [key for key, at in layers.items() if at < layer]
+        delta = [key for key in known if layers[key] == layer - 1]
+        for rule in rules:
+            head, body, equalities, action = rule
+            if body:
+                found = (b for seed in range(len(body)) for b in _bindings(rule, seed, delta, known))
+            else:
+                found = [{}] if layer == 1 and _holds(equalities, {}) else []
+            for b in found:
+                key = (head[0], tuple(b.get(t, t) for t in head[1]))
+                if key not in layers:
+                    layers[key] = layer
+                    achievers[key] = (None if action is None else
+                                      (action[0], tuple(b.get(t, t) for t in action[1])),
+                                      [(p, tuple(b.get(t, t) for t in terms)) for p, terms in body])
+                    changed = True
+    if (GOAL, ()) not in layers:
+        return math.inf
+    plan, seen, stack = set(), set(), [(GOAL, ())]
+    while stack:
+        key = stack.pop()
+        if key in seen or layers[key] == 0:
+            continue
+        seen.add(key)
+        action, body = achievers[key]
+        if action is not None:
+            plan.add(action)
+        stack.extend(body)
+    return len(plan)
 
 
 # ---------------------------------------------------------------------------
