@@ -9,23 +9,23 @@ whole task.
 
 The preconditions of a schema form its successor rule, a `_Rule` like the
 relaxation's Datalog rules, with head (schema name, parameters). It is
-compiled once per task and schema into one join plan by the planner
-(`_join_steps`) and run by the backtracking executor (`_descend`) that the
-Datalog rules run on too, once per state over an index of the state and the
-static atoms. The executor's head cut-off and first-completion exit change
-nothing for this query. Every binding slot is a parameter or a constant, and
-an index table lists each atom once, so two join paths give two parameter
-tuples and no head is cut as already derived. The task keeps the index of the
-last state asked about, builds each index table on first use, and sorts the
-join's result once by object declaration index: actions come in schema order,
-then lexicographically by declaration index, the order on which the search's
+planned once per task and schema by the planner (`_join_steps`) that plans
+the Datalog rules too, into one function of nested loops, and run once per
+state over an index of the state and the static atoms. The plan's head
+cut-off and first-completion exit change nothing for this query. Every
+binding slot is a parameter or a constant, and an index table lists each
+atom once, so two join paths give two parameter tuples and no head is cut as
+already derived. The task keeps the index of the last state asked about,
+builds each index table on first use, and sorts the join's result once by
+object declaration index: actions come in schema order, then
+lexicographically by declaration index, the order on which the search's
 counters and the restricted FF value depend. That one list fixes the state's
 partial action tree: a prefix's completions are a run of its parent's list.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 from operator import itemgetter
 
@@ -58,10 +58,6 @@ class PartialAction:
     @property
     def name(self) -> str | None:
         return self._key[0]
-
-    @property
-    def prefix(self) -> tuple[str, ...]:
-        return self.args
 
     @property
     def is_root(self) -> bool:
@@ -152,46 +148,42 @@ def _tuple_getter(idx):
     return itemgetter(*idx)
 
 
+def _tuple_text(names) -> str:
+    """Python source of the tuple of names."""
+    return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
+
+
 @lru_cache(maxsize=1024)
-def _eqs_test(eqs):
-    """A test of equality literals ((slot, slot, want_equal), ...) on a
-    binding, compiled to one expression; None when there are none. Cached,
-    as every program of a domain asks for the same few tests."""
-    if not eqs:
-        return None
-    test = " and ".join(f"b[{x}] {'==' if want else '!='} b[{y}]" for x, y, want in eqs)
-    return eval(f"lambda b: {test}")
-
-
-def _binder(args, bound, slots):
-    """(positions to bind, positions to compare) for the terms of an atom not
-    in `bound`; the first occurrence of a variable binds it."""
-    binds, same, first = [], [], {}
-    for pos, a in enumerate(args):
-        if a not in bound:
-            if a in first:
-                same.append((pos, first[a]))
-            else:
-                first[a] = pos
-                binds.append((pos, slots[a]))
-    return binds, same
+def _compiled(source: str):
+    """The function that the source of a join plan defines. Cached by the
+    text, so the plans of every task of a domain share one function."""
+    namespace: dict = {}
+    exec(compile(source, "<join plan>", "exec"), namespace)
+    return namespace["join"]
 
 
 class _Plan:
-    """A join plan. A step is (table id, key getter over the binding, [(arg
-    position, slot)] to bind, [(position, position)] that must be equal,
-    test of the equality literals that become fully bound there, or None).
-    The head is (pred, head_args(binding)), with every head term bound after
-    `head_at` steps (0: the head is ground)."""
+    """A join plan, as the source of `join(tables, b, known, derive)`: one
+    nested `for` loop per step over the matches in index table
+    `tables[id]` of the step's key, with slot values as locals, the constant
+    slots read from the binding b. Each step binds the new variables of its
+    atom and tests its repeated variables and the equality literals that
+    become fully bound there. Once the head is bound, after `head_at` steps
+    (0: the head is ground), a head in `known` prunes the branch; each
+    completion calls derive(head, binding), with the binding as a tuple
+    indexed by slot, and below `head_at` the first completion ends the
+    branch. `join` returns True only when it has derived a ground head.
+    `table` is the id of the first step's table, None without steps.
+    `run` is the function, compiled on first use."""
 
-    __slots__ = ("steps", "n", "head_at", "pred", "head_args")
-
-    def __init__(self, steps, head_at, pred, head_args):
-        self.steps = steps
-        self.n = len(steps)
+    def __init__(self, source, table, head_at):
+        self.source = source
+        self.table = table
         self.head_at = head_at
-        self.pred = pred
-        self.head_args = head_args
+
+    @cached_property
+    def run(self):
+        return _compiled(self.source)
 
 
 def _join_steps(body, eqs, slots, bound, table, head, first=None) -> _Plan:
@@ -200,63 +192,67 @@ def _join_steps(body, eqs, slots, bound, table, head, first=None) -> _Plan:
     others most-bound first (counting bound argument positions), ties by
     position. `slots` maps terms to binding slots; `table(i, pred, keyed)`
     is the id of the index table that body atom i looks up by its argument
-    positions `keyed`."""
-    steps, head_at = [], 0
-    todo = list(range(len(body)))
+    positions `keyed`. The plan's source is written here, step by step."""
+    n, head_at = len(body), 0
+    lines = ["def join(tables, b, known, derive):"]
+    lines += [f" s{slot} = b[{slot}]" for slot in sorted(slots[a] for a in bound)]
+    loops = []
+    todo = list(range(n))
     while todo:
         i = min(todo, key=lambda i: (i != first, -sum(a in bound for a in body[i][1]), i))
         todo.remove(i)
         pred, args = body[i]
         keyed = tuple(pos for pos, a in enumerate(args) if a in bound)
-        binds, same = _binder(args, bound, slots)
+        tid = table(i, pred, keyed)
+        # the unpacking targets of the atom's terms: a new variable's slot,
+        # a temporary to compare for a repeated one, `_` for a bound one
+        targets, tests, new = [], [], set()
+        for pos, a in enumerate(args):
+            if a in bound:
+                targets.append("_")
+            elif a in new:
+                targets.append(f"r{pos}")
+                tests.append(f"r{pos} != s{slots[a]}")
+            else:
+                new.add(a)
+                targets.append(f"s{slots[a]}")
         after = bound.union(args)
-        test = _eqs_test(tuple(
-            (slots[x], slots[y], want) for x, y, want in eqs
-            if x in after and y in after and not (x in bound and y in bound)))
-        steps.append((
-            table(i, pred, keyed),
-            _key_getter([slots[args[pos]] for pos in keyed]),
-            binds, same, test,
-        ))
+        tests += [f"s{slots[x]} {'!=' if want else '=='} s{slots[y]}" for x, y, want in eqs
+                  if x in after and y in after and not (x in bound and y in bound)]
+        # a table without key positions lists its atoms under 0, `_no_key`
+        key = [f"s{slots[args[pos]]}" for pos in keyed]
+        loops.append((tid, "0" if not key else key[0] if len(key) == 1 else _tuple_text(key),
+                       _tuple_text(targets) if new else "_", tests))
         if not bound.issuperset(head[1]):
             head_at += 1
         bound = after
-    return _Plan(steps, head_at, head[0], _tuple_getter([slots[a] for a in head[1]]))
 
-
-def _descend(plan, d, b, tables, known, derive) -> bool:
-    """Bind body atoms d.. of plan in binding b, with `tables` by table id,
-    and call derive(head, b) on each completion. Once the head is bound, a
-    head in `known` prunes the branch, and below that point the first
-    completion ends it: True when a head was derived there."""
-    tid, key_of, binds, same, eqs = plan.steps[d]
-    matches = tables[tid].get(key_of(b))
-    if matches is None:
-        return False
-    head_at = plan.head_at
-    d += 1
-    last = d == plan.n
-    for args in matches:
-        for pos, slot in binds:
-            b[slot] = args[pos]
-        if same and any(args[p] != args[q] for p, q in same):
-            continue
-        if eqs is not None and not eqs(b):
-            continue
-        if d == head_at:
-            head = (plan.pred, plan.head_args(b))
-            if head in known:
-                continue
-            if last:
-                derive(head, b)
-            else:
-                _descend(plan, d, b, tables, known, derive)
-        elif last:
-            derive((plan.pred, plan.head_args(b)), b)
-            return True
-        elif _descend(plan, d, b, tables, known, derive) and d > head_at:
-            return True
-    return False
+    lines += [f" t{tid} = tables[{tid}]" for tid in dict.fromkeys(tid for tid, *_ in loops)]
+    head_text = f"h = ({head[0]!r}, {_tuple_text([f's{slots[a]}' for a in head[1]])})"
+    if head_at == 0:
+        lines.append(" " + head_text)
+    for d, (tid, key, targets, tests) in enumerate(loops):
+        pad = " " * (d + 1)
+        lines += [f"{pad}m{d} = t{tid}.get({key})", f"{pad}if m{d} is None:",
+                  f"{pad} {'continue' if d else 'return False'}",
+                  f"{pad}for {targets} in m{d}:"]
+        if tests:
+            lines += [f"{pad} if {' or '.join(tests)}:", f"{pad}  continue"]
+        if d + 1 == head_at:
+            lines += [f"{pad} {head_text}", f"{pad} if h in known:", f"{pad}  continue"]
+    pad = " " * (n + 1)
+    binding = [f"s{slot}" if term in bound else "None" for term, slot in slots.items()]
+    lines.append(f"{pad}derive(h, {_tuple_text(binding)})")
+    if head_at == 0:
+        lines.append(f"{pad}return True")
+    elif head_at < n:
+        # the first completion below the head's step ends its branch: each
+        # loop from there to the head's step breaks, through `for`-`else`
+        lines.append(f"{pad}break")
+        for d in range(n - 2, head_at - 1, -1):
+            lines += [f"{' ' * (d + 2)}else:", f"{' ' * (d + 3)}continue", f"{' ' * (d + 2)}break"]
+    lines.append(" return False")
+    return _Plan("\n".join(lines) + "\n", loops[0][0] if loops else None, head_at)
 
 
 def _fill(atoms, tables_of, tables) -> None:
@@ -393,8 +389,9 @@ def _completions(task: Task, state: State, schema: ActionSchema, prefix: tuple[s
 
 
 def _join(task: Task, index: _StateIndex, schema: ActionSchema) -> list:
-    """The applicable argument tuples of schema, by running its successor
-    rule over the index; the plan's table ids index `names`."""
+    """The applicable argument tuples of schema, in the order the plan of its
+    successor rule enumerates them over the index; the plan's table ids
+    index `names`."""
     query = task._info_cache.get(("@rule", schema.name))
     if query is None:
         rule = _Rule((schema.name, schema.params), _query_body(schema), schema.equalities, schema)
@@ -404,10 +401,6 @@ def _join(task: Task, index: _StateIndex, schema: ActionSchema) -> list:
     rule, names = query
     if not rule.live:
         return []
-    plan = rule.plans[0]
-    b = list(rule.template)
-    if not plan.steps:
-        return [plan.head_args(b)]
     tables = []
     for name in names:
         table = index.tables.get(name)
@@ -425,7 +418,7 @@ def _join(task: Task, index: _StateIndex, schema: ActionSchema) -> list:
                     matches.append(args)
         tables.append(table)
     out: list = []
-    _descend(plan, 0, b, tables, (), lambda head, _: out.append(head[1]))
+    rule.plans[0].run(tables, rule.template, (), lambda head, _: out.append(head[1]))
     return out
 
 

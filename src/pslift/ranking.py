@@ -514,11 +514,22 @@ def train_model(
 
     dictionary = ColorDictionary()
 
+    key_of, build = wl.graph_encoding(config.graph_kind)
+
     def dataset_for(name, task, plan):
+        # one feature vector per graph key: a repeated key would only count
+        # colours the dictionary already holds
+        features: dict = {}
         memo: dict = {}
 
         def feature_fn(state, rho):
-            return phi(task, state, rho, config.graph_kind, config.iterations, dictionary, memo)
+            key = key_of(task, state, rho)
+            fv = features.get(key)
+            if fv is None:
+                # through the module, so that tracers that wrap it see WL
+                fv = features[key] = wl.wl_features(build(task, key), config.iterations,
+                                                     dictionary, memo)
+            return fv
 
         try:
             return generate_dataset(task, plan, feature_fn, importances, config.sibling_cap)

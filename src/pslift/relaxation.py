@@ -18,14 +18,16 @@ same first bindings while enumerating far fewer:
 * Join plans. The most-bound-first order depends only on which variables are
   bound, i.e. on the rule and the seed position, so one plan per (rule, seed
   position) is built with the program. Successor generation shares the rule
-  type `lifted._Rule`, the planner `lifted._join_steps` and the executor
-  `lifted._descend`, the one backtracking join. Each step of a plan names the
-  index key (already bound or constant positions), the positions that bind
-  new variable slots, repeated-variable checks, and the equality literals
-  that become fully bound there. Index lists are filled in commit order, so a
-  multi-column key yields exactly the matches, in the same order, that
-  filtering any one-column list would. The seed atom is step 0, matched
-  against an index of the previous layer's atoms keyed by its constants.
+  type `lifted._Rule` and the planner `lifted._join_steps`, which writes each
+  plan as the source of one Python function, compiled on the plan's first
+  run and shared by every plan with the same text. The function has one
+  nested loop per step over the matches of the step's index key (already
+  bound or constant positions); the loop binds new variable slots, and
+  tests repeated variables and the equality literals that become fully
+  bound there. Index lists are filled in commit order, so a multi-column
+  key yields exactly the matches, in the same order, that filtering any
+  one-column list would. The seed atom is step 0, matched against an index
+  of the previous layer's atoms keyed by its constants.
 * Semi-naive seeding. With seed position k, body atoms before k match only
   atoms committed before the previous layer. A binding skipped this way has
   an atom from the previous layer at some position j < k, so it was already
@@ -72,8 +74,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .lifted import (OBJ, PartialAction, State, _descend, _fill, _key_getter, _query_body,
-                     _Rule, instantiations, is_applicable)
+from .lifted import (OBJ, PartialAction, State, _fill, _key_getter, _query_body, _Rule,
+                     instantiations, is_applicable)
 from .pddl import Task
 
 INF = float("inf")
@@ -205,9 +207,11 @@ class DatalogProgram:
             achievers[head] = (source, binding)
             new.append(head)
 
-        def fire(head, b):
+        def fire(head, binding):
             # a head derived by the rule that runs now
-            derive(rule, head, tuple(b))
+            layers[head] = layer
+            achievers[head] = (rule, binding)
+            new.append(head)
 
         while pending:
             layer += 1
@@ -227,11 +231,10 @@ class DatalogProgram:
                     continue
                 if not rule.plans or (rule.plans[0].head_at == 0 and rule.head in layers):
                     continue
-                b = list(rule.template)
                 for plan in rule.plans[:stop]:
-                    # skip a plan whose first table is empty; _descend is
+                    # skip a plan whose first table is empty; a plan is
                     # True only once it has derived a ground head
-                    if tables[plan.steps[0][0]] and _descend(plan, 0, b, tables, layers, fire):
+                    if tables[plan.table] and plan.run(tables, rule.template, layers, fire):
                         break
             if layer == 1 and chosen:
                 # B is applicable in the state: each action fires here only

@@ -513,9 +513,9 @@ def node_graph(task: Task, state, rho, kind: str):
     applicable = oracle_applicable_actions(task, state)
     actions = []
     if not rho.is_root:
-        k = len(rho.prefix)
+        k = len(rho.args)
         actions = sorted(((s, a) for s, a in applicable
-                          if s.name == rho.schema.name and a[:k] == rho.prefix),
+                          if s.name == rho.schema.name and a[:k] == rho.args),
                          key=lambda sa: [index[o] for o in sa[1]])
     plain = rho.is_root or {(s.name, a) for s, a in actions} >= {
         (s.name, a) for s, a in applicable}

@@ -48,7 +48,7 @@ def _state_strings(task, state) -> list[str]:
 
 
 def _rho_json(rho):
-    return None if rho is None or rho.is_root else [rho.schema.name, list(rho.prefix)]
+    return None if rho is None or rho.is_root else [rho.schema.name, list(rho.args)]
 
 
 def _h_json(h):

@@ -94,7 +94,7 @@ class TestChildren:
     def test_stack_scenario_children(self, bw3_stack):
         rho = PartialAction(bw3_stack.schema("stack"), ("b",))
         kids = children(bw3_stack, bw3_stack.initial_state, rho)
-        assert [k.prefix for k in kids] == [("b", "a"), ("b", "c")]
+        assert [k.args for k in kids] == [("b", "a"), ("b", "c")]
 
     def test_full_partial_action_has_no_children(self, bw2):
         assert children(bw2, bw2.initial_state, PartialAction(bw2.schema("pickup"), ("a",))) == []
@@ -219,7 +219,7 @@ class TestAgainstBruteForce:
                 for args in arg_sets:
                     for k in range(len(args)):
                         rho = PartialAction(schema, args[:k])
-                        kids = {c.prefix[-1] for c in children(task, state, rho)}
+                        kids = {c.args[-1] for c in children(task, state, rho)}
                         expected = {
                             full[k] for full in arg_sets if full[:k] == args[:k]
                         }
@@ -227,7 +227,7 @@ class TestAgainstBruteForce:
                         # exactness: every child really has a completion
                         for c in children(task, state, rho):
                             assert any(
-                                full[: k + 1] == c.prefix for full in arg_sets
+                                full[: k + 1] == c.args for full in arg_sets
                             )
 
     @pytest.mark.parametrize("family,params,seed", SMALL_TASKS)

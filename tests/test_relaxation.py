@@ -56,6 +56,29 @@ class TestBuildDatalog:
             assert all(pred != EPSILON for r in program.rules for pred, _ in r.body)
 
 
+class TestCompiledPlans:
+    @pytest.mark.parametrize("family,params", [
+        ("blocksworld", dict(blocks=4)),
+        ("warehouse-like", dict(stacks=2, boxes=3, marked=1)),
+    ])
+    def test_tasks_of_one_domain_share_each_plans_function(self, family, params):
+        # every solve loads a fresh task: its plans must reuse the functions
+        # compiled for the domain's earlier tasks, not compile them again
+        from pslift.generators import generate
+        from pslift.pddl import load_task
+
+        (domain, first), (again, second) = (generate(family, seed=s, **params) for s in (0, 1))
+        assert domain == again and first != second
+        runs = []
+        for task in (load_task(domain, first), load_task(domain, second)):
+            list(instantiations(task, task.initial_state, ROOT))
+            rules = list(DatalogProgram(task).rules)
+            rules += [query[0] for key, query in task._info_cache.items() if key[0] == "@rule"]
+            runs.append([plan.run for rule in rules for plan in rule.plans])
+        assert runs[0] and len(runs[0]) == len(runs[1])
+        assert all(a is b for a, b in zip(*runs))
+
+
 class TestRelaxedReach:
     def test_bw2_everything_reachable(self, bw2):
         program = DatalogProgram(bw2)
@@ -263,18 +286,17 @@ class TestHFFRestricted:
     def test_no_schema_rule_joins_before_the_gate(self, bw2, monkeypatch):
         """The gate enters after the layer-1 rules, so a schema rule's join
         there could only enumerate its body and fail at the gate step."""
-        from pslift import relaxation
         program = RestrictedFFHeuristic(bw2).program
-        schema_plans = {id(p) for r in program.rules if r.schema is not None for p in r.plans}
         entered = []
-        descend = relaxation._descend
 
-        def spy(plan, d, b, tables, known, derive):
-            if id(plan) in schema_plans:
+        def spy(run):
+            def join(tables, b, known, derive):
                 entered.append(GATE in known)
-            return descend(plan, d, b, tables, known, derive)
+                return run(tables, b, known, derive)
+            return join
 
-        monkeypatch.setattr(relaxation, "_descend", spy)
+        for plan in (p for r in program.rules if r.schema is not None for p in r.plans):
+            monkeypatch.setattr(plan, "run", spy(plan.run))
         s0 = bw2.initial_state
         actions = list(instantiations(bw2, s0, ROOT))
         for chosen in ([actions[0]], actions):
