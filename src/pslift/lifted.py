@@ -156,9 +156,11 @@ def _tuple_text(names) -> str:
 @lru_cache(maxsize=1024)
 def _compiled(source: str):
     """The function that the source of a join plan defines. Cached by the
-    text, so the plans of every task of a domain share one function."""
+    text, so the plans of every task of a domain share one function. Each
+    text gets its own file name: cProfile reports one entry for all the
+    functions that share file, line and name."""
     namespace: dict = {}
-    exec(compile(source, "<join plan>", "exec"), namespace)
+    exec(compile(source, f"<join plan {hash(source) & 0xFFFFFFFF:08x}>", "exec"), namespace)
     return namespace["join"]
 
 

@@ -209,9 +209,7 @@ class DatalogProgram:
 
         def fire(head, binding):
             # a head derived by the rule that runs now
-            layers[head] = layer
-            achievers[head] = (rule, binding)
-            new.append(head)
+            derive(rule, head, binding)
 
         while pending:
             layer += 1

@@ -22,7 +22,7 @@ import oracles  # noqa: E402
 from strategies import SETTINGS, deep_strips_task, random_strips_task  # noqa: E402
 
 
-def check_node(task, plain, restricted, state, rho) -> None:
+def check_node(task, restricted, state, rho) -> None:
     actions = list(instantiations(task, state, rho))
     assert restricted(state, rho) == oracles.ff_reference(task, state, actions), rho
 
@@ -34,14 +34,14 @@ def check_state(task, plain, restricted, state, draw=None) -> None:
     assert plain(state) == oracles.ff_reference(task, state)
     kids = children(task, state, ROOT)
     for rho in kids:
-        check_node(task, plain, restricted, state, rho)
+        check_node(task, restricted, state, rho)
         for kid in children(task, state, rho):
-            check_node(task, plain, restricted, state, kid)
+            check_node(task, restricted, state, kid)
     if draw is not None and kids:
         rho = draw(st.sampled_from(kids))
         while not rho.is_full:
             rho = draw(st.sampled_from(children(task, state, rho)))
-            check_node(task, plain, restricted, state, rho)
+            check_node(task, restricted, state, rho)
 
 
 def check_walk(data, task, steps) -> None:
