@@ -10,7 +10,7 @@ whole task.
 The preconditions of a schema form its successor rule, a `_Rule` like the
 relaxation's Datalog rules, with head (schema name, parameters). It is
 planned once per task and schema by the planner (`_join_steps`) that plans
-the Datalog rules too, into one function of nested loops, and run once per
+the Datalog rules too, into nested loops, and run once per
 state over an index of the state and the static atoms. The plan's head
 cut-off and first-completion exit change nothing for this query. Every
 binding slot is a parameter or a constant, and an index table lists each
@@ -153,6 +153,11 @@ def _tuple_text(names) -> str:
     return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
 
 
+# CPython compiles at most 20 nested blocks into one function, so a plan
+# writes its loops into functions of at most this many
+_LOOPS_PER_FUNCTION = 16
+
+
 @lru_cache(maxsize=1024)
 def _compiled(source: str):
     """The function that the source of a join plan defines. Cached by the
@@ -175,7 +180,10 @@ class _Plan:
     completion calls derive(head, binding), with the binding as a tuple
     indexed by slot, and below `head_at` the first completion ends the
     branch. `join` returns True only when it has derived a ground head.
-    `table` is the id of the first step's table, None without steps.
+    Past `_LOOPS_PER_FUNCTION` steps, the innermost loop calls a function
+    with the loops that follow, which returns True when a completion ends
+    a branch above it. `table` is the id of the first step's table, None
+    without steps.
     `run` is the function, compiled on first use."""
 
     def __init__(self, source, table, head_at):
@@ -196,9 +204,8 @@ def _join_steps(body, eqs, slots, bound, table, head, first=None) -> _Plan:
     is the id of the index table that body atom i looks up by its argument
     positions `keyed`. The plan's source is written here, step by step."""
     n, head_at = len(body), 0
-    lines = ["def join(tables, b, known, derive):"]
-    lines += [f" s{slot} = b[{slot}]" for slot in sorted(slots[a] for a in bound)]
-    loops = []
+    given = sorted(slots[a] for a in bound)
+    loops = []   # per step: table id, key, unpacking targets, tests, slots bound before
     todo = list(range(n))
     while todo:
         i = min(todo, key=lambda i: (i != first, -sum(a in bound for a in body[i][1]), i))
@@ -224,36 +231,62 @@ def _join_steps(body, eqs, slots, bound, table, head, first=None) -> _Plan:
         # a table without key positions lists its atoms under 0, `_no_key`
         key = [f"s{slots[args[pos]]}" for pos in keyed]
         loops.append((tid, "0" if not key else key[0] if len(key) == 1 else _tuple_text(key),
-                       _tuple_text(targets) if new else "_", tests))
+                      _tuple_text(targets) if new else "_", tests,
+                      sorted(slots[a] for a in bound)))
         if not bound.issuperset(head[1]):
             head_at += 1
         bound = after
 
-    lines += [f" t{tid} = tables[{tid}]" for tid in dict.fromkeys(tid for tid, *_ in loops)]
     head_text = f"h = ({head[0]!r}, {_tuple_text([f's{slots[a]}' for a in head[1]])})"
-    if head_at == 0:
-        lines.append(" " + head_text)
-    for d, (tid, key, targets, tests) in enumerate(loops):
-        pad = " " * (d + 1)
-        lines += [f"{pad}m{d} = t{tid}.get({key})", f"{pad}if m{d} is None:",
-                  f"{pad} {'continue' if d else 'return False'}",
-                  f"{pad}for {targets} in m{d}:"]
-        if tests:
-            lines += [f"{pad} if {' or '.join(tests)}:", f"{pad}  continue"]
-        if d + 1 == head_at:
-            lines += [f"{pad} {head_text}", f"{pad} if h in known:", f"{pad}  continue"]
-    pad = " " * (n + 1)
     binding = [f"s{slot}" if term in bound else "None" for term, slot in slots.items()]
-    lines.append(f"{pad}derive(h, {_tuple_text(binding)})")
-    if head_at == 0:
-        lines.append(f"{pad}return True")
-    elif head_at < n:
-        # the first completion below the head's step ends its branch: each
-        # loop from there to the head's step breaks, through `for`-`else`
-        lines.append(f"{pad}break")
-        for d in range(n - 2, head_at - 1, -1):
-            lines += [f"{' ' * (d + 2)}else:", f"{' ' * (d + 3)}continue", f"{' ' * (d + 2)}break"]
-    lines.append(" return False")
+    lines = []
+    # loops a..z-1 go into one function, `join` for the first ones and
+    # `join{a}` for the later ones, called from the innermost loop before
+    # with the bound slots, and h once it is bound. `join{a}` returns True
+    # when a completion ends its caller's loop too: when the head is ground
+    # or bound before loop a - 1.
+    for a in range(0, max(n, 1), _LOOPS_PER_FUNCTION):
+        z = min(a + _LOOPS_PER_FUNCTION, n)
+        if a == 0:
+            lines.append("def join(tables, b, known, derive):")
+            lines += [f" s{slot} = b[{slot}]" for slot in given]
+        else:
+            params = ["tables", "known", "derive"] + ["h"] * (head_at <= a)
+            lines.append(f"def join{a}({', '.join(params + [f's{s}' for s in loops[a][4]])}):")
+        lines += [f" t{tid} = tables[{tid}]" for tid in dict.fromkeys(loops[d][0] for d in range(a, z))]
+        if a == 0 and head_at == 0:
+            lines.append(" " + head_text)
+        for d in range(a, z):
+            tid, key, targets, tests, _ = loops[d]
+            pad = " " * (d - a + 1)
+            lines += [f"{pad}m{d} = t{tid}.get({key})", f"{pad}if m{d} is None:",
+                      f"{pad} {'continue' if d > a else 'return False'}",
+                      f"{pad}for {targets} in m{d}:"]
+            if tests:
+                lines += [f"{pad} if {' or '.join(tests)}:", f"{pad}  continue"]
+            if d + 1 == head_at:
+                lines += [f"{pad} {head_text}", f"{pad} if h in known:", f"{pad}  continue"]
+        pad = " " * (z - a + 1)
+        if z == n:
+            lines.append(f"{pad}derive(h, {_tuple_text(binding)})")
+        else:
+            args = ["tables", "known", "derive"] + ["h"] * (head_at <= z)
+            call = f"join{z}({', '.join(args + [f's{s}' for s in loops[z][4]])})"
+            if not (head_at == 0 or head_at < z):
+                lines.append(pad + call)
+            else:
+                lines.append(f"{pad}if {call}:")
+                pad += " "
+        if head_at == 0 or head_at < a:
+            lines.append(f"{pad}return True")
+        elif head_at < z:
+            # the first completion below the head's step ends its branch: each
+            # loop from there to the head's step breaks, through `for`-`else`
+            lines.append(f"{pad}break")
+            for d in range(z - 2, head_at - 1, -1):
+                lines += [f"{' ' * (d - a + 2)}else:", f"{' ' * (d - a + 3)}continue",
+                          f"{' ' * (d - a + 2)}break"]
+        lines.append(" return False")
     return _Plan("\n".join(lines) + "\n", loops[0][0] if loops else None, head_at)
 
 

@@ -19,10 +19,11 @@ same first bindings while enumerating far fewer:
   bound, i.e. on the rule and the seed position, so one plan per (rule, seed
   position) is built with the program. Successor generation shares the rule
   type `lifted._Rule` and the planner `lifted._join_steps`, which writes each
-  plan as the source of one Python function, compiled on the plan's first
-  run and shared by every plan with the same text. The function has one
-  nested loop per step over the matches of the step's index key (already
-  bound or constant positions); the loop binds new variable slots, and
+  plan as Python source, compiled on the plan's first run and shared by
+  every plan with the same text. The source has one nested loop per step
+  over the matches of the step's index key (already bound or constant
+  positions), 16 loops to a function, as CPython nests at most 20 blocks in
+  one; the loop binds new variable slots, and
   tests repeated variables and the equality literals that become fully
   bound there. Index lists are filled in commit order, so a multi-column
   key yields exactly the matches, in the same order, that filtering any

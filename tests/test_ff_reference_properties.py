@@ -15,8 +15,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from pslift.generators import generate_task  # noqa: E402
-from pslift.lifted import ROOT, _apply_effects, children, instantiations  # noqa: E402
+from pslift.lifted import ROOT, _apply_effects, _query_body, children, instantiations  # noqa: E402
+from pslift.pddl import load_task  # noqa: E402
 from pslift.relaxation import FFHeuristic, RestrictedFFHeuristic  # noqa: E402
+from pslift.search import gbfs_state  # noqa: E402
 
 import oracles  # noqa: E402
 from strategies import SETTINGS, deep_strips_task, random_strips_task  # noqa: E402
@@ -82,3 +84,49 @@ def test_h_equals_the_reference_on_generator_walks(family, params):
         for _ in range(15):
             check_state(task, plain, restricted, state)
             state = _apply_effects(task, state, rng.choice(list(instantiations(task, state, ROOT))))
+
+
+def long_body_task():
+    """A task whose one schema has 27 preconditions: a walk of six links
+    over a four-node cycle, each node after the first marked, open and near
+    itself, plus a free ?y near itself. Its adds have a ground head, a head
+    bound at the second step and heads bound deep in the join, so the
+    first-completion cut-offs cross the functions that a plan's loops are
+    split into."""
+    xs = [f"?x{i}" for i in range(7)]
+    pre = ["(at ?x0)"] + [f"(link {a} {b})" for a, b in zip(xs, xs[1:])]
+    for p in ("mark", "open"):
+        pre += [f"({p} {x})" for x in xs[1:]]
+    pre += [f"(near {x} {x})" for x in xs[1:]] + ["(near ?x6 ?x3)", "(near ?y ?y)"]
+    domain = f"""(define (domain long-body)
+      (:requirements :strips :equality)
+      (:predicates (at ?x) (link ?x ?y) (mark ?x) (open ?x) (near ?x ?y)
+                   (visited ?x) (moved) (seen ?x ?y))
+      (:action hop
+        :parameters ({' '.join(xs)} ?y)
+        :precondition (and {' '.join(pre)} (not (= ?x6 ?x0)))
+        :effect (and (at ?x6) (not (at ?x0)) (visited ?x1) (moved) (seen ?y ?x6))))"""
+    nodes = [f"n{i}" for i in range(4)]
+    init = ["(at n0)"] + [f"(link {a} {b})" for a, b in zip(nodes, nodes[1:] + nodes[:1])]
+    init += [f"({p} {o})" for p in ("mark", "open") for o in nodes]
+    init += [f"(near {a} {b})" for a in nodes for b in nodes if {a, b} != {"n0", "n3"}]
+    problem = f"""(define (problem walk) (:domain long-body) (:objects {' '.join(nodes)})
+      (:init {' '.join(init)}) (:goal (and (visited n3) (seen n1 n0))))"""
+    return load_task(domain, problem)
+
+
+def test_h_equals_the_reference_on_a_schema_of_27_preconditions():
+    # more join steps than CPython nests loops in one function (20): the
+    # plans split them into functions
+    task = long_body_task()
+    assert len(_query_body(task.schemas[0])) == 27
+    plain, restricted = FFHeuristic(task), RestrictedFFHeuristic(task)
+    result = gbfs_state(task, plain)
+    assert result.solved and len(result.plan) == 2
+    state = task.initial_state
+    for action in [None] + result.plan:
+        if action is not None:
+            state = _apply_effects(task, state, action)
+        assert plain(state) == oracles.ff_reference(task, state)
+        for rho in children(task, state, ROOT):
+            check_node(task, restricted, state, rho)

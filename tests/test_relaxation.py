@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pslift.generators import generate_task
-from pslift.lifted import ROOT, GroundAction, instantiations, _apply_effects
+from pslift.lifted import ROOT, GroundAction, children, instantiations, _apply_effects
 from pslift.relaxation import (
     EPSILON,
     GATE,
@@ -77,6 +77,60 @@ class TestCompiledPlans:
             runs.append([plan.run for rule in rules for plan in rule.plans])
         assert runs[0] and len(runs[0]) == len(runs[1])
         assert all(a is b for a, b in zip(*runs))
+
+    @pytest.mark.parametrize("loops", [1, 2, 3])
+    @pytest.mark.parametrize("family,params", [
+        ("blocksworld", dict(blocks=4)),
+        ("ferry-like", dict(cars=2, locations=3)),
+        ("warehouse-like", dict(stacks=2, boxes=4, marked=1)),
+    ])
+    def test_plans_split_into_functions_find_the_same_bindings(self, monkeypatch, family,
+                                                               params, loops):
+        # splitting a plan's loops into functions of `loops` loops puts a
+        # function boundary before, at and after every head step: the
+        # successors, in order, and both h values must not change
+        def walk(task, seed):
+            plain, restricted = FFHeuristic(task), RestrictedFFHeuristic(task)
+            state, rng, out = task.initial_state, random.Random(seed), []
+            for _ in range(8):
+                kids = list(instantiations(task, state, ROOT))
+                nodes = [rho for parent in children(task, state, ROOT)
+                         for rho in [parent] + children(task, state, parent)]
+                out.append((kids, plain(state), [restricted(state, rho) for rho in nodes]))
+                state = _apply_effects(task, state, rng.choice(kids))
+            return out
+
+        import pslift.lifted as lifted
+        for seed in range(2):
+            expected = walk(generate_task(family, seed=seed, **params), seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(lifted, "_LOOPS_PER_FUNCTION", loops)
+                assert walk(generate_task(family, seed=seed, **params), seed) == expected
+
+
+    @pytest.mark.parametrize("loops", [1, 2, 3])
+    def test_cut_offs_cross_function_boundaries(self, monkeypatch, loops):
+        # done(?x) is bound at the first step; the second step binds ?y and
+        # the fourth ?z, and each one's first match fails a later step. A
+        # branch cut below a function boundary without a completion would
+        # miss done(a): only the plan seeded at p(?x) runs at layer 1
+        import pslift.lifted as lifted
+        from pslift.pddl import load_task
+        task = load_task("""(define (domain d) (:predicates (p ?x) (q ?x ?y) (r ?y) (s ?x ?y)
+            (done ?x)) (:action finish :parameters (?x ?y ?z)
+            :precondition (and (p ?x) (q ?x ?y) (r ?y) (s ?y ?z) (r ?z))
+            :effect (done ?x)))""", """(define (problem e) (:domain d)
+            (:objects a b1 b2 c1 c2) (:init (p a) (q a b1) (q a b2) (r b2) (s b2 c1)
+            (s b2 c2) (r c2)) (:goal (done a)))""")
+        whole = DatalogProgram(task)
+        monkeypatch.setattr(lifted, "_LOOPS_PER_FUNCTION", loops)
+        split = DatalogProgram(task)
+        assert f"def join{loops}(" in split.rules[0].plans[0].source
+        for program in (whole, split):
+            reach = program.relaxed_reach(task.initial_state)
+            assert reach.layers[("done", ("a",))] == 1
+            rule, binding = reach.achievers[("done", ("a",))]
+            assert rule.action_of(binding) == ("finish", ("a", "b2", "c2"))
 
 
 class TestRelaxedReach:
