@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import bench, generators, ranking, relaxation, search
+from . import bench, generators, ranking, relaxation, search, wl
 from .pddl import PddlError, load_task, parse_domain, parse_instance
 from .ranking import TrainConfig, load_model, save_model, train_model
 from .search import Limits
@@ -188,12 +188,7 @@ def cmd_generate_data(args) -> int:
     dictionary = ranking.ColorDictionary()
     rows = ["kind,delta,sigma,x,x_prime"]
     for _, task, plan in corpus:
-        memo: dict = {}  # one WL memo per task
-
-        def feature_fn(state, rho, _task=task, _memo=memo):
-            return ranking.phi(_task, state, rho, config.graph_kind,
-                               config.iterations, dictionary, _memo)
-
+        feature_fn = wl.keyed_features(task, config.graph_kind, config.iterations, dictionary)
         for t in ranking.generate_dataset(task, plan, feature_fn, importances,
                                           config.sibling_cap):
             x = " ".join(f"{i}:{c}" for i, c in sorted(t.x.items()))

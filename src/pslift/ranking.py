@@ -24,6 +24,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -133,22 +134,15 @@ def generate_dataset(
 ) -> list[RankingTuple]:
     """All four tuple families for every step of a valid plan.
 
-    `feature_fn(state, rho)` maps a search node to its feature vector. Sibling
+    `feature_fn(state, rho)` maps a search node to its feature vector; it is
+    called at each use of a node, so callers that featurize through WL pass
+    `wl.keyed_features`, which refines each graph once. Sibling
     enumeration is unlimited unless `sibling_cap` bounds each sibling list
     (deterministically, keeping the first entries). Raises ValueError for a
     negative cap.
     """
     _check_sibling_cap(sibling_cap)
     tuples: list[RankingTuple] = []
-    cache: dict = {}
-
-    def feats(state, rho):
-        key = (state, rho)
-        fv = cache.get(key)
-        if fv is None:
-            fv = feature_fn(state, rho)
-            cache[key] = fv
-        return fv
 
     def cap(items):
         return items if sibling_cap is None else items[:sibling_cap]
@@ -163,13 +157,13 @@ def generate_dataset(
 
         for i in range(len(seq) - 1):
             tuples.append(
-                RankingTuple(feats(state, seq[i + 1]), feats(state, seq[i]), 1.0,
+                RankingTuple(feature_fn(state, seq[i + 1]), feature_fn(state, seq[i]), 1.0,
                              importances["lp"], "lp")
             )
         if prev is not None:
             prev_state, prev_rho = prev
             tuples.append(
-                RankingTuple(feats(state, ROOT), feats(prev_state, prev_rho), 1.0,
+                RankingTuple(feature_fn(state, ROOT), feature_fn(prev_state, prev_rho), 1.0,
                              importances["lp"], "lp")
             )
 
@@ -177,13 +171,13 @@ def generate_dataset(
             level = levels[rho.specificity()]
             for sib in cap([r for r in level if r != rho]):
                 tuples.append(
-                    RankingTuple(feats(state, rho), feats(state, sib), 0.0,
+                    RankingTuple(feature_fn(state, rho), feature_fn(state, sib), 0.0,
                                  importances["ls"], "ls")
                 )
 
         for rho in seq[1:]:
             tuples.append(
-                RankingTuple(feats(state, rho), feats(state, ROOT), 1.0,
+                RankingTuple(feature_fn(state, rho), feature_fn(state, ROOT), 1.0,
                              importances["sp"], "sp")
             )
 
@@ -191,7 +185,7 @@ def generate_dataset(
         others = [r for lvl in levels for r in lvl if r.is_full and r != full]
         for sib in cap(others):
             tuples.append(
-                RankingTuple(feats(state, full), feats(state, sib), 0.0,
+                RankingTuple(feature_fn(state, full), feature_fn(state, sib), 0.0,
                              importances["ss"], "ss")
             )
 
@@ -352,27 +346,12 @@ class LinearModel:
 
     def _scorer(self, task: Task):
         """(state, rho) -> evaluate(self, task, state, rho), computed once per
-        graph key. A key fixes the graph and its vertex order, so equal keys
-        give equal feature vectors with the same key order, and the same sum.
-        Each call makes its own dict of scores and its own WL memo for the
-        task, so a search that builds its own heuristic keeps them for that
-        search only."""
-        key_of, build = wl.graph_encoding(self.graph_kind)
-        weights = self.weights.tolist()
-        iterations, dictionary = self.iterations, self.dictionary
-        scores: dict = {}
-        memo: dict = {}
-
-        def score(state, rho):
-            key = key_of(task, state, rho)
-            value = scores.get(key)
-            if value is None:
-                # through the module, so that tracers that wrap it see WL
-                fv = wl.wl_features(build(task, key), iterations, dictionary, memo)
-                value = scores[key] = sparse_dot(weights, fv)
-            return value
-
-        return score
+        graph key by `wl.keyed_features`; equal vectors with the same key
+        order give the same sum. Each call has its own scores and WL memo for
+        the task, so a search that builds its own heuristic keeps them for
+        that search only."""
+        return wl.keyed_features(task, self.graph_kind, self.iterations, self.dictionary,
+                                 partial(sparse_dot, self.weights.tolist()))
 
 
 def evaluate(model: LinearModel, task: Task, state, rho: PartialAction) -> float:
@@ -514,23 +493,8 @@ def train_model(
 
     dictionary = ColorDictionary()
 
-    key_of, build = wl.graph_encoding(config.graph_kind)
-
     def dataset_for(name, task, plan):
-        # one feature vector per graph key: a repeated key would only count
-        # colours the dictionary already holds
-        features: dict = {}
-        memo: dict = {}
-
-        def feature_fn(state, rho):
-            key = key_of(task, state, rho)
-            fv = features.get(key)
-            if fv is None:
-                # through the module, so that tracers that wrap it see WL
-                fv = features[key] = wl.wl_features(build(task, key), config.iterations,
-                                                     dictionary, memo)
-            return fv
-
+        feature_fn = wl.keyed_features(task, config.graph_kind, config.iterations, dictionary)
         try:
             return generate_dataset(task, plan, feature_fn, importances, config.sibling_cap)
         except InvalidPlan as exc:

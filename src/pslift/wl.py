@@ -36,8 +36,10 @@ A hit counts its color at the point where the lookup would have counted it,
 so feature vectors keep their key order, which `ranking.sparse_dot` sums in.
 
 `phi` featurizes a node through the graph key and build of
-`graph_encoding`, as the learned heuristic does. `aoag` and `aeg` stay
-importable here because the benchmark's tracer wraps them by these names.
+`graph_encoding`; `keyed_features` does so once per distinct graph key of a
+task, for the learned heuristic, training and dataset export. `aoag` and
+`aeg` stay importable here because the benchmark's tracer wraps them by
+these names.
 """
 
 from __future__ import annotations
@@ -211,3 +213,29 @@ def graph_encoding(graph_kind: str):
     if kind == AEG:
         return aeg_key, aeg_graph
     raise ValueError(f"unknown graph kind: {graph_kind}")
+
+
+def keyed_features(task, graph_kind: str, iterations: int, dictionary: ColorDictionary,
+                   then=None):
+    """(state, rho) -> the node's feature vector, or then(vector) if `then`
+    is given, computed once per graph key of `graph_encoding` and cached with
+    one WL memo for the task. A key fixes the graph and its vertex order, so
+    a repeated key would give an equal vector with the same key order; in a
+    growing dictionary it would only meet colours that are already in it."""
+    key_of, build = graph_encoding(graph_kind)
+    values: dict = {}
+    memo: dict = {}
+
+    def features(state, rho):
+        key = key_of(task, state, rho)
+        value = values.get(key)
+        if value is None:
+            # a module global looked up at each call, so that tracers that
+            # wrap `wl_features` see every refinement
+            value = wl_features(build(task, key), iterations, dictionary, memo)
+            if then is not None:
+                value = then(value)
+            values[key] = value
+        return value
+
+    return features
