@@ -32,17 +32,46 @@ That is sound in both kinds of dictionary:
   unknown, whatever placeholder stands for it. That is also why one
   placeholder, -1, serves every unknown color: it is never counted, never
   stored, and never part of a known key.
-A hit counts its color at the point where the lookup would have counted it,
-so feature vectors keep their key order, which `ranking.sparse_dot` sums in.
+A hit stands for the lookup that it saves, so it changes neither the ids nor
+the counts.
+
+Refinement by difference. A vertex's color after t iterations depends only
+on its t-hop neighborhood, and consecutive graphs of one search differ in a
+few atoms. So `wl_features` refines a graph by difference from the last
+graph that the same featurizer refined, its `BaseGraph`, which keeps that
+graph's color id of every vertex at every iteration. Objects are matched by
+vertex index, fact vertices by (color, args), since their indices shift.
+Iteration 0 takes its ids from a table of initial colors kept in the base.
+At each later iteration a vertex is recomputed only if it is dirty:
+- it is a fact vertex that the base lacks;
+- it is an object whose set of incident fact vertices changed;
+- its own color, or a neighbor's, changed at the previous iteration.
+A clean vertex keeps its id from the base. Its key is built from its own id
+and its neighbors' ids at the previous iteration, and all of these are the
+base's, so the key is the one looked up for the base, and its id is the
+same: a growing dictionary never changes an id, and a frozen one never
+learns one. A growing dictionary also still hands out new ids as the full
+refinement would. A clean vertex's key is in the dictionary already, so its
+lookup would add nothing; the dirty vertices are looked up in vertex order
+(objects ascending, then fact vertices ascending) at each iteration, so each
+new key is first met at the vertex where the full refinement first meets
+it. The counts are then rebuilt in one pass over the ids, in vertex order
+and iteration by iteration, so feature vectors keep the key order that
+`ranking.sparse_dot` sums in. Without a usable base (the first graph, a
+different object color list or iteration count, a graph with repeated fact
+vertices, or a caller that keeps none, as `phi`) every vertex is new, and the
+same loop does the full refinement.
 
 `phi` featurizes a node through the graph key and build of
 `graph_encoding`; `keyed_features` does so once per distinct graph key of a
-task, for the learned heuristic, training and dataset export. `aoag` and
-`aeg` stay importable here because the benchmark's tracer wraps them by
-these names.
+task, with one memo and one base for the task, for the learned heuristic,
+training and dataset export. `aoag` and `aeg` stay importable here because
+the benchmark's tracer wraps them by these names.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .graphs import LabeledGraph, aeg, aeg_graph, aeg_key, aoag, aoag_graph, aoag_key  # noqa: F401
 
@@ -137,61 +166,178 @@ def _from_text(text: str) -> ColorKey:
 UNKNOWN = -1  # the id of every color a frozen dictionary does not know
 
 
+class _Colors(dict):
+    """Initial color string -> its id in one dictionary, looked up on first
+    use."""
+
+    def __init__(self, dictionary: ColorDictionary):
+        super().__init__()
+        self.dictionary = dictionary
+
+    def __missing__(self, color: str) -> int:
+        idx = self.dictionary.lookup("c|" + color)
+        idx = self[color] = UNKNOWN if idx is None else idx
+        return idx
+
+
+class BaseGraph:
+    """What `wl_features` keeps of the last graph that one featurizer refined,
+    to refine the next one by difference (see the module docstring). Use one
+    per dictionary, as a memo.
+
+    Every fact vertex (color, args) the featurizer has met has a slot, numbered
+    after the objects, so that a vertex keeps its slot while vertex indices
+    shift from graph to graph. `levels[t][slot]` is the color id of that
+    vertex at iteration t, `incident[u]` the (label, slot) pairs of the fact
+    vertices on object u, and `first` maps the slot of each fact vertex of
+    the last graph to its vertex index."""
+
+    __slots__ = ("colors", "objects", "iterations", "slot", "keys", "levels", "incident",
+                 "first")
+
+    def __init__(self):
+        self.colors = None
+        self.objects = None
+
+
 def wl_features(graph: LabeledGraph, iterations: int, dictionary: ColorDictionary,
-                memo: dict | None = None) -> FeatureVector:
+                memo: dict | None = None, base: BaseGraph | None = None) -> FeatureVector:
     """Count colors of every vertex at iterations 0..L against the dictionary.
 
     Vertices are refined in vertex order, iteration by iteration. Unknown
     colors are never counted and never enter the dictionary. `memo` keeps
     the iteration-1 colors of fact vertices for the graph's task and this
-    dictionary (see the module docstring); without one, the call has its own.
-    Raises ValueError for negative iterations.
+    dictionary, and `base` what this call needs of the last graph refined
+    with this dictionary, which the call replaces by `graph` (see the module
+    docstring); without them, the call has its own. Raises ValueError for
+    negative iterations.
     """
     if iterations < 0:
         raise ValueError(f"WL iterations must be at least 0, not {iterations}")
     if memo is None:
         memo = {}
-    counts: FeatureVector = {}
-    # most keys are known; only a miss needs `lookup`, which may add the key
-    known = dictionary._index.get
-
-    def resolve(key: ColorKey) -> int:
-        idx = known(key)
-        if idx is None:
-            idx = dictionary.lookup(key)
-            if idx is None:
-                return UNKNOWN
-        counts[idx] = counts.get(idx, 0) + 1
-        return idx
-
-    current = [resolve("c|" + color) for color in graph.colors]
+    if base is None:
+        base = BaseGraph()
+    colors = graph.colors
     facts = graph.args
-    n = len(current) - len(facts)
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for v, args in enumerate(facts, n):
-        for label, u in enumerate(args, 1):
-            incident[u].append((label, v))
+    size = len(colors)
+    n = size - len(facts)
+    objects = colors[:n]
+    if (base.objects != objects or base.iterations != iterations
+            or base.colors.dictionary is not dictionary):
+        base.colors = _Colors(dictionary)
+        base.objects, base.iterations = objects, iterations
+        base.slot, base.keys, base.first = {}, [None] * n, None
+        base.levels = [[] for _ in range(iterations + 1)]
+    slot = base.slot
+    keys = base.keys
+    levels = base.levels
 
+    fact_keys = list(zip(colors[n:], facts))
+    slots = list(map(slot.get, fact_keys))  # the slot of each fact vertex
+    if None in slots:
+        for j, key in enumerate(fact_keys):
+            if slots[j] is None:
+                s = slot.get(key)
+                if s is None:
+                    s = slot[key] = len(keys)
+                    keys.append(key)
+                slots[j] = s
+    for level in levels:
+        level += repeat(None, len(keys) - len(level))
+    # the first vertex of each slot: the last one written
+    first = dict(zip(reversed(slots), range(size - 1, n - 1, -1)))
+
+    old = base.first
+    if old is not None and len(first) == len(facts):
+        new = sorted(first.keys() - old.keys(), key=first.__getitem__)
+        gone = old.keys() - first.keys()
+        added = new
+        fresh = ()
+        incident = base.incident
+    else:
+        # no base: a graph with the same objects and no fact vertices, all of
+        # whose vertices are new
+        new = sorted(first, key=first.__getitem__)
+        gone = ()
+        added = slots
+        fresh = range(n)
+        incident = [[] for _ in range(n)]
+    base.incident = incident
+    base.first = first if len(first) == len(facts) else None
+
+    # objects whose incident fact vertices changed
+    moved = set(fresh)
+    for s in gone:
+        for u in keys[s][1]:
+            incident[u] = [pair for pair in incident[u] if pair[1] != s]
+            moved.add(u)
+    for s in added:
+        for label, u in enumerate(keys[s][1], 1):
+            incident[u].append((label, s))
+            moved.add(u)
+
+    current = levels[0]
+    table = base.colors
+    for u in fresh:
+        current[u] = table[objects[u]]
+    for s in new:
+        current[s] = table[keys[s][0]]
+
+    known = dictionary._index.get
+    lookup = dictionary.lookup
+    changed_objects: list[int] = []
+    changed_facts: list[int] = []
     for iteration in range(iterations):
-        refined = [resolve((current[u], tuple(sorted([(label, current[v])
-                                                      for label, v in incident[u]]))))
-                   for u in range(n)]
-        if iteration:
-            refined += [resolve((own, tuple([(label, current[u])
-                                             for label, u in enumerate(args, 1)])))
-                        for own, args in zip(current[n:], facts)]
-        else:
-            for own, args in zip(current[n:], facts):
-                idx = memo.get((own, args))
+        # a vertex is dirty if it is new, or if its incident fact vertices,
+        # its own color or a neighbor's changed at the last iteration; the
+        # others keep their ids
+        dirty_objects = set(moved)
+        dirty_facts = set(new)
+        for u in changed_objects:
+            dirty_objects.add(u)
+            dirty_facts.update(s for _, s in incident[u])
+        for s in changed_facts:
+            dirty_facts.add(s)
+            dirty_objects.update(keys[s][1])
+        refined = levels[iteration + 1]
+        changed_objects = []
+        changed_facts = []
+        for u in sorted(dirty_objects):
+            key = (current[u], tuple(sorted([(label, current[s]) for label, s in incident[u]])))
+            idx = known(key)
+            if idx is None:
+                idx = lookup(key)
                 if idx is None:
-                    idx = resolve((own, tuple([(label, current[u])
-                                               for label, u in enumerate(args, 1)])))
-                    if idx != UNKNOWN:
-                        memo[own, args] = idx
-                else:
-                    counts[idx] = counts.get(idx, 0) + 1
-                refined.append(idx)
+                    idx = UNKNOWN
+            if idx != refined[u]:
+                refined[u] = idx
+                changed_objects.append(u)
+        for v in sorted(map(first.__getitem__, dirty_facts)):
+            s = slots[v - n]
+            own, args = current[s], keys[s][1]
+            idx = memo.get((own, args)) if not iteration else None
+            if idx is None:
+                key = (own, tuple([(label, current[u]) for label, u in enumerate(args, 1)]))
+                idx = known(key)
+                if idx is None:
+                    idx = lookup(key)
+                    if idx is None:
+                        idx = UNKNOWN
+                if not iteration and idx != UNKNOWN:
+                    memo[own, args] = idx
+            if idx != refined[s]:
+                refined[s] = idx
+                changed_facts.append(s)
         current = refined
+
+    order = list(range(n))
+    order += slots
+    counts: FeatureVector = {}
+    for level in levels:
+        for idx in map(level.__getitem__, order):
+            counts[idx] = counts.get(idx, 0) + 1
+    counts.pop(UNKNOWN, None)
     return counts
 
 
@@ -218,13 +364,14 @@ def graph_encoding(graph_kind: str):
 def keyed_features(task, graph_kind: str, iterations: int, dictionary: ColorDictionary,
                    then=None):
     """(state, rho) -> the node's feature vector, or then(vector) if `then`
-    is given, computed once per graph key of `graph_encoding` and cached with
-    one WL memo for the task. A key fixes the graph and its vertex order, so
+    is given, computed once per graph key of `graph_encoding` and cached, with
+    one WL memo and one base graph for the task. A key fixes the graph and its vertex order, so
     a repeated key would give an equal vector with the same key order; in a
     growing dictionary it would only meet colours that are already in it."""
     key_of, build = graph_encoding(graph_kind)
     values: dict = {}
     memo: dict = {}
+    base = BaseGraph()
 
     def features(state, rho):
         key = key_of(task, state, rho)
@@ -232,7 +379,7 @@ def keyed_features(task, graph_kind: str, iterations: int, dictionary: ColorDict
         if value is None:
             # a module global looked up at each call, so that tracers that
             # wrap `wl_features` see every refinement
-            value = wl_features(build(task, key), iterations, dictionary, memo)
+            value = wl_features(build(task, key), iterations, dictionary, memo, base)
             if then is not None:
                 value = then(value)
             values[key] = value

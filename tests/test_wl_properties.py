@@ -7,7 +7,9 @@ order), and the two dictionaries list the same keys with the same indices.
 Each task's graphs run through one first-refinement memo. A random task is a
 list of object colors that all its graphs share, as a planning task's
 objects do. After every call, each memo entry must name the dictionary's id
-of the refined key that it stands for."""
+of the refined key that it stands for. The last two tests pass sequences of
+graphs through one base graph as well, so that each graph is refined by
+difference from the one before."""
 
 import functools
 import random
@@ -21,7 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 from pslift.generators import generate_task  # noqa: E402
 from pslift.graphs import LabeledGraph, aeg, aoag, object_colors  # noqa: E402
 from pslift.lifted import ROOT, PartialAction, _apply_effects, instantiations  # noqa: E402
-from pslift.wl import ColorDictionary, wl_features  # noqa: E402
+from pslift.wl import BaseGraph, ColorDictionary, wl_features  # noqa: E402
 
 import oracles  # noqa: E402
 from strategies import SETTINGS  # noqa: E402
@@ -114,3 +116,97 @@ def test_tuple_keys_match_string_keys(data):
                 check_memo(memo, objects, dictionary)
         dictionary.freeze()
         oracle.freeze()
+
+
+# Refinement by difference: a base graph kept from call to call.
+
+# one step of a sequence: an edit (0 remove, 1 retag, 2 repeat, else add), its
+# position, color and argument picks, and a new iteration count if the last
+# integer is 0
+_STEP = st.tuples(st.integers(0, 4), _PICK, _PICK, st.lists(st.integers(0, 59), max_size=3),
+                  st.integers(0, 4))
+_STEPS = st.lists(_STEP, min_size=1, max_size=10)
+# up to 12 objects: a set of more than 8 small ints need not iterate in order
+_OBJECTS = st.lists(st.sampled_from("abc"), max_size=12)
+
+
+def edited(graph: LabeledGraph, objects: list, step) -> LabeledGraph:
+    """`graph` after the edit of `step`: a fact vertex removed, given another
+    color, repeated or added, at a position that shifts the vertices after
+    it."""
+    kind, at, pick, args, _ = step
+    facts = list(zip(graph.colors[len(objects):], graph.args))
+    if facts and kind == 0:
+        del facts[at % len(facts)]
+    elif facts and kind == 1:
+        j = at % len(facts)
+        facts[j] = ("abc"[pick % 3], facts[j][1])
+    elif facts and kind == 2:
+        facts.insert(at % (len(facts) + 1), facts[pick % len(facts)])
+    else:
+        facts.insert(at % (len(facts) + 1),
+                     ("abc"[pick % 3], tuple(k % len(objects) for k in args) if objects else ()))
+    return LabeledGraph(objects + [color for color, _ in facts], [args for _, args in facts])
+
+
+def draw_sequences(data, count: int) -> list:
+    """`count` tasks, each (object colors, [(graph, iterations), ...]): the
+    edits of a graph that starts with no fact vertices, or a run of
+    consecutive graphs of one kind of a walk task. The iteration count
+    changes now and then."""
+    tasks = []
+    for _ in range(count):
+        iterations = data.draw(st.integers(0, 3))
+        if data.draw(st.booleans()):
+            objects = data.draw(_OBJECTS)
+            graph = LabeledGraph(list(objects), [])
+            sequence = []
+            for step in data.draw(_STEPS):
+                graph = edited(graph, objects, step)
+                if not step[-1]:
+                    iterations = (iterations + 1) % 4
+                sequence.append((graph, iterations))
+        else:
+            objects, graphs = walk_tasks()[data.draw(_PICK) % len(walk_tasks())]
+            # AOAG and AEG graphs alternate in a walk; take one kind
+            graphs = graphs[data.draw(_PICK) % len(graphs):][::2]
+            sequence = [(graph, iterations) for graph in graphs[:data.draw(st.integers(1, 8))]]
+        tasks.append((objects, sequence))
+    return tasks
+
+
+def check_sequences(phases, base) -> None:
+    """Each phase's tasks through one memo per task and the one `base`,
+    against the string-key oracle, first with a growing and then with a
+    frozen dictionary."""
+    dictionary, oracle = ColorDictionary(), ColorDictionary()
+    memos = [{} for _ in phases[-1]]
+    for phase in phases:
+        for (objects, sequence), memo in zip(phase, memos):
+            for graph, iterations in sequence:
+                fv = wl_features(graph, iterations, dictionary, memo, base)
+                assert list(fv.items()) == list(
+                    oracles.string_wl_features(graph, iterations, oracle).items())
+                assert list(dictionary.items()) == list(oracle.items())
+                check_memo(memo, objects, dictionary)
+        dictionary.freeze()
+        oracle.freeze()
+
+
+@settings(SETTINGS)
+@given(st.data())
+def test_refinement_by_difference_matches_string_keys(data):
+    """Graphs that differ by added, removed, retagged and repeated fact
+    vertices, AOAG and AEG graphs of walks, and changes of the object list
+    and of the iteration count, through one base shared by every task."""
+    grown = draw_sequences(data, data.draw(st.integers(1, 3)))
+    check_sequences([grown, grown + draw_sequences(data, 2)], BaseGraph())
+
+
+def test_refinement_by_difference_on_whole_walks():
+    """The AOAG graphs and then the AEG graphs of each of the three walks, in
+    walk order, at 1 to 3 iterations."""
+    for iterations in (1, 2, 3):
+        tasks = [(objects, [(graph, iterations) for graph in graphs[kind::2]])
+                 for objects, graphs in walk_tasks() for kind in (0, 1)]
+        check_sequences([tasks, tasks], BaseGraph())
