@@ -1,7 +1,8 @@
 """Command-line interface: solve, train, generate-data, report, gen, validate.
 
 Exit codes for solve: 0 solved, 1 unsolved or resource limits, 2 error. The
-LL_LOG environment variable sets the log level.
+LL_LOG environment variable sets the log level (a name such as INFO); at INFO
+a search logs each new best heuristic value and why it stopped.
 """
 
 from __future__ import annotations
@@ -23,9 +24,15 @@ log = logging.getLogger("pslift")
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("LL_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    """Log at the level LL_LOG names, or at WARNING, with a warning, if it
+    names none."""
+    value = os.environ.get("LL_LOG", "")
+    # a registered level name gives its number, anything else a string
+    level = logging.getLevelName(value.upper() or "WARNING")
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
+    if not isinstance(level, int):
+        log.warning("LL_LOG=%s is not a log level; logging at WARNING", value)
 
 
 def _make_heuristic(task, spec: str, space: str):
@@ -80,9 +87,11 @@ def cmd_solve(args) -> int:
         plan = result.plan
         # solved, unsolvable, or the limit that stopped the search
         reason = result.reason or result.status
+        best_h = result.best_h
     except Exception as exc:  # noqa: BLE001 - reported as an Error row
         log.error("search failed: %s", exc)
         outcome, stats, plan, reason = bench.ERROR, search.SearchStats(), None, "error"
+        best_h = []
 
     wall_s = time.monotonic() - started
     if args.stats_json:
@@ -92,6 +101,7 @@ def cmd_solve(args) -> int:
             "evaluations": stats.evaluations,
             "generated": stats.generated,
             "wall_s": wall_s,
+            "best_h": [best._asdict() for best in best_h],
         }, indent=1) + "\n")
     wall_ms = int(1000 * wall_s)
     record = bench.RunRecord(
@@ -259,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="plan file (default: stdout)")
     p.add_argument("--stats-csv", default=None)
     p.add_argument("--stats-json", default=None, metavar="PATH",
-                   help="write the counters, the stop reason and the wall seconds as JSON")
+                   help="write the counters, the stop reason, the wall seconds and each "
+                        "new best h as JSON")
     p.add_argument("--config-name", default=None)
     p.add_argument("--dump-datalog", action="store_true",
                    help="write the relaxation's rule program, which both search "

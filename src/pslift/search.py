@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import resource
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lifted import ROOT, GroundAction, PartialAction, _apply_effects, children, instantiations
 from .pddl import Task
@@ -54,12 +56,24 @@ class SearchStats:
         return self.generated / self.expansions if self.expansions else 0.0
 
 
+class BestH(NamedTuple):
+    """A new best heuristic value, and the expansions, evaluations and
+    seconds of the search at the evaluation that found it."""
+
+    h: float
+    expansions: int
+    evaluations: int
+    seconds: float
+
+
 @dataclass
 class SearchResult:
     status: str
     plan: list[PartialAction] | None
     stats: SearchStats
     reason: str = ""
+    # each new best h, strictly decreasing; the first is the root's
+    best_h: list[BestH] = field(default_factory=list)
 
     @property
     def solved(self) -> bool:
@@ -108,17 +122,20 @@ def _gbfs(task: Task, evaluate, expand, limits: Limits | None) -> SearchResult:
 
     Time is polled before every heuristic evaluation, since one evaluation
     can take longer than many expansions; memory every _LIMIT_CHECK_EVERY
-    expansions.
+    expansions. Each new best h is recorded, and logged at level INFO.
     """
     lim = limits or Limits()
     start = time.monotonic()
     stats = SearchStats(generated=1)
     open_heap: list = []
     counter = itertools.count()
+    best_h: list[BestH] = []
+    best = INF
+    log = logging.getLogger(__name__)
 
     def finish(status, plan=None, reason=""):
         stats.wall_time = time.monotonic() - start
-        return SearchResult(status, plan, stats, reason)
+        return SearchResult(status, plan, stats, reason, best_h)
 
     def time_up() -> bool:
         return lim.time_s is not None and time.monotonic() - start > lim.time_s
@@ -127,8 +144,15 @@ def _gbfs(task: Task, evaluate, expand, limits: Limits | None) -> SearchResult:
         """Evaluate and queue a node; False when time is up first."""
         if time_up():
             return False
+        nonlocal best
         hv = evaluate(node)
         stats.evaluations += 1
+        if hv < best:
+            best = hv
+            best_h.append(BestH(hv, stats.expansions, stats.evaluations,
+                                time.monotonic() - start))
+            log.info("New best heuristic value: %s [%d evaluated, %d expanded, t=%.3fs]",
+                     hv, stats.evaluations, stats.expansions, best_h[-1].seconds)
         if hv < INF:
             heapq.heappush(open_heap, (hv, next(counter), node))
         return True

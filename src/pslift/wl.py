@@ -233,8 +233,11 @@ def wl_features(graph: LabeledGraph, iterations: int, dictionary: ColorDictionar
     keys = base.keys
     levels = base.levels
 
+    # the slot of each fact vertex; a slot that the base lacks may still
+    # hold the ids of an older graph, but it is new, so it is dirty at every
+    # iteration and its ids are written before they are read
     fact_keys = list(zip(colors[n:], facts))
-    slots = list(map(slot.get, fact_keys))  # the slot of each fact vertex
+    slots = list(map(slot.get, fact_keys))
     if None in slots:
         for j, key in enumerate(fact_keys):
             if slots[j] is None:
@@ -256,8 +259,7 @@ def wl_features(graph: LabeledGraph, iterations: int, dictionary: ColorDictionar
         fresh = ()
         incident = base.incident
     else:
-        # no base: a graph with the same objects and no fact vertices, all of
-        # whose vertices are new
+        # no usable base: every vertex is new
         new = sorted(first, key=first.__getitem__)
         gone = ()
         added = slots

@@ -1,6 +1,9 @@
 import json
 import logging
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -227,8 +230,9 @@ class TestCli:
                            "--stats-csv", str(csv_file)])
         assert rc == 1
         assert read_records(str(csv_file))[0].outcome == "Unsolved"
-        assert [r.message for r in caplog.records
-                if r.levelno == logging.INFO] == ["search stopped: expansions limit reached"]
+        info = [r.message for r in caplog.records if r.levelno == logging.INFO]
+        assert info[-1] == "search stopped: expansions limit reached"
+        assert all(m.startswith("New best heuristic value: ") for m in info[:-1])
 
     @pytest.mark.parametrize("space", ["state", "partial"])
     @pytest.mark.parametrize("reason, flags, rc", [
@@ -255,7 +259,48 @@ class TestCli:
         assert (stats["expansions"], stats["evaluations"], stats["generated"]) == (
             record.stats.expansions, record.stats.evaluations, record.stats.generated)
         assert int(1000 * stats["wall_s"]) == record.wall_ms
-        assert sorted(stats) == ["evaluations", "expansions", "generated", "reason", "wall_s"]
+        assert sorted(stats) == ["best_h", "evaluations", "expansions", "generated", "reason",
+                                 "wall_s"]
+
+    @pytest.mark.parametrize("space", ["state", "partial"])
+    def test_stats_json_gives_the_best_h_trajectory(self, bw_files, tmp_path, caplog, space):
+        """Each new best h, strictly decreasing from the root's, with
+        counters that never fall, and one INFO line for each."""
+        domain, problem = bw_files
+        json_file = tmp_path / "stats.json"
+        with caplog.at_level(logging.INFO, logger="pslift"):
+            assert cli.main(["solve", str(domain), str(problem), "--search", space,
+                             "--stats-json", str(json_file),
+                             "--output", str(tmp_path / "p.plan")]) == 0
+        stats = json.loads(json_file.read_text())
+        best = stats["best_h"]
+        task = load_task(BW_DOMAIN_TEXT, BW2_TEXT)
+        root_h = (FFHeuristic(task)(task.initial_state) if space == "state"
+                  else RestrictedFFHeuristic(task)(task.initial_state, ROOT))
+        assert best[0]["h"] == root_h
+        assert (best[0]["expansions"], best[0]["evaluations"]) == (0, 1)
+        assert all(a["h"] > b["h"] for a, b in zip(best, best[1:]))
+        for key in ("expansions", "evaluations", "seconds"):
+            assert all(a[key] <= b[key] for a, b in zip(best, best[1:]))
+        assert best[-1]["evaluations"] <= stats["evaluations"]
+        lines = [r.message for r in caplog.records
+                 if r.message.startswith("New best heuristic value: ")]
+        assert len(lines) == len(best)
+        assert lines[0].startswith(f"New best heuristic value: {root_h} [1 evaluated, 0 expanded")
+
+    def test_solve_with_a_bad_log_level_warns_and_solves(self, bw_files, tmp_path):
+        """An LL_LOG value that names no level, even one that names another
+        attribute of `logging`, gives one warning and the default level."""
+        domain, problem = bw_files
+        env = dict(os.environ, LL_LOG="BASIC_FORMAT",
+                   PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "pslift.cli", "solve", str(domain),
+                               str(problem), "--output", str(tmp_path / "p.plan")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("LL_LOG=BASIC_FORMAT is not a log level") == 1
+        assert "New best heuristic value" not in done.stderr
 
     @pytest.mark.parametrize("space", ["state", "partial"])
     def test_solve_builds_the_datalog_program_of_its_space_only(self, bw_files, monkeypatch,
