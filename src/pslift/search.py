@@ -142,9 +142,9 @@ def _gbfs(task: Task, evaluate, expand, limits: Limits | None) -> SearchResult:
 
     def push(node: SearchNode) -> bool:
         """Evaluate and queue a node; False when time is up first."""
+        nonlocal best
         if time_up():
             return False
-        nonlocal best
         hv = evaluate(node)
         stats.evaluations += 1
         if hv < best:

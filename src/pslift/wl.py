@@ -182,15 +182,17 @@ class _Colors(dict):
 
 class BaseGraph:
     """What `wl_features` keeps of the last graph that one featurizer refined,
-    to refine the next one by difference (see the module docstring). Use one
-    per dictionary, as a memo.
+    to refine the next one by difference (see the module docstring). It
+    starts afresh when the dictionary, the object colors or the iteration
+    count change.
 
-    Every fact vertex (color, args) the featurizer has met has a slot, numbered
-    after the objects, so that a vertex keeps its slot while vertex indices
-    shift from graph to graph. `levels[t][slot]` is the color id of that
-    vertex at iteration t, `incident[u]` the (label, slot) pairs of the fact
-    vertices on object u, and `first` maps the slot of each fact vertex of
-    the last graph to its vertex index."""
+    Objects keep their vertex index as their slot. Every fact vertex
+    (color, args) met since has a slot after them, `keys[slot]`, so that it
+    keeps its slot while vertex indices shift from graph to graph.
+    `levels[t][slot]` is the color id of that vertex at iteration t,
+    `incident[u]` the (label, slot) pairs of the fact vertices on object u,
+    and `first` maps the slot of each fact vertex of the last graph to its
+    vertex index (None after a graph with repeated fact vertices)."""
 
     __slots__ = ("colors", "objects", "iterations", "slot", "keys", "levels", "incident",
                  "first")
