@@ -8,6 +8,7 @@ a search logs each new best heuristic value and why it stopped.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
@@ -228,10 +229,14 @@ def cmd_gen(args) -> int:
         raise ValueError(f"--count must be at least 1, not {args.count}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    takes = inspect.signature(generators.FAMILIES[args.family]).parameters
     params = {}
     for key in ("blocks", "goal_atoms", "stacks", "boxes", "marked", "cars", "locations"):
         value = getattr(args, key, None)
         if value is not None:
+            if key not in takes:
+                raise ValueError(f"--{key.replace('_', '-')} is not an option of family "
+                                 f"{args.family}")
             params[key] = value
     domain_text = None
     for i in range(args.count):
@@ -324,7 +329,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (PddlError, ranking.InvalidPlan, FileNotFoundError, ValueError) as exc:
+    # OSError: a missing file, or a directory where a file is expected
+    except (PddlError, ranking.InvalidPlan, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,16 @@ the graph exactly, its vertex order included, so nodes with equal keys have
 equal WL feature vectors, with the same key order, and equal learned
 heuristic values. `aoag` and `aeg` build a node's graph in one call.
 
+The key form. An atom's vertex and color follow from its tag, and its tag
+from the key: the builds color each atom by the same `tag_of` function of
+the key that WL reads in key form. `AOAG_ENCODING` and `AEG_ENCODING` give,
+besides the key and the build, a key's atoms and tags, the atoms whose tag
+may differ between two keys of one task, and the action vertices. A
+`KeyGraph` is a node's graph as its key alone; `wl` refines it by
+difference from the last key, and builds the explicit graph only if its
+`colors` or `args` are read. Effects come from `lifted.ground_effects`,
+grounded once per task, so a key computes no atom of an action twice.
+
 Color strings:
     ob{p,q}      object with static unary predicates p, q
     ag(P) ap(P) ug(P)     state/goal atom of predicate P
@@ -33,6 +43,8 @@ Color strings:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .lifted import (PartialAction, State, _apply_effects, ground_effects, instantiations,
                      n_applicable)
@@ -79,32 +91,68 @@ def _colors(task: Task, name: str) -> dict:
     return colors
 
 
-def _graph(task: Task, atom_ids, tag_of) -> LabeledGraph:
-    """The object vertices, then a vertex per atom by ascending id, colored
-    by its tag `tag_of(i)`. The task keeps each atom's argument object
-    vertices and tag -> color dict."""
-    table = task._info_cache.setdefault("@atom_vertices", {})
+class _AtomVertices(dict):
+    """Atom id -> (its argument object vertices, tag -> its color), made on
+    first use."""
+
+    def __init__(self, task: Task):
+        super().__init__()
+        self.task = task
+
+    def __missing__(self, i: int) -> tuple:
+        atom = self.task.atom(i)
+        index = self.task.object_index
+        entry = self[i] = (tuple(index[obj] for obj in atom.args), _colors(self.task, atom.pred))
+        return entry
+
+
+def atom_vertices(task: Task) -> _AtomVertices:
+    """The task's table of atom vertices."""
+    table = task._info_cache.get("@atom_vertices")
+    if table is None:
+        table = task._info_cache["@atom_vertices"] = _AtomVertices(task)
+    return table
+
+
+def action_vertex(task: Task, action: PartialAction) -> tuple:
+    """(color, argument object vertices) of an action vertex."""
     index = task.object_index
+    return _colors(task, action.schema.name)["act"], tuple(index[obj] for obj in action.args)
+
+
+def _graph(task: Task, atom_ids, tag_of, actions=()) -> LabeledGraph:
+    """The object vertices, then a vertex per atom by ascending id, colored
+    by its tag `tag_of(i)`, then a vertex per action, in order."""
+    table = atom_vertices(task)
     colors = list(object_colors(task))
     args = []
     for i in sorted(atom_ids):
-        entry = table.get(i)
-        if entry is None:
-            atom = task.atom(i)
-            entry = table[i] = (tuple(index[obj] for obj in atom.args), _colors(task, atom.pred))
+        entry = table[i]
         args.append(entry[0])
         colors.append(entry[1][tag_of(i)])
+    for action in actions:
+        color, action_args = action_vertex(task, action)
+        colors.append(color)
+        args.append(action_args)
     return LabeledGraph(colors, args)
+
+
+def _ilg_tags(task: Task, state: State):
+    """tag_of(i): the tag of atom i in the instance graph of state, colored by
+    goal membership; None for an atom that has no vertex there."""
+    goal = task.goal_fluent
+
+    def tag_of(i):
+        if i in state:
+            return "ag" if i in goal else "ap"
+        return "ug" if i in goal else None
+
+    return tag_of
 
 
 def ilg(task: Task, state: State) -> LabeledGraph:
     """Objects plus state and goal atoms, colored by goal membership."""
-    goal = task.goal_fluent
-
-    def tag_of(i):
-        return ("ag" if i in goal else "ap") if i in state else "ug"
-
-    return _graph(task, state | goal, tag_of)
+    return _graph(task, state | task.goal_fluent, _ilg_tags(task, state))
 
 
 @dataclass(frozen=True)
@@ -139,12 +187,7 @@ def effect_partition(task: Task, state: State, actions) -> tuple[EffectPartition
     if _covers_all_applicable(task, state, actions):
         return _NO_EFFECTS, state
 
-    adds = []
-    dels = []
-    for a in actions:
-        ga, gd = ground_effects(task, a)
-        adds.append(frozenset(ga))
-        dels.append(frozenset(gd))
+    adds, dels = zip(*(ground_effects(task, a) for a in actions))
     unav_add = frozenset.intersection(*adds)
     unav_del = frozenset.intersection(*dels)
     opt_add = frozenset.union(*adds) - unav_add
@@ -176,12 +219,7 @@ def aoag_graph(task: Task, key: tuple) -> LabeledGraph:
     """The AOAG graph of a key from `aoag_key`: the instance graph plus one
     vertex per action, linked to its arguments by position."""
     state, actions = key
-    graph = ilg(task, state)
-    index = task.object_index
-    for action in actions:
-        graph.colors.append(_colors(task, action.schema.name)["act"])
-        graph.args.append(tuple(index[obj] for obj in action.args))
-    return graph
+    return _graph(task, state | task.goal_fluent, _ilg_tags(task, state), actions)
 
 
 def aoag(task: Task, state: State, rho: PartialAction) -> LabeledGraph:
@@ -202,11 +240,11 @@ def aeg_key(task: Task, state: State, rho: PartialAction) -> tuple:
     return s_prime, part.opt_add, part.opt_del
 
 
-def aeg_graph(task: Task, key: tuple) -> LabeledGraph:
-    """The AEG graph of a key from `aeg_key`: the atoms of s', the goal and
-    the optional effects, colored (alpha, beta, P) where alpha classifies the
-    atom (optional-add > optional-delete > unachieved > achieved) and beta
-    records goal membership."""
+def _aeg_tags(task: Task, key: tuple):
+    """tag_of(i): the tag of atom i in the AEG graph of a key, None for an
+    atom that has no vertex there. The tag classifies the atom
+    (optional-add > optional-delete > unachieved > achieved) and records
+    goal membership."""
     s_prime, opt_add, opt_del = key
     goal = task.goal_fluent
 
@@ -221,12 +259,72 @@ def aeg_graph(task: Task, key: tuple) -> LabeledGraph:
             return "oa:ng"
         if i in opt_del:
             return "od:ng"
-        return "a:ng"
+        return "a:ng" if i in s_prime else None
 
-    return _graph(task, goal | s_prime | opt_add | opt_del, tag_of)
+    return tag_of
+
+
+def _aeg_atoms(task: Task, key: tuple) -> frozenset:
+    s_prime, opt_add, opt_del = key
+    return task.goal_fluent | s_prime | opt_add | opt_del
+
+
+def aeg_graph(task: Task, key: tuple) -> LabeledGraph:
+    """The AEG graph of a key from `aeg_key`: the atoms of s', the goal and
+    the optional effects, colored (alpha, beta, P) as `_aeg_tags` gives."""
+    return _graph(task, _aeg_atoms(task, key), _aeg_tags(task, key))
 
 
 def aeg(task: Task, state: State, rho: PartialAction) -> LabeledGraph:
     """Deep action embedding: the state after B's unavoidable effects, plus
     optional add/delete effect atoms (see `aeg_key` and `aeg_graph`)."""
     return aeg_graph(task, aeg_key(task, state, rho))
+
+
+class Encoding(NamedTuple):
+    """A graph kind, with what refinement by difference reads of its graph
+    keys: `key(task, state, rho)` gives a node's key and `build(task, key)`
+    its graph; for keys of one task, `atoms(task, key)` are the atoms with
+    a vertex, `tags(task, key)` maps an atom to its vertex's tag (None
+    without one), `changed(key, old)` holds every atom whose tag may differ
+    between the graphs of `old` and `key` (the goal is fixed per task), and
+    `actions(key)` are the action vertices, in vertex order."""
+
+    key: Callable
+    build: Callable
+    atoms: Callable
+    tags: Callable
+    changed: Callable
+    actions: Callable
+
+
+AOAG_ENCODING = Encoding(
+    aoag_key, aoag_graph,
+    atoms=lambda task, key: key[0] | task.goal_fluent,
+    tags=lambda task, key: _ilg_tags(task, key[0]),
+    changed=lambda key, old: key[0] ^ old[0],
+    actions=itemgetter(1))
+
+AEG_ENCODING = Encoding(
+    aeg_key, aeg_graph, _aeg_atoms, _aeg_tags,
+    changed=lambda key, old: (key[0] ^ old[0]) | (key[1] ^ old[1]) | (key[2] ^ old[2]),
+    actions=lambda key: ())
+
+
+class KeyGraph(NamedTuple):
+    """A node's graph in key form: the graph key `key` of `encoding` on
+    `task`. WL refinement reads the vertices that changed from the keys
+    (see `wl`); `colors` and `args` are those of `encoding.build(task,
+    key)`, built at each read."""
+
+    encoding: Encoding
+    task: Task
+    key: tuple
+
+    @property
+    def colors(self) -> list[str]:
+        return self.encoding.build(self.task, self.key).colors
+
+    @property
+    def args(self) -> list[tuple[int, ...]]:
+        return self.encoding.build(self.task, self.key).args

@@ -21,6 +21,16 @@ object declaration index: actions come in schema order, then
 lexicographically by declaration index, the order on which the search's
 counters and the restricted FF value depend. That one list fixes the state's
 partial action tree: a prefix's completions are a run of its parent's list.
+
+Effects. `ground_effects` grounds an action's add and delete atoms the
+first time the task asks for them and keeps the two frozensets in the
+task's cache under the action's (schema name, args) key; the schema name
+is part of the key because schemas such as pickup(x) and putdown(x) share
+their args. Applying an action, splitting B's effects and the AOAG key of a
+singleton B all read them from there. Atom ids are given in the order that
+atoms are first interned, and the first grounding of an action interns its
+atoms as every grounding did before the cache, while a cached one interns
+nothing that its first grounding did not; so the cache moves no atom id.
 """
 
 from __future__ import annotations
@@ -482,19 +492,24 @@ def is_applicable(task: Task, state: State, action: PartialAction) -> bool:
     return unsatisfied(task, state, action) is None
 
 
-def ground_effects(task: Task, action: PartialAction) -> tuple[list[int], list[int]]:
-    """Interned (add ids, delete ids) of a ground action."""
-    binding = dict(zip(action.schema.params, action.args))
-    adds = [task.intern(a.pred, tuple(binding.get(x, x) for x in a.args))
-            for a in action.schema.add]
-    dels = [task.intern(a.pred, tuple(binding.get(x, x) for x in a.args))
-            for a in action.schema.delete]
-    return adds, dels
+def ground_effects(task: Task, action: PartialAction) -> tuple[frozenset, frozenset]:
+    """Interned (add ids, delete ids) of a ground action, grounded once per
+    task (see the module docstring): the first call interns the adds and
+    then the deletes, each in schema order."""
+    effects = task._info_cache.get(action._key)
+    if effects is None:
+        binding = dict(zip(action.schema.params, action.args))
+        adds = [task.intern(a.pred, tuple(binding.get(x, x) for x in a.args))
+                for a in action.schema.add]
+        dels = [task.intern(a.pred, tuple(binding.get(x, x) for x in a.args))
+                for a in action.schema.delete]
+        effects = task._info_cache[action._key] = (frozenset(adds), frozenset(dels))
+    return effects
 
 
 def _apply_effects(task: Task, state: State, action: PartialAction) -> State:
     adds, dels = ground_effects(task, action)
-    return (state - frozenset(dels)) | frozenset(adds)
+    return (state - dels) | adds
 
 
 def apply(task: Task, state: State, action: PartialAction) -> State:

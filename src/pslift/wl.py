@@ -59,21 +59,40 @@ it. The counts are then rebuilt in one pass over the ids, in vertex order
 and iteration by iteration, so feature vectors keep the key order that
 `ranking.sparse_dot` sums in. Without a usable base (the first graph, a
 different object color list or iteration count, a graph with repeated fact
-vertices, or a caller that keeps none, as `phi`) every vertex is new, and the
-same loop does the full refinement.
+vertices, a change of form or task (below), or a caller that keeps none,
+as `phi`) every vertex is new, and the same loop does the full refinement.
+
+The key form. An explicit graph lists every vertex, so finding the few that
+changed means pairing all of them with their slots. A `graphs.KeyGraph`
+gives only a node's graph key, and its encoding says which atoms may have
+changed tag since the base's last key: the symmetric differences of the two
+keys' atom sets (the state for AOAG; s', opt_add and opt_del for AEG; the
+goal is fixed per task). Only those atoms and the action vertices, whose
+slots the base keeps by (schema name, args), are looked up. The atoms'
+slots come in ascending atom id from the base's atom -> slot map, then the
+actions' in B's order: the vertex order of `graphs`. From there the same
+refinement runs as for an explicit graph; only how new and gone fact
+vertices are found differs. A key means nothing without its task, and an
+atom's tags without its encoding, so a base restarts with a full
+refinement when the form (explicit or key), the task, the encoding or the
+dictionary changes; it is never diffed across them. A key-form graph
+builds its explicit graph only when `colors` or `args` is read, as tracers
+do.
 
 `phi` featurizes a node through the graph key and build of
-`graph_encoding`; `keyed_features` does so once per distinct graph key of a
-task, with one memo and one base for the task, for the learned heuristic,
-training and dataset export. `aoag` and `aeg` stay importable here because
-the benchmark's tracer wraps them by these names.
+`graph_encoding`, an explicit graph, as the reference; `keyed_features`
+does so in key form once per distinct graph key of a task, with one memo
+and one base for the task, for the learned heuristic, training and dataset
+export. `aoag` and `aeg` stay importable here because the benchmark's
+tracer wraps them by these names.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 
-from .graphs import LabeledGraph, aeg, aeg_graph, aeg_key, aoag, aoag_graph, aoag_key  # noqa: F401
+from .graphs import (AEG_ENCODING, AOAG_ENCODING, KeyGraph, LabeledGraph,  # noqa: F401
+                     action_vertex, aeg, aoag, atom_vertices, object_colors)
 
 AOAG = "aoag"
 AEG = "aeg"
@@ -183,26 +202,122 @@ class _Colors(dict):
 class BaseGraph:
     """What `wl_features` keeps of the last graph that one featurizer refined,
     to refine the next one by difference (see the module docstring). It
-    starts afresh when the dictionary, the object colors or the iteration
+    starts afresh when the graph's form (explicit, or key form and then its
+    task and encoding), the dictionary, the object colors or the iteration
     count change.
 
     Objects keep their vertex index as their slot. Every fact vertex
     (color, args) met since has a slot after them, `keys[slot]`, so that it
     keeps its slot while vertex indices shift from graph to graph.
-    `levels[t][slot]` is the color id of that vertex at iteration t,
-    `incident[u]` the (label, slot) pairs of the fact vertices on object u,
-    and `first` maps the slot of each fact vertex of the last graph to its
-    vertex index (None after a graph with repeated fact vertices)."""
+    `levels[t][slot]` is the color id of that vertex at iteration t, and
+    `incident[u]` the (label, slot) pairs of the fact vertices on object u.
+    Of an explicit graph, `first` maps the slot of each fact vertex to its
+    vertex index (None after a graph with repeated fact vertices). Of a
+    key-form graph, `key` and `tag_of` are its key and its tags,
+    `atom_slot` maps each of its atoms to its slot, `atom_order` lists
+    those slots by ascending atom id, `action_order` the slots of its
+    actions, and `action_slot` gives the slot of every action met since,
+    by its (schema name, args)."""
 
-    __slots__ = ("colors", "objects", "iterations", "slot", "keys", "levels", "incident",
-                 "first")
+    __slots__ = ("colors", "objects", "iterations", "task", "encoding", "slot", "keys",
+                 "levels", "incident", "first", "key", "tag_of", "atom_slot", "atom_order",
+                 "action_slot", "action_order")
 
     def __init__(self):
         self.colors = None
         self.objects = None
+        self.task = self.encoding = None
 
 
-def wl_features(graph: LabeledGraph, iterations: int, dictionary: ColorDictionary,
+def _slot_of(base: BaseGraph, vertex: tuple) -> int:
+    """The slot of fact vertex (color, args), given on first use."""
+    s = base.slot.get(vertex)
+    if s is None:
+        s = base.slot[vertex] = len(base.keys)
+        base.keys.append(vertex)
+    return s
+
+
+def _graph_vertices(graph: LabeledGraph, base: BaseGraph, n: int) -> tuple:
+    """(slots, first, new, gone) of an explicit graph: the slot of each fact
+    vertex, the first vertex index of each slot, the slots that the base's
+    last graph lacks, sorted by vertex index, and the slots that it had and
+    this graph lacks; gone is None if the base is of no use."""
+    facts = graph.args
+    size = n + len(facts)
+    # a slot that the base lacks may still hold the ids of an older graph,
+    # but it is new, so it is dirty at every iteration and its ids are
+    # written before they are read
+    fact_keys = list(zip(graph.colors[n:], facts))
+    slots = list(map(base.slot.get, fact_keys))
+    if None in slots:
+        for j, key in enumerate(fact_keys):
+            if slots[j] is None:
+                slots[j] = _slot_of(base, key)
+    # the first vertex of each slot: the last one written
+    first = dict(zip(reversed(slots), range(size - 1, n - 1, -1)))
+    old = base.first
+    base.first = first if len(first) == len(facts) else None
+    if old is None or base.first is None:
+        return slots, first, sorted(first, key=first.__getitem__), None
+    return (slots, first, sorted(first.keys() - old.keys(), key=first.__getitem__),
+            old.keys() - first.keys())
+
+
+def _no_tag(i):
+    return None
+
+
+def _key_vertices(graph: KeyGraph, base: BaseGraph, n: int) -> tuple:
+    """(slots, first, new, gone) of a key-form graph, as `_graph_vertices`
+    gives them, read from the keys: only the atoms of
+    `encoding.changed(key, base.key)` and the actions are looked up, and
+    the slots of the atoms come in ascending atom id from the base's map."""
+    task, key, encoding = graph.task, graph.key, graph.encoding
+    tag_of = encoding.tags(task, key)
+    restart = base.key is None
+    if restart:
+        changed, old_tag = encoding.atoms(task, key), _no_tag
+    else:
+        changed, old_tag = encoding.changed(key, base.key), base.tag_of
+    atom_slot = base.atom_slot
+    table = atom_vertices(task)
+    new, gone = [], []
+    for i in changed:
+        tag = tag_of(i)
+        was = old_tag(i)
+        if tag != was:
+            if was is not None:
+                gone.append(atom_slot.pop(i))
+            if tag is not None:
+                args, colors = table[i]
+                s = atom_slot[i] = _slot_of(base, (colors[tag], args))
+                new.append(s)
+    if new or gone:
+        base.atom_order = list(map(atom_slot.__getitem__, sorted(atom_slot)))
+
+    action_slot = base.action_slot
+    order = []
+    for action in encoding.actions(key):
+        s = action_slot.get(action._key)
+        if s is None:
+            s = action_slot[action._key] = _slot_of(base, action_vertex(task, action))
+        order.append(s)
+    old_order = base.action_order
+    if order != old_order:
+        now, old = set(order), set(old_order)
+        gone += [s for s in old_order if s not in now]
+        new += [s for s in order if s not in old]
+    base.action_order = order
+    base.key, base.tag_of = key, tag_of
+
+    slots = base.atom_order + order
+    first = dict(zip(slots, range(n, n + len(slots))))
+    new.sort(key=first.__getitem__)
+    return slots, first, new, None if restart else gone
+
+
+def wl_features(graph: LabeledGraph | KeyGraph, iterations: int, dictionary: ColorDictionary,
                 memo: dict | None = None, base: BaseGraph | None = None) -> FeatureVector:
     """Count colors of every vertex at iterations 0..L against the dictionary.
 
@@ -211,8 +326,9 @@ def wl_features(graph: LabeledGraph, iterations: int, dictionary: ColorDictionar
     the iteration-1 colors of fact vertices for the graph's task and this
     dictionary, and `base` what this call needs of the last graph refined
     with this dictionary, which the call replaces by `graph` (see the module
-    docstring); without them, the call has its own. Raises ValueError for
-    negative iterations.
+    docstring); without them, the call has its own. The graph is explicit,
+    or in key form, when the vertices that changed are read from the keys.
+    Raises ValueError for negative iterations.
     """
     if iterations < 0:
         raise ValueError(f"WL iterations must be at least 0, not {iterations}")
@@ -220,55 +336,42 @@ def wl_features(graph: LabeledGraph, iterations: int, dictionary: ColorDictionar
         memo = {}
     if base is None:
         base = BaseGraph()
-    colors = graph.colors
-    facts = graph.args
-    size = len(colors)
-    n = size - len(facts)
-    objects = colors[:n]
-    if (base.objects != objects or base.iterations != iterations
-            or base.colors.dictionary is not dictionary):
+    if isinstance(graph, KeyGraph):
+        task, encoding = graph.task, graph.encoding
+        objects = object_colors(task)
+    else:
+        task = encoding = None
+        objects = graph.colors[:len(graph.colors) - len(graph.args)]
+    n = len(objects)
+    if (base.task is not task or base.encoding is not encoding or base.objects != objects
+            or base.iterations != iterations or base.colors.dictionary is not dictionary):
         base.colors = _Colors(dictionary)
         base.objects, base.iterations = objects, iterations
+        base.task, base.encoding = task, encoding
         base.slot, base.keys, base.first = {}, [None] * n, None
         base.levels = [[] for _ in range(iterations + 1)]
-    slot = base.slot
+        base.key, base.atom_slot, base.atom_order = None, {}, []
+        base.action_slot, base.action_order = {}, []
+    if task is None:
+        slots, first, new, gone = _graph_vertices(graph, base, n)
+    else:
+        slots, first, new, gone = _key_vertices(graph, base, n)
     keys = base.keys
     levels = base.levels
-
-    # the slot of each fact vertex; a slot that the base lacks may still
-    # hold the ids of an older graph, but it is new, so it is dirty at every
-    # iteration and its ids are written before they are read
-    fact_keys = list(zip(colors[n:], facts))
-    slots = list(map(slot.get, fact_keys))
-    if None in slots:
-        for j, key in enumerate(fact_keys):
-            if slots[j] is None:
-                s = slot.get(key)
-                if s is None:
-                    s = slot[key] = len(keys)
-                    keys.append(key)
-                slots[j] = s
     for level in levels:
         level += repeat(None, len(keys) - len(level))
-    # the first vertex of each slot: the last one written
-    first = dict(zip(reversed(slots), range(size - 1, n - 1, -1)))
 
-    old = base.first
-    if old is not None and len(first) == len(facts):
-        new = sorted(first.keys() - old.keys(), key=first.__getitem__)
-        gone = old.keys() - first.keys()
-        added = new
-        fresh = ()
-        incident = base.incident
-    else:
+    if gone is None:
         # no usable base: every vertex is new
-        new = sorted(first, key=first.__getitem__)
         gone = ()
         added = slots
         fresh = range(n)
         incident = [[] for _ in range(n)]
+    else:
+        added = new
+        fresh = ()
+        incident = base.incident
     base.incident = incident
-    base.first = first if len(first) == len(facts) else None
 
     # objects whose incident fact vertices changed
     moved = set(fresh)
@@ -353,26 +456,34 @@ def phi(task, state, rho, graph_kind: str, iterations: int, dictionary: ColorDic
     return wl_features(build(task, key_of(task, state, rho)), iterations, dictionary, memo)
 
 
+def _encoding(graph_kind: str):
+    kind = graph_kind.lower()
+    if kind == AOAG:
+        return AOAG_ENCODING
+    if kind == AEG:
+        return AEG_ENCODING
+    raise ValueError(f"unknown graph kind: {graph_kind}")
+
+
 def graph_encoding(graph_kind: str):
     """(key, build) of AOAG or AEG: `key(task, state, rho)` gives a node's
     graph key and `build(task, key)` its graph, as `phi` would build it.
     Equal keys give equal graphs, vertex order included."""
-    kind = graph_kind.lower()
-    if kind == AOAG:
-        return aoag_key, aoag_graph
-    if kind == AEG:
-        return aeg_key, aeg_graph
-    raise ValueError(f"unknown graph kind: {graph_kind}")
+    encoding = _encoding(graph_kind)
+    return encoding.key, encoding.build
 
 
 def keyed_features(task, graph_kind: str, iterations: int, dictionary: ColorDictionary,
                    then=None):
     """(state, rho) -> the node's feature vector, or then(vector) if `then`
     is given, computed once per graph key of `graph_encoding` and cached, with
-    one WL memo and one base graph for the task. A key fixes the graph and its vertex order, so
-    a repeated key would give an equal vector with the same key order; in a
-    growing dictionary it would only meet colours that are already in it."""
-    key_of, build = graph_encoding(graph_kind)
+    one WL memo and one base graph for the task. A key fixes the graph and its
+    vertex order, so a repeated key would give an equal vector with the same
+    key order; in a growing dictionary it would only meet colours that are
+    already in it. Each new key is refined in key form, by difference from
+    the last one."""
+    encoding = _encoding(graph_kind)
+    key_of = encoding.key
     values: dict = {}
     memo: dict = {}
     base = BaseGraph()
@@ -383,7 +494,7 @@ def keyed_features(task, graph_kind: str, iterations: int, dictionary: ColorDict
         if value is None:
             # a module global looked up at each call, so that tracers that
             # wrap `wl_features` see every refinement
-            value = wl_features(build(task, key), iterations, dictionary, memo, base)
+            value = wl_features(KeyGraph(encoding, task, key), iterations, dictionary, memo, base)
             if then is not None:
                 value = then(value)
             values[key] = value

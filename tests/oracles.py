@@ -90,6 +90,16 @@ def oracle_apply(task: Task, state_keys, schema, args) -> frozenset:
     return frozenset((state_keys - dels) | adds)
 
 
+def ground_effects(task: Task, action) -> tuple[frozenset, frozenset]:
+    """(add ids, delete ids) of a ground action, grounded afresh at each
+    call: its add atoms and then its delete atoms are interned, each in
+    schema order."""
+    schema = action.schema
+    adds = [task.intern(*key) for key in ground_atoms(task, schema, action.args, schema.add)]
+    dels = [task.intern(*key) for key in ground_atoms(task, schema, action.args, schema.delete)]
+    return frozenset(adds), frozenset(dels)
+
+
 def bfs_plan(task: Task, max_states: int = 200_000):
     """Blind breadth-first search; returns an optimal plan or None."""
     statics = static_keys(task)

@@ -406,6 +406,33 @@ class TestCli:
         assert err.startswith("error:") and "Traceback" not in err
         assert f"{name} must be at least {minimum}" in err
 
+    @pytest.mark.parametrize("family,flag", [
+        ("blocksworld-large", "--stacks"),
+        ("ferry-like", "--blocks"),
+    ])
+    def test_gen_flag_of_another_family_exits_2(self, tmp_path, capsys, family, flag):
+        out = tmp_path / "inst"
+        rc = cli.main(["gen", family, "--out", str(out), flag, "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert flag in err and family in err
+        assert not list(out.glob("*.pddl"))
+
+    @pytest.mark.parametrize("command", ["solve-domain", "solve-problem", "validate", "report"])
+    def test_directory_for_a_file_exits_2(self, bw_files, tmp_path, capsys, command):
+        domain, problem = bw_files
+        plan = tmp_path / "p.plan"
+        plan.write_text("(pickup a)\n")
+        argv = {"solve-domain": ["solve", str(tmp_path), str(problem)],
+                "solve-problem": ["solve", str(domain), str(tmp_path)],
+                "validate": ["validate", str(domain), str(problem), str(tmp_path)],
+                "report": ["report", str(tmp_path), "--out", str(tmp_path / "report")]}
+        rc = cli.main(argv[command])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("flag,value", [
         ("--time-limit", "-1"),
         ("--time-limit", "nan"),

@@ -11,6 +11,7 @@ from pslift.lifted import (
     apply,
     children,
     decompose,
+    ground_effects,
     instantiations,
     is_applicable,
 )
@@ -288,3 +289,56 @@ class TestOneJoinPerState:
                 frontier.extend(children(task, state, rho))
             lifted.n_applicable(task, state)
             assert sorted(joined) == sorted(s.name for s in task.schemas)
+
+
+def effects_walk(task, ground, rng, steps=30):
+    """Ground the effects of every applicable action at each state of a
+    random walk, in the order of `instantiations`, with `ground(task,
+    action)`, and take one of them; returns [(action key, effects)]."""
+    seen = []
+    state = task.initial_state
+    for _ in range(steps):
+        actions = list(instantiations(task, state, ROOT))
+        for action in actions:
+            seen.append(((action.name, action.args), ground(task, action)))
+        adds, dels = ground(task, rng.choice(actions))
+        state = (state - dels) | adds
+    return seen
+
+
+class TestEffectsCache:
+    """`ground_effects` grounds an action once per task, under its (schema
+    name, args) key, and interns its atoms as an uncached grounding does."""
+
+    @pytest.mark.parametrize("family,params,seed", SMALL_TASKS)
+    def test_cached_effects_match_the_oracle(self, family, params, seed):
+        task = generate_task(family, seed=seed, **params)
+        for _ in range(2):  # the second walk reads the cache
+            for (name, args), effects in effects_walk(task, ground_effects, random.Random(seed)):
+                action = PartialAction(task.schema(name), args)
+                assert effects == oracles.ground_effects(task, action)
+
+    def test_schemas_with_equal_args_keep_their_effects(self):
+        """pickup(x) and putdown(x) have the same args."""
+        task = generate_task("blocksworld", seed=4, blocks=4)
+        keys = {key for key, _ in effects_walk(task, ground_effects, random.Random(4))}
+        both = {args for name, args in keys if name == "pickup"} & {
+            args for name, args in keys if name == "putdown"}
+        assert both
+        for args in both:
+            pickup = ground_effects(task, PartialAction(task.schema("pickup"), args))
+            putdown = ground_effects(task, PartialAction(task.schema("putdown"), args))
+            assert pickup != putdown
+            assert pickup == (putdown[1], putdown[0])
+
+    @pytest.mark.parametrize("family,params,seed", SMALL_TASKS)
+    def test_walks_intern_the_atoms_of_uncached_grounding(self, family, params, seed):
+        """A walk interns the same atoms under the same ids as the same walk
+        grounded by the oracle, which interns as the uncached grounding did."""
+        cached = generate_task(family, seed=seed, **params)
+        plain = generate_task(family, seed=seed, **params)
+        walks = [effects_walk(task, ground, random.Random(seed))
+                 for task, ground in ((cached, ground_effects), (plain, oracles.ground_effects))]
+        assert walks[0] == walks[1]
+        assert [cached.atom(i) for i in range(len(cached._atoms))] == [
+            plain.atom(i) for i in range(len(plain._atoms))]

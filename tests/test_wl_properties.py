@@ -7,9 +7,11 @@ order), and the two dictionaries list the same keys with the same indices.
 Each task's graphs run through one first-refinement memo. A random task is a
 list of object colors that all its graphs share, as a planning task's
 objects do. After every call, each memo entry must name the dictionary's id
-of the refined key that it stands for. The last two tests pass sequences of
+of the refined key that it stands for. The later tests pass sequences of
 graphs through one base graph as well, so that each graph is refined by
-difference from the one before."""
+difference from the one before: explicit graphs, and graphs in key form
+(`graphs.KeyGraph`), whose changed vertices are read from their graph keys.
+A key-form graph must also give the vector of its explicit graph."""
 
 import functools
 import random
@@ -21,8 +23,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from pslift.generators import generate_task  # noqa: E402
-from pslift.graphs import LabeledGraph, aeg, aoag, object_colors  # noqa: E402
-from pslift.lifted import ROOT, PartialAction, _apply_effects, instantiations  # noqa: E402
+from pslift.graphs import (AEG_ENCODING, AOAG_ENCODING, KeyGraph, LabeledGraph,  # noqa: E402
+                           aeg, aoag, object_colors)
+from pslift.lifted import (ROOT, PartialAction, _apply_effects, children,  # noqa: E402
+                           instantiations)
 from pslift.wl import BaseGraph, ColorDictionary, wl_features  # noqa: E402
 
 import oracles  # noqa: E402
@@ -74,6 +78,43 @@ def walk_tasks() -> tuple:
             state = _apply_effects(task, state, action)
         tasks.append((list(object_colors(task)), graphs))
     return tuple(tasks)
+
+
+# two blocksworld tasks with the same object colors, so that a base trusted
+# across tasks would diff one task's keys against the other's
+_KEY_TASKS = [("blocksworld", dict(blocks=4), 0), ("blocksworld", dict(blocks=4), 1),
+              ("ferry-like", dict(cars=2, locations=3), 0),
+              ("warehouse-like", dict(stacks=3, boxes=4, marked=1), 0)]
+
+
+@functools.cache
+def key_walks() -> tuple:
+    """(task, graphs) per task, encoding and search space: the key-form
+    graphs of the nodes that a search would evaluate along a random walk, in
+    that order. In the state space, these are the successors of each state
+    of the walk; in the partial space, the nodes of each state's partial
+    action tree, level by level, so that siblings follow each other."""
+    walks = []
+    for family, params, seed in _KEY_TASKS:
+        task = generate_task(family, seed=seed, **params)
+        for encoding in (AOAG_ENCODING, AEG_ENCODING):
+            for space in ("state", "partial"):
+                rng = random.Random(seed)
+                state = task.initial_state
+                keys = []
+                for _ in range(8):
+                    actions = list(instantiations(task, state, ROOT))
+                    if space == "state":
+                        keys += [encoding.key(task, _apply_effects(task, state, action), ROOT)
+                                 for action in actions]
+                    else:
+                        level = [ROOT]
+                        while level:
+                            keys += [encoding.key(task, state, rho) for rho in level]
+                            level = [child for rho in level for child in children(task, state, rho)]
+                    state = _apply_effects(task, state, rng.choice(actions))
+                walks.append((task, [KeyGraph(encoding, task, key) for key in keys]))
+    return tuple(walks)
 
 
 def draw_tasks(data, count: int) -> list:
@@ -175,20 +216,70 @@ def draw_sequences(data, count: int) -> list:
     return tasks
 
 
+_TOGGLES = st.lists(st.tuples(_PICK, _PICK), min_size=1, max_size=8)
+
+
+def toggled(graph: KeyGraph, pool: list, toggles) -> list:
+    """Key-form graphs of `graph`'s key after each of a run of toggles, each
+    of which adds an atom of `pool` to one of the key's atom sets, or drops
+    it from there, so that atoms leave and enter alone too."""
+    key = graph.key
+    graphs = []
+    for at, pick in toggles:
+        parts = [k for k, part in enumerate(key) if isinstance(part, frozenset)]
+        k = parts[pick % len(parts)]
+        key = key[:k] + (key[k] ^ {pool[at % len(pool)]},) + key[k + 1:]
+        graphs.append(KeyGraph(graph.encoding, graph.task, key))
+    return graphs
+
+
+def draw_key_sequences(data, count: int) -> list:
+    """`count` tasks, each (object colors, [(graph, iterations), ...]): a run
+    of consecutive nodes of a key walk, or a node of one and the keys of
+    toggling atoms in it, each node in key form or, one time in four, as
+    its explicit graph."""
+    tasks = []
+    for _ in range(count):
+        iterations = data.draw(st.integers(0, 3))
+        task, graphs = key_walks()[data.draw(_PICK) % len(key_walks())]
+        start = data.draw(_PICK) % len(graphs)
+        if data.draw(st.booleans()):
+            run = graphs[start:start + data.draw(st.integers(1, 12))]
+        else:
+            pool = sorted(frozenset().union(*(part for graph in graphs for part in graph.key
+                                              if isinstance(part, frozenset))))
+            run = [graphs[start]] + toggled(graphs[start], pool, data.draw(_TOGGLES))
+        forms = data.draw(st.lists(st.integers(0, 3), min_size=len(run), max_size=len(run)))
+        tasks.append((list(object_colors(task)),
+                      [(graph if keyed else graph.encoding.build(task, graph.key), iterations)
+                       for graph, keyed in zip(run, forms)]))
+    return tasks
+
+
 def check_sequences(phases, base) -> None:
     """Each phase's tasks through one memo per task and the one `base`,
     against the string-key oracle, first with a growing and then with a
-    frozen dictionary."""
+    frozen dictionary. A key-form graph is checked against its explicit
+    graph, which must then give the same vector without memo or base and
+    add nothing to the dictionary."""
     dictionary, oracle = ColorDictionary(), ColorDictionary()
     memos = [{} for _ in phases[-1]]
     for phase in phases:
         for (objects, sequence), memo in zip(phase, memos):
             for graph, iterations in sequence:
                 fv = wl_features(graph, iterations, dictionary, memo, base)
+                keyed = isinstance(graph, KeyGraph)
+                if keyed:
+                    graph = graph.encoding.build(graph.task, graph.key)
                 assert list(fv.items()) == list(
                     oracles.string_wl_features(graph, iterations, oracle).items())
                 assert list(dictionary.items()) == list(oracle.items())
                 check_memo(memo, objects, dictionary)
+                if keyed:
+                    size = len(dictionary)
+                    assert list(wl_features(graph, iterations, dictionary).items()) == list(
+                        fv.items())
+                    assert len(dictionary) == size
         dictionary.freeze()
         oracle.freeze()
 
@@ -210,3 +301,57 @@ def test_refinement_by_difference_on_whole_walks():
         tasks = [(objects, [(graph, iterations) for graph in graphs[kind::2]])
                  for objects, graphs in walk_tasks() for kind in (0, 1)]
         check_sequences([tasks, tasks], BaseGraph())
+
+
+# Refinement by difference in key form.
+
+@settings(SETTINGS)
+@given(st.data())
+def test_key_form_matches_explicit_graphs_and_string_keys(data):
+    """Runs of key walks in both spaces and encodings, some nodes given as
+    explicit graphs, with explicit sequences between them, through one
+    base shared by every task."""
+    grown = draw_key_sequences(data, data.draw(st.integers(1, 3)))
+    grown += draw_sequences(data, data.draw(st.integers(0, 1)))
+    check_sequences([grown, grown + draw_key_sequences(data, 2)], BaseGraph())
+
+
+def test_key_form_on_whole_walks():
+    """Every key walk in its order, at 2 and 3 iterations."""
+    for iterations in (2, 3):
+        tasks = [(list(object_colors(task)), [(graph, iterations) for graph in graphs])
+                 for task, graphs in key_walks()]
+        check_sequences([tasks, tasks], BaseGraph())
+
+
+def test_one_base_across_forms_tasks_and_encodings():
+    """One base fed an explicit graph, then key-form graphs, then explicit
+    ones, then the key-form graphs of another task with the same object
+    colors, and of another encoding, restarts at each change."""
+    walks = key_walks()
+    (task, aoag_state), (_, aoag_partial), (_, aeg_state) = walks[0], walks[1], walks[2]
+    other, other_aoag = walks[4]
+    assert other is not task and object_colors(other) == object_colors(task)
+    explicit = [(graph.encoding.build(task, graph.key), 2) for graph in aoag_partial[10:13]]
+    sequence = (explicit[:1] + [(graph, 2) for graph in aoag_partial[1:5]] + explicit[1:]
+                + [(graph, 2) for graph in aoag_state[3:6] + aeg_state[3:6] + aoag_partial[5:8]])
+    objects = list(object_colors(task))
+    tasks = [(objects, sequence), (objects, [(graph, 2) for graph in other_aoag[3:6]]),
+             (objects, sequence)]
+    check_sequences([tasks, tasks], BaseGraph())
+
+
+def test_key_walks_cover_the_cases():
+    """The key walks hold AOAG nodes with more than one action, AEG nodes
+    with optional effects, and consecutive keys where a goal atom leaves the
+    state (its vertex goes from `ag` to `ug`)."""
+    many_actions = optional = goal_left = 0
+    for task, graphs in key_walks():
+        keys = [graph.key for graph in graphs]
+        if graphs[0].encoding is AOAG_ENCODING:
+            many_actions += sum(len(key[1]) > 1 for key in keys)
+        else:
+            optional += sum(bool(key[1] or key[2]) for key in keys)
+        goal_left += sum(bool((old[0] - key[0]) & task.goal_fluent)
+                         for old, key in zip(keys, keys[1:]))
+    assert many_actions and optional and goal_left
