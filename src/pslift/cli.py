@@ -227,8 +227,6 @@ def cmd_report(args) -> int:
 def cmd_gen(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, not {args.count}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     takes = inspect.signature(generators.FAMILIES[args.family]).parameters
     params = {}
     for key in ("blocks", "goal_atoms", "stacks", "boxes", "marked", "cars", "locations"):
@@ -238,6 +236,8 @@ def cmd_gen(args) -> int:
                 raise ValueError(f"--{key.replace('_', '-')} is not an option of family "
                                  f"{args.family}")
             params[key] = value
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     domain_text = None
     for i in range(args.count):
         domain_text, problem = generators.generate(args.family, seed=args.seed + i, **params)

@@ -24,14 +24,15 @@ equal WL feature vectors, with the same key order, and equal learned
 heuristic values. `aoag` and `aeg` build a node's graph in one call.
 
 The key form. An atom's vertex and color follow from its tag, and its tag
-from the key: the builds color each atom by the same `tag_of` function of
-the key that WL reads in key form. `AOAG_ENCODING` and `AEG_ENCODING` give,
-besides the key and the build, a key's atoms and tags, the atoms whose tag
-may differ between two keys of one task, and the action vertices. A
-`KeyGraph` is a node's graph as its key alone; `wl` refines it by
-difference from the last key, and builds the explicit graph only if its
-`colors` or `args` are read. Effects come from `lifted.ground_effects`,
-grounded once per task, so a key computes no atom of an action twice.
+from the key: the builds take the atoms and their tags from the same
+functions of the key that WL reads in key form. `AOAG_ENCODING` and
+`AEG_ENCODING` give, besides the key and the build, a key's atoms and tags,
+the atoms whose tag may differ between two keys of one task, and the action
+vertices. A `KeyGraph` is a node's graph as its key alone; `wl` refines it
+by difference from the last key, and builds the explicit graph once, and
+only if its `colors` or `args` are read. Effects come from
+`lifted.ground_effects`, grounded once per task, so a key computes no atom
+of an action twice.
 
 Color strings:
     ob{p,q}      object with static unary predicates p, q
@@ -137,9 +138,14 @@ def _graph(task: Task, atom_ids, tag_of, actions=()) -> LabeledGraph:
     return LabeledGraph(colors, args)
 
 
-def _ilg_tags(task: Task, state: State):
-    """tag_of(i): the tag of atom i in the instance graph of state, colored by
-    goal membership; None for an atom that has no vertex there."""
+def _aoag_atoms(task: Task, key: tuple) -> frozenset:
+    return key[0] | task.goal_fluent
+
+
+def _aoag_tags(task: Task, key: tuple):
+    """tag_of(i): the tag of atom i in the instance graph of the key's state,
+    colored by goal membership; None for an atom that has no vertex there."""
+    state = key[0]
     goal = task.goal_fluent
 
     def tag_of(i):
@@ -151,8 +157,9 @@ def _ilg_tags(task: Task, state: State):
 
 
 def ilg(task: Task, state: State) -> LabeledGraph:
-    """Objects plus state and goal atoms, colored by goal membership."""
-    return _graph(task, state | task.goal_fluent, _ilg_tags(task, state))
+    """Objects plus state and goal atoms, colored by goal membership: the
+    AOAG graph without action vertices."""
+    return aoag_graph(task, (state, ()))
 
 
 @dataclass(frozen=True)
@@ -218,8 +225,7 @@ def aoag_key(task: Task, state: State, rho: PartialAction) -> tuple:
 def aoag_graph(task: Task, key: tuple) -> LabeledGraph:
     """The AOAG graph of a key from `aoag_key`: the instance graph plus one
     vertex per action, linked to its arguments by position."""
-    state, actions = key
-    return _graph(task, state | task.goal_fluent, _ilg_tags(task, state), actions)
+    return _graph(task, _aoag_atoms(task, key), _aoag_tags(task, key), key[1])
 
 
 def aoag(task: Task, state: State, rho: PartialAction) -> LabeledGraph:
@@ -299,9 +305,7 @@ class Encoding(NamedTuple):
 
 
 AOAG_ENCODING = Encoding(
-    aoag_key, aoag_graph,
-    atoms=lambda task, key: key[0] | task.goal_fluent,
-    tags=lambda task, key: _ilg_tags(task, key[0]),
+    aoag_key, aoag_graph, _aoag_atoms, _aoag_tags,
     changed=lambda key, old: key[0] ^ old[0],
     actions=itemgetter(1))
 
@@ -311,20 +315,27 @@ AEG_ENCODING = Encoding(
     actions=lambda key: ())
 
 
-class KeyGraph(NamedTuple):
+class KeyGraph:
     """A node's graph in key form: the graph key `key` of `encoding` on
     `task`. WL refinement reads the vertices that changed from the keys
     (see `wl`); `colors` and `args` are those of `encoding.build(task,
-    key)`, built at each read."""
+    key)`, built on the first read."""
 
-    encoding: Encoding
-    task: Task
-    key: tuple
+    __slots__ = ("encoding", "task", "key", "_graph")
+
+    def __init__(self, encoding: Encoding, task: Task, key: tuple):
+        self.encoding, self.task, self.key = encoding, task, key
+        self._graph = None
+
+    def graph(self) -> LabeledGraph:
+        if self._graph is None:
+            self._graph = self.encoding.build(self.task, self.key)
+        return self._graph
 
     @property
     def colors(self) -> list[str]:
-        return self.encoding.build(self.task, self.key).colors
+        return self.graph().colors
 
     @property
     def args(self) -> list[tuple[int, ...]]:
-        return self.encoding.build(self.task, self.key).args
+        return self.graph().args

@@ -37,10 +37,11 @@ the counts.
 
 Refinement by difference. A vertex's color after t iterations depends only
 on its t-hop neighborhood, and consecutive graphs of one search differ in a
-few atoms. So `wl_features` refines a graph by difference from the last
-graph that the same featurizer refined, its `BaseGraph`, which keeps that
-graph's color id of every vertex at every iteration. Objects are matched by
-vertex index, fact vertices by (color, args), since their indices shift.
+few atoms. So `wl_features` refines a graph in key form (below) by
+difference from the last one that the same featurizer refined, its
+`BaseGraph`, which keeps that graph's color id of every vertex at every
+iteration. Objects are matched by vertex index, fact vertices by (color,
+args), since their indices shift.
 Iteration 0 takes its ids from a table of initial colors kept in the base.
 At each later iteration a vertex is recomputed only if it is dirty:
 - it is a fact vertex that the base lacks;
@@ -57,13 +58,14 @@ lookup would add nothing; the dirty vertices are looked up in vertex order
 new key is first met at the vertex where the full refinement first meets
 it. The counts are then rebuilt in one pass over the ids, in vertex order
 and iteration by iteration, so feature vectors keep the key order that
-`ranking.sparse_dot` sums in. Without a usable base (the first graph, a
-different object color list or iteration count, a graph with repeated fact
-vertices, a change of form or task (below), or a caller that keeps none,
-as `phi`) every vertex is new, and the same loop does the full refinement.
+`ranking.sparse_dot` sums in. Without a usable base (an explicit graph,
+the first key, a different object color list or iteration count, a change
+of task (below), or a caller that keeps none, as `phi`) every vertex is new,
+and the same loop does the full refinement.
 
 The key form. An explicit graph lists every vertex, so finding the few that
-changed means pairing all of them with their slots. A `graphs.KeyGraph`
+changed would mean pairing all of them with their slots; it is always
+refined in full, and stays the reference. A `graphs.KeyGraph`
 gives only a node's graph key, and its encoding says which atoms may have
 changed tag since the base's last key: the symmetric differences of the two
 keys' atom sets (the state for AOAG; s', opt_add and opt_del for AEG; the
@@ -71,15 +73,15 @@ goal is fixed per task). Only those atoms and the action vertices, whose
 slots the base keeps by (schema name, args), are looked up. The atoms'
 slots come in ascending atom id from the base's atom -> slot map, then the
 actions' in B's order: the vertex order of `graphs`. From there the same
-refinement runs as for an explicit graph; only how new and gone fact
+refinement runs as for an explicit graph; only how the new and gone fact
 vertices are found differs. A key means nothing without its task, and an
 atom's tags without its encoding, so a base restarts with a full
 refinement when the form (explicit or key), the task, the encoding or the
 dictionary changes; it is never diffed across them. A key-form graph
-builds its explicit graph only when `colors` or `args` is read, as tracers
-do.
+builds its explicit graph once, and only if `colors` or `args` is read, as
+tracers do.
 
-`phi` featurizes a node through the graph key and build of
+`phi` featurizes a node through the key and build of its
 `graph_encoding`, an explicit graph, as the reference; `keyed_features`
 does so in key form once per distinct graph key of a task, with one memo
 and one base for the task, for the learned heuristic, training and dataset
@@ -91,8 +93,8 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .graphs import (AEG_ENCODING, AOAG_ENCODING, KeyGraph, LabeledGraph,  # noqa: F401
-                     action_vertex, aeg, aoag, atom_vertices, object_colors)
+from .graphs import (AEG_ENCODING, AOAG_ENCODING, Encoding, KeyGraph,  # noqa: F401
+                     LabeledGraph, action_vertex, aeg, aoag, atom_vertices, object_colors)
 
 AOAG = "aoag"
 AEG = "aeg"
@@ -211,16 +213,14 @@ class BaseGraph:
     keeps its slot while vertex indices shift from graph to graph.
     `levels[t][slot]` is the color id of that vertex at iteration t, and
     `incident[u]` the (label, slot) pairs of the fact vertices on object u.
-    Of an explicit graph, `first` maps the slot of each fact vertex to its
-    vertex index (None after a graph with repeated fact vertices). Of a
-    key-form graph, `key` and `tag_of` are its key and its tags,
+    Of a key-form graph, `key` and `tag_of` are its key and its tags,
     `atom_slot` maps each of its atoms to its slot, `atom_order` lists
     those slots by ascending atom id, `action_order` the slots of its
     actions, and `action_slot` gives the slot of every action met since,
     by its (schema name, args)."""
 
     __slots__ = ("colors", "objects", "iterations", "task", "encoding", "slot", "keys",
-                 "levels", "incident", "first", "key", "tag_of", "atom_slot", "atom_order",
+                 "levels", "incident", "key", "tag_of", "atom_slot", "atom_order",
                  "action_slot", "action_order")
 
     def __init__(self):
@@ -240,28 +240,13 @@ def _slot_of(base: BaseGraph, vertex: tuple) -> int:
 
 def _graph_vertices(graph: LabeledGraph, base: BaseGraph, n: int) -> tuple:
     """(slots, first, new, gone) of an explicit graph: the slot of each fact
-    vertex, the first vertex index of each slot, the slots that the base's
-    last graph lacks, sorted by vertex index, and the slots that it had and
-    this graph lacks; gone is None if the base is of no use."""
-    facts = graph.args
-    size = n + len(facts)
-    # a slot that the base lacks may still hold the ids of an older graph,
-    # but it is new, so it is dirty at every iteration and its ids are
-    # written before they are read
-    fact_keys = list(zip(graph.colors[n:], facts))
-    slots = list(map(base.slot.get, fact_keys))
-    if None in slots:
-        for j, key in enumerate(fact_keys):
-            if slots[j] is None:
-                slots[j] = _slot_of(base, key)
-    # the first vertex of each slot: the last one written
-    first = dict(zip(reversed(slots), range(size - 1, n - 1, -1)))
-    old = base.first
-    base.first = first if len(first) == len(facts) else None
-    if old is None or base.first is None:
-        return slots, first, sorted(first, key=first.__getitem__), None
-    return (slots, first, sorted(first.keys() - old.keys(), key=first.__getitem__),
-            old.keys() - first.keys())
+    vertex, the first vertex index of each slot, every slot in that order,
+    and None, since an explicit graph is always refined in full."""
+    slots = [_slot_of(base, key) for key in zip(graph.colors[n:], graph.args)]
+    first: dict = {}
+    for v, s in enumerate(slots, n):
+        first.setdefault(s, v)
+    return slots, first, list(first), None
 
 
 def _no_tag(i):
@@ -270,9 +255,12 @@ def _no_tag(i):
 
 def _key_vertices(graph: KeyGraph, base: BaseGraph, n: int) -> tuple:
     """(slots, first, new, gone) of a key-form graph, as `_graph_vertices`
-    gives them, read from the keys: only the atoms of
-    `encoding.changed(key, base.key)` and the actions are looked up, and
-    the slots of the atoms come in ascending atom id from the base's map."""
+    gives them, but by difference from the base's last key: `new` holds the
+    slots that the last graph lacks, sorted by vertex index, and `gone` the
+    slots that it had and this graph lacks, or is None on a restart. Only
+    the atoms of `encoding.changed(key, base.key)` and the actions are
+    looked up, and the slots of the atoms come in ascending atom id from
+    the base's map."""
     task, key, encoding = graph.task, graph.key, graph.encoding
     tag_of = encoding.tags(task, key)
     restart = base.key is None
@@ -348,7 +336,7 @@ def wl_features(graph: LabeledGraph | KeyGraph, iterations: int, dictionary: Col
         base.colors = _Colors(dictionary)
         base.objects, base.iterations = objects, iterations
         base.task, base.encoding = task, encoding
-        base.slot, base.keys, base.first = {}, [None] * n, None
+        base.slot, base.keys = {}, [None] * n
         base.levels = [[] for _ in range(iterations + 1)]
         base.key, base.atom_slot, base.atom_order = None, {}, []
         base.action_slot, base.action_order = {}, []
@@ -452,25 +440,22 @@ def phi(task, state, rho, graph_kind: str, iterations: int, dictionary: ColorDic
         memo: dict | None = None) -> FeatureVector:
     """Feature vector of a (state, partial action) pair through AOAG or AEG.
     `memo` is as in `wl_features`: one per task and dictionary, or none."""
-    key_of, build = graph_encoding(graph_kind)
-    return wl_features(build(task, key_of(task, state, rho)), iterations, dictionary, memo)
+    encoding = graph_encoding(graph_kind)
+    return wl_features(encoding.build(task, encoding.key(task, state, rho)), iterations,
+                       dictionary, memo)
 
 
-def _encoding(graph_kind: str):
+def graph_encoding(graph_kind: str) -> Encoding:
+    """The `graphs.Encoding` of AOAG or AEG: `key(task, state, rho)` gives a
+    node's graph key and `build(task, key)` its graph, as `phi` builds it.
+    Equal keys give equal graphs, vertex order included. Raises ValueError
+    for another kind."""
     kind = graph_kind.lower()
     if kind == AOAG:
         return AOAG_ENCODING
     if kind == AEG:
         return AEG_ENCODING
     raise ValueError(f"unknown graph kind: {graph_kind}")
-
-
-def graph_encoding(graph_kind: str):
-    """(key, build) of AOAG or AEG: `key(task, state, rho)` gives a node's
-    graph key and `build(task, key)` its graph, as `phi` would build it.
-    Equal keys give equal graphs, vertex order included."""
-    encoding = _encoding(graph_kind)
-    return encoding.key, encoding.build
 
 
 def keyed_features(task, graph_kind: str, iterations: int, dictionary: ColorDictionary,
@@ -482,7 +467,7 @@ def keyed_features(task, graph_kind: str, iterations: int, dictionary: ColorDict
     key order; in a growing dictionary it would only meet colours that are
     already in it. Each new key is refined in key form, by difference from
     the last one."""
-    encoding = _encoding(graph_kind)
+    encoding = graph_encoding(graph_kind)
     key_of = encoding.key
     values: dict = {}
     memo: dict = {}

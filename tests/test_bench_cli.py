@@ -417,7 +417,7 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error:") and "Traceback" not in err
         assert flag in err and family in err
-        assert not list(out.glob("*.pddl"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve-domain", "solve-problem", "validate", "report"])
     def test_directory_for_a_file_exits_2(self, bw_files, tmp_path, capsys, command):

@@ -85,7 +85,8 @@ def check_walk(task, states, model, oracle) -> Counter:
     """Every node of the partial action tree at each state, in walk order;
     returns how many nodes of each case were seen."""
     partial_h, state_h = model.heuristic(task), model.state_heuristic(task)
-    key_of, build = graph_encoding(model.graph_kind)
+    encoding = graph_encoding(model.graph_kind)
+    key_of, build = encoding.key, encoding.build
     graphs: dict = {}
     cases: Counter = Counter()
     for state in states:
@@ -154,7 +155,7 @@ def test_searches_refine_each_key_once(kind, monkeypatch):
     for family, params in GENERATOR_TASKS:
         task = generate_task(family, seed=2, **params)
         model, _ = random_model([(task, task.initial_state)], kind, 2, 2)
-        key_of, _ = graph_encoding(kind)
+        key_of = graph_encoding(kind).key
         for search, space_h in ((gbfs_partial, model.heuristic),
                                 (gbfs_state, model.state_heuristic)):
             h = space_h(task)
