@@ -131,6 +131,9 @@ def read_records(path: str) -> list[RunRecord]:
                 raise MalformedCSV(f"{path}:{lineno}: bad outcome {record.outcome!r}")
             if (record.plan_length is None) == (record.outcome == SOLVED):
                 raise MalformedCSV(f"{path}:{lineno}: plan length iff solved")
+            if min(record.plan_length or 0, stats.expansions, stats.evaluations,
+                   stats.generated, record.wall_ms) < 0:
+                raise MalformedCSV(f"{path}:{lineno}: negative count")
             records.append(record)
     return records
 

@@ -156,12 +156,6 @@ def _aoag_tags(task: Task, key: tuple):
     return tag_of
 
 
-def ilg(task: Task, state: State) -> LabeledGraph:
-    """Objects plus state and goal atoms, colored by goal membership: the
-    AOAG graph without action vertices."""
-    return aoag_graph(task, (state, ()))
-
-
 @dataclass(frozen=True)
 class EffectPartition:
     unav_add: frozenset
@@ -209,8 +203,8 @@ def aoag_key(task: Task, state: State, rho: PartialAction) -> tuple:
 
     This is the one place that decides the special cases. The tuple of actions
     is empty for the root and when B covers all applicable actions (the graph
-    is ilg(state)), and for a singleton B = {a} (the graph is ilg of the state
-    after a).
+    is the instance graph of the state), and for a singleton B = {a} (the
+    graph is the instance graph of the state after a).
     """
     if rho.is_root:
         return state, ()

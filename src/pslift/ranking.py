@@ -14,8 +14,8 @@ A learned heuristic computes its value once per graph key and search: the key
 of a node (`graphs.aoag_key`, `graphs.aeg_key`) fixes its graph and the
 graph's vertex order, so equal keys give the same feature vector, summed in
 the same order, and the same value. Search and training featurize through the
-same graphs and the same WL code, each with one first-refinement memo per task
-(see `wl`).
+same graphs and the same WL code, each with one WL base graph per task (see
+`wl`).
 """
 
 from __future__ import annotations
@@ -86,12 +86,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.graph_kind.lower() not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {self.graph_kind!r}")
-        if self.iterations < 0:
-            raise ValueError(f"WL iterations must be at least 0, not {self.iterations}")
+        _check_count("WL iterations", self.iterations)
         _check_sibling_cap(self.sibling_cap)
         if self.importances is not None and sorted(self.importances) != sorted(KINDS):
             raise ValueError(f"importances need exactly the keys {', '.join(KINDS)}, "
                              f"not {', '.join(sorted(self.importances)) or 'none'}")
+        if not self.c_grid:
+            raise ValueError("the C grid must hold at least one value")
         for c in self.c_grid:
             if not (math.isfinite(c) and c >= 0):
                 raise ValueError(f"C must be finite and at least 0, not {c:g}")
@@ -120,9 +121,17 @@ def _applicable_levels(task: Task, state) -> list[list[PartialAction]]:
     return levels[:-1]
 
 
+def _check_count(what: str, value: int) -> None:
+    """Raise ValueError unless `value` is an int, not a bool, of at least 0."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be at least 0, not {value}")
+
+
 def _check_sibling_cap(sibling_cap: int | None) -> None:
-    if sibling_cap is not None and sibling_cap < 0:
-        raise ValueError(f"sibling cap must be at least 0, not {sibling_cap}")
+    if sibling_cap is not None:
+        _check_count("sibling cap", sibling_cap)
 
 
 def generate_dataset(
@@ -347,9 +356,9 @@ class LinearModel:
     def _scorer(self, task: Task):
         """(state, rho) -> evaluate(self, task, state, rho), computed once per
         graph key by `wl.keyed_features`; equal vectors with the same key
-        order give the same sum. Each call has its own scores and WL memo for
-        the task, so a search that builds its own heuristic keeps them for
-        that search only."""
+        order give the same sum. Each call has its own scores and WL base
+        graph for the task, so a search that builds its own heuristic keeps
+        them for that search only."""
         return wl.keyed_features(task, self.graph_kind, self.iterations, self.dictionary,
                                  partial(sparse_dot, self.weights.tolist()))
 

@@ -16,34 +16,14 @@ A fact vertex's pairs are thus `((1, c(arg 1)), (2, c(arg 2)), ...)`, sorted
 as they are built. An object's pairs are gathered from the fact vertices that
 name it.
 
-The first refinement memo. Object vertices always start with the colors of
-`graphs.object_colors`, fixed per task. So a fact vertex's iteration-1 color
-is a function of its initial color id and its argument objects, for one task
-and one dictionary, and `wl_features` can keep it in a dict `memo` that the
-caller owns for that task and dictionary (one per search in the learned
-heuristic, one per task in training). The memo holds known ids only (>= 0).
-That is sound in both kinds of dictionary:
-- A growing dictionary gives every key an id and never changes an id once
-  given, so a memo hit names the key that a lookup would have found; the
-  lookup would have added nothing.
-- A frozen dictionary knows a refined key only if it knows every id in it,
-  since it stores no key that holds an unknown color. So a known refined id
-  implies known inputs, and an unknown input makes every key that holds it
-  unknown, whatever placeholder stands for it. That is also why one
-  placeholder, -1, serves every unknown color: it is never counted, never
-  stored, and never part of a known key.
-A hit stands for the lookup that it saves, so it changes neither the ids nor
-the counts.
-
 Refinement by difference. A vertex's color after t iterations depends only
 on its t-hop neighborhood, and consecutive graphs of one search differ in a
 few atoms. So `wl_features` refines a graph in key form (below) by
 difference from the last one that the same featurizer refined, its
 `BaseGraph`, which keeps that graph's color id of every vertex at every
 iteration. Objects are matched by vertex index, fact vertices by (color,
-args), since their indices shift.
-Iteration 0 takes its ids from a table of initial colors kept in the base.
-At each later iteration a vertex is recomputed only if it is dirty:
+args), since their indices shift. At each iteration after the first, a
+vertex is recomputed only if it is dirty:
 - it is a fact vertex that the base lacks;
 - it is an object whose set of incident fact vertices changed;
 - its own color, or a neighbor's, changed at the previous iteration.
@@ -62,6 +42,20 @@ and iteration by iteration, so feature vectors keep the key order that
 the first key, a different object color list or iteration count, a change
 of task (below), or a caller that keeps none, as `phi`) every vertex is new,
 and the same loop does the full refinement.
+
+The first two ids of a slot. Objects start with the colors of
+`graphs.object_colors`, fixed per task, and a fact vertex's slot is its
+(color, args). So for one task and one dictionary a slot's ids at
+iterations 0 and 1 depend on the slot alone, and they are fixed while the
+base lives: a growing dictionary never changes an id, and a frozen one
+never learns one, since it stores no key that holds an unknown color. An
+object or slot is therefore looked up at iteration 0, as `"c|" + color`,
+only while its id there is None, and a dirty fact vertex at iteration 1
+only while its slot has no id there; a skipped lookup would have added
+nothing, so ids, counts and key order are unchanged. An unknown input makes
+every key that holds it unknown, so one placeholder, -1, serves every
+unknown color: it is never counted, never stored, and never part of a known
+key.
 
 The key form. An explicit graph lists every vertex, so finding the few that
 changed would mean pairing all of them with their slots; it is always
@@ -83,10 +77,10 @@ tracers do.
 
 `phi` featurizes a node through the key and build of its
 `graph_encoding`, an explicit graph, as the reference; `keyed_features`
-does so in key form once per distinct graph key of a task, with one memo
-and one base for the task, for the learned heuristic, training and dataset
-export. `aoag` and `aeg` stay importable here because the benchmark's
-tracer wraps them by these names.
+does so in key form once per distinct graph key of a task, with one base
+for the task, for the learned heuristic, training and dataset export.
+`aoag` and `aeg` stay importable here because the benchmark's tracer wraps
+them by these names.
 """
 
 from __future__ import annotations
@@ -187,20 +181,6 @@ def _from_text(text: str) -> ColorKey:
 UNKNOWN = -1  # the id of every color a frozen dictionary does not know
 
 
-class _Colors(dict):
-    """Initial color string -> its id in one dictionary, looked up on first
-    use."""
-
-    def __init__(self, dictionary: ColorDictionary):
-        super().__init__()
-        self.dictionary = dictionary
-
-    def __missing__(self, color: str) -> int:
-        idx = self.dictionary.lookup("c|" + color)
-        idx = self[color] = UNKNOWN if idx is None else idx
-        return idx
-
-
 class BaseGraph:
     """What `wl_features` keeps of the last graph that one featurizer refined,
     to refine the next one by difference (see the module docstring). It
@@ -211,21 +191,22 @@ class BaseGraph:
     Objects keep their vertex index as their slot. Every fact vertex
     (color, args) met since has a slot after them, `keys[slot]`, so that it
     keeps its slot while vertex indices shift from graph to graph.
-    `levels[t][slot]` is the color id of that vertex at iteration t, and
-    `incident[u]` the (label, slot) pairs of the fact vertices on object u.
+    `levels[t][slot]` is the color id of that vertex at iteration t in
+    `dictionary`, and `incident[u]` the (label, slot) pairs of the fact
+    vertices on object u; a slot's ids at iterations 0 and 1 never change
+    while the base lives.
     Of a key-form graph, `key` and `tag_of` are its key and its tags,
     `atom_slot` maps each of its atoms to its slot, `atom_order` lists
     those slots by ascending atom id, `action_order` the slots of its
     actions, and `action_slot` gives the slot of every action met since,
     by its (schema name, args)."""
 
-    __slots__ = ("colors", "objects", "iterations", "task", "encoding", "slot", "keys",
+    __slots__ = ("dictionary", "objects", "iterations", "task", "encoding", "slot", "keys",
                  "levels", "incident", "key", "tag_of", "atom_slot", "atom_order",
                  "action_slot", "action_order")
 
     def __init__(self):
-        self.colors = None
-        self.objects = None
+        self.dictionary = self.objects = None
         self.task = self.encoding = None
 
 
@@ -306,22 +287,19 @@ def _key_vertices(graph: KeyGraph, base: BaseGraph, n: int) -> tuple:
 
 
 def wl_features(graph: LabeledGraph | KeyGraph, iterations: int, dictionary: ColorDictionary,
-                memo: dict | None = None, base: BaseGraph | None = None) -> FeatureVector:
+                *, base: BaseGraph | None = None) -> FeatureVector:
     """Count colors of every vertex at iterations 0..L against the dictionary.
 
     Vertices are refined in vertex order, iteration by iteration. Unknown
-    colors are never counted and never enter the dictionary. `memo` keeps
-    the iteration-1 colors of fact vertices for the graph's task and this
-    dictionary, and `base` what this call needs of the last graph refined
-    with this dictionary, which the call replaces by `graph` (see the module
-    docstring); without them, the call has its own. The graph is explicit,
-    or in key form, when the vertices that changed are read from the keys.
-    Raises ValueError for negative iterations.
+    colors are never counted and never enter the dictionary. `base` keeps
+    what this call needs of the last graph refined with this dictionary,
+    which the call replaces by `graph` (see the module docstring); without
+    one, the call has its own. The graph is explicit, or in key form, when
+    the vertices that changed are read from the keys. Raises ValueError for
+    negative iterations.
     """
     if iterations < 0:
         raise ValueError(f"WL iterations must be at least 0, not {iterations}")
-    if memo is None:
-        memo = {}
     if base is None:
         base = BaseGraph()
     if isinstance(graph, KeyGraph):
@@ -332,9 +310,8 @@ def wl_features(graph: LabeledGraph | KeyGraph, iterations: int, dictionary: Col
         objects = graph.colors[:len(graph.colors) - len(graph.args)]
     n = len(objects)
     if (base.task is not task or base.encoding is not encoding or base.objects != objects
-            or base.iterations != iterations or base.colors.dictionary is not dictionary):
-        base.colors = _Colors(dictionary)
-        base.objects, base.iterations = objects, iterations
+            or base.iterations != iterations or base.dictionary is not dictionary):
+        base.dictionary, base.objects, base.iterations = dictionary, objects, iterations
         base.task, base.encoding = task, encoding
         base.slot, base.keys = {}, [None] * n
         base.levels = [[] for _ in range(iterations + 1)]
@@ -372,15 +349,14 @@ def wl_features(graph: LabeledGraph | KeyGraph, iterations: int, dictionary: Col
             incident[u].append((label, s))
             moved.add(u)
 
-    current = levels[0]
-    table = base.colors
-    for u in fresh:
-        current[u] = table[objects[u]]
-    for s in new:
-        current[s] = table[keys[s][0]]
-
     known = dictionary._index.get
     lookup = dictionary.lookup
+    current = levels[0]
+    for v, color in [(u, objects[u]) for u in fresh] + [(s, keys[s][0]) for s in new]:
+        if current[v] is None:  # an iteration-0 id is fixed while the base lives
+            idx = lookup("c|" + color)
+            current[v] = UNKNOWN if idx is None else idx
+
     changed_objects: list[int] = []
     changed_facts: list[int] = []
     for iteration in range(iterations):
@@ -410,17 +386,15 @@ def wl_features(graph: LabeledGraph | KeyGraph, iterations: int, dictionary: Col
                 changed_objects.append(u)
         for v in sorted(map(first.__getitem__, dirty_facts)):
             s = slots[v - n]
-            own, args = current[s], keys[s][1]
-            idx = memo.get((own, args)) if not iteration else None
+            if not iteration and refined[s] is not None:
+                continue  # a slot's iteration-1 id is fixed while the base lives
+            args = keys[s][1]
+            key = (current[s], tuple([(label, current[u]) for label, u in enumerate(args, 1)]))
+            idx = known(key)
             if idx is None:
-                key = (own, tuple([(label, current[u]) for label, u in enumerate(args, 1)]))
-                idx = known(key)
+                idx = lookup(key)
                 if idx is None:
-                    idx = lookup(key)
-                    if idx is None:
-                        idx = UNKNOWN
-                if not iteration and idx != UNKNOWN:
-                    memo[own, args] = idx
+                    idx = UNKNOWN
             if idx != refined[s]:
                 refined[s] = idx
                 changed_facts.append(s)
@@ -436,13 +410,12 @@ def wl_features(graph: LabeledGraph | KeyGraph, iterations: int, dictionary: Col
     return counts
 
 
-def phi(task, state, rho, graph_kind: str, iterations: int, dictionary: ColorDictionary,
-        memo: dict | None = None) -> FeatureVector:
-    """Feature vector of a (state, partial action) pair through AOAG or AEG.
-    `memo` is as in `wl_features`: one per task and dictionary, or none."""
+def phi(task, state, rho, graph_kind: str, iterations: int,
+        dictionary: ColorDictionary) -> FeatureVector:
+    """Feature vector of a (state, partial action) pair through AOAG or AEG."""
     encoding = graph_encoding(graph_kind)
     return wl_features(encoding.build(task, encoding.key(task, state, rho)), iterations,
-                       dictionary, memo)
+                       dictionary)
 
 
 def graph_encoding(graph_kind: str) -> Encoding:
@@ -462,15 +435,13 @@ def keyed_features(task, graph_kind: str, iterations: int, dictionary: ColorDict
                    then=None):
     """(state, rho) -> the node's feature vector, or then(vector) if `then`
     is given, computed once per graph key of `graph_encoding` and cached, with
-    one WL memo and one base graph for the task. A key fixes the graph and its
-    vertex order, so a repeated key would give an equal vector with the same
-    key order; in a growing dictionary it would only meet colours that are
-    already in it. Each new key is refined in key form, by difference from
-    the last one."""
+    one base graph for the task. A key fixes the graph and its vertex order,
+    so a repeated key would give an equal vector with the same key order; in
+    a growing dictionary it would only meet colours that are already in it.
+    Each new key is refined in key form, by difference from the last one."""
     encoding = graph_encoding(graph_kind)
     key_of = encoding.key
     values: dict = {}
-    memo: dict = {}
     base = BaseGraph()
 
     def features(state, rho):
@@ -479,7 +450,8 @@ def keyed_features(task, graph_kind: str, iterations: int, dictionary: ColorDict
         if value is None:
             # a module global looked up at each call, so that tracers that
             # wrap `wl_features` see every refinement
-            value = wl_features(KeyGraph(encoding, task, key), iterations, dictionary, memo, base)
+            value = wl_features(KeyGraph(encoding, task, key), iterations, dictionary,
+                                base=base)
             if then is not None:
                 value = then(value)
             values[key] = value

@@ -12,7 +12,7 @@ import pytest
 
 from pslift.bench import validate_plan
 from pslift.generators import generate_task
-from pslift.graphs import LabeledGraph, aeg, aoag, effect_partition, ilg
+from pslift.graphs import LabeledGraph, aeg, aoag, effect_partition
 from pslift.lifted import (ROOT, GroundAction, PartialAction, _apply_effects,
                            instantiations)
 from pslift.pddl import ActionSchema, Atom, Task
@@ -260,7 +260,7 @@ def test_criterion_4_graph_special_cases():
             actions = list(instantiations(task, state, ROOT))
             if not actions:
                 continue
-            if aoag(task, state, ROOT) != ilg(task, state):
+            if aoag(task, state, ROOT) != oracles.node_graph(task, state, ROOT, "aoag"):
                 failures += 1
             part, s_prime = effect_partition(task, state, actions)
             empty_checks += 1
@@ -270,7 +270,7 @@ def test_criterion_4_graph_special_cases():
                 action = rng.choice(actions)
                 rho = PartialAction(action.schema, action.args)
                 succ = _apply_effects(task, state, action)
-                if aoag(task, state, rho) != ilg(task, succ):
+                if aoag(task, state, rho) != oracles.node_graph(task, succ, ROOT, "aoag"):
                     failures += 1
             pairs += 1
             if pairs >= 100:

@@ -116,6 +116,21 @@ class TestRunRecords:
         with pytest.raises(MalformedCSV):
             read_records(str(path))
 
+    @pytest.mark.parametrize("row", [
+        "bw,i,cfg,Solved,-3,1,2,3,1.0,5", "bw,i,cfg,Solved,3,-1,2,3,1.0,5",
+        "bw,i,cfg,Timeout,,1,-2,3,1.0,5", "bw,i,cfg,Timeout,,1,2,-3,1.0,5",
+        "bw,i,cfg,Solved,3,1,2,3,1.0,-5",
+    ], ids=["plan-length", "expansions", "evaluations", "generated", "wall-ms"])
+    def test_negative_count_rejected(self, tmp_path, capsys, row):
+        """A negative count would give a negative quality in the report, so
+        the row is malformed and `pslift report` exits 2."""
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\n" + row + "\n")
+        with pytest.raises(MalformedCSV, match="negative"):
+            read_records(str(path))
+        assert cli.main(["report", str(path), "--out", str(tmp_path / "report")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestReport:
     def test_quality_definition(self):

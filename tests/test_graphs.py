@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pslift.generators import generate_task
-from pslift.graphs import LabeledGraph, aeg, aoag, effect_partition, ilg
+from pslift.graphs import LabeledGraph, aeg, aoag, effect_partition
 from pslift.lifted import ROOT, PartialAction, _apply_effects, apply, instantiations
 from pslift.relaxation import EmptyActionSet
 
@@ -35,8 +35,10 @@ def color_by_name(task, graph):
 
 
 class TestIlg:
+    """The instance graph: the AOAG graph of the root."""
+
     def test_bw2_shape(self, bw2):
-        g = ilg(bw2, bw2.initial_state)
+        g = aoag(bw2, bw2.initial_state, ROOT)
         names = vertex_names(bw2, g)
         assert len(g.colors) == 8  # 2 objects + 5 state atoms + 1 goal atom
         assert len(oracles.edges(g)) == 6  # four unary atoms + two arcs for on(a,b)
@@ -55,11 +57,11 @@ class TestIlg:
         from pslift.pddl import Atom, Task, ActionSchema
         schema = ActionSchema("touch", ("?x",), (), (Atom("p", ("?x",)),), ())
         task = Task("d", "q", [("p", 1)], [schema], ["o1", "o2"], [], [])
-        g = ilg(task, task.initial_state)
+        g = aoag(task, task.initial_state, ROOT)
         assert vertex_names(task, g) == ["o1", "o2"] and g.args == []
 
     def test_static_unary_predicates_become_object_colors(self, typed_task):
-        g = ilg(typed_task, typed_task.initial_state)
+        g = aoag(typed_task, typed_task.initial_state, ROOT)
         colors = color_by_name(typed_task, g)
         assert colors["t1"] == "ob{shiny,truck,vehicle}"
         assert colors["c1"] == "ob{car,vehicle}"
@@ -68,7 +70,7 @@ class TestIlg:
         assert "shiny(t1)" not in colors
 
     def test_static_arity2_atoms_ignored(self, spanner_mini):
-        g = ilg(spanner_mini, spanner_mini.initial_state)
+        g = aoag(spanner_mini, spanner_mini.initial_state, ROOT)
         assert all(not n.startswith("link(") for n in vertex_names(spanner_mini, g))
 
 
@@ -109,19 +111,19 @@ class TestEffectPartition:
 class TestAoag:
     def test_root_equals_ilg(self, bw3_stack):
         s = bw3_stack.initial_state
-        assert aoag(bw3_stack, s, ROOT) == ilg(bw3_stack, s)
+        assert aoag(bw3_stack, s, ROOT) == oracles.node_graph(bw3_stack, s, ROOT, "aoag")
 
     def test_singleton_equals_ilg_of_successor(self, bw2):
         s = bw2.initial_state
         rho = PartialAction(bw2.schema("pickup"), ("a",))
         action = next(instantiations(bw2, s, rho))
-        assert aoag(bw2, s, rho) == ilg(bw2, apply(bw2, s, action))
+        assert aoag(bw2, s, rho) == oracles.node_graph(bw2, apply(bw2, s, action), ROOT, "aoag")
 
     def test_stack_scenario_action_vertices(self, bw3_stack):
         s = bw3_stack.initial_state
         rho = PartialAction(bw3_stack.schema("stack"), ("b",))
         g = aoag(bw3_stack, s, rho)
-        base = ilg(bw3_stack, s)
+        base = aoag(bw3_stack, s, ROOT)
         assert len(g.colors) == len(base.colors) + 2
         act_vertices = [i for i, c in enumerate(g.colors) if c == "act(stack)"]
         assert len(act_vertices) == 2
@@ -138,12 +140,12 @@ class TestAoag:
                 actions = list(instantiations(task, state, ROOT))
                 if not actions:
                     break
-                assert aoag(task, state, ROOT) == ilg(task, state)
+                assert aoag(task, state, ROOT) == oracles.node_graph(task, state, ROOT, "aoag")
                 action = rng.choice(actions)
                 rho = PartialAction(action.schema, action.args)
                 if len(actions) > 1:
-                    assert aoag(task, state, rho) == ilg(
-                        task, _apply_effects(task, state, action))
+                    assert aoag(task, state, rho) == oracles.node_graph(
+                        task, _apply_effects(task, state, action), ROOT, "aoag")
                 state = _apply_effects(task, state, action)
 
 
@@ -210,7 +212,7 @@ class TestIsomorphismInvariance:
             state = task.initial_state
             rho = PartialAction(task.schema("pickup"), ())
             fingerprints.append((
-                wl_features(ilg(task, state), 2, d),
+                wl_features(aoag(task, state, ROOT), 2, d),
                 wl_features(aoag(task, state, rho), 2, d),
                 wl_features(aeg(task, state, rho), 2, d),
             ))
@@ -236,7 +238,7 @@ class TestGraphEquality:
                 return len(inner.split(",")) if inner else 0
             return None  # object vertex
 
-        for g in (ilg(bw3_stack, s), aoag(bw3_stack, s, rho), aeg(bw3_stack, s, rho)):
+        for g in (aoag(bw3_stack, s, ROOT), aoag(bw3_stack, s, rho), aeg(bw3_stack, s, rho)):
             names = vertex_names(bw3_stack, g)
             for u, v, label in oracles.edges(g):
                 arity = arity_of(names[u])

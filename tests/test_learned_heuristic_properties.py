@@ -7,7 +7,7 @@ alongside the model's. The graph built from the node's key equals that graph,
 so nodes with equal keys have identical colors and edges. The walks visit
 singleton-B nodes and nodes whose B covers A_s, which share their keys with
 other nodes. One model may score several tasks: each task gets its own
-first-refinement memo.
+WL base graph.
 """
 
 import random
@@ -147,9 +147,9 @@ def test_searches_refine_each_key_once(kind, monkeypatch):
     refined = []
     real = pslift.wl.wl_features
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         refined.append(None)
-        return real(*args)
+        return real(*args, **kwargs)
 
     repeats = 0
     for family, params in GENERATOR_TASKS:

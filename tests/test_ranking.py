@@ -387,12 +387,20 @@ class TestTrainModel:
         (dict(graph_kind="gnn"), "unknown graph kind"),
         (dict(iterations=-1), "WL iterations"),
         (dict(sibling_cap=-1), "sibling cap"),
+        (dict(iterations=True), "WL iterations must be an integer"),
+        (dict(iterations=1.5), "WL iterations must be an integer"),
+        (dict(sibling_cap=1.5), "sibling cap must be an integer"),
+        (dict(c_grid=()), "C grid"),
     ], ids=["missing-importance", "no-importances", "unknown-importance",
-            "unknown-graph-kind", "negative-iterations", "negative-sibling-cap"])
+            "unknown-graph-kind", "negative-iterations", "negative-sibling-cap",
+            "bool-iterations", "fractional-iterations", "fractional-sibling-cap",
+            "empty-c-grid"])
     def test_bad_field_rejected_up_front(self, fields, message):
         """The config rejects these before featurisation starts, where a
-        missing importance would fail as a bare KeyError and an unknown graph
-        kind would get the AOAG importances."""
+        missing importance would fail as a bare KeyError, an unknown graph
+        kind would get the AOAG importances, a fractional count or an empty C
+        grid would fail as a bare TypeError, and iterations=True would write a
+        model header that `load_model` rejects."""
         with pytest.raises(ValueError, match=message):
             TrainConfig(**fields)
 

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from pslift.graphs import LabeledGraph, ilg
+from pslift.graphs import LabeledGraph
 from pslift.lifted import ROOT, PartialAction, apply, instantiations
 from pslift.wl import AEG, AOAG, ColorDictionary, phi, wl_features
+
+import oracles
 
 
 def path_graph():
@@ -112,7 +114,7 @@ class TestPhi:
     def test_phi_root_aoag_equals_ilg_features(self, bw2):
         d = ColorDictionary()
         got = phi(bw2, bw2.initial_state, ROOT, AOAG, 2, d)
-        expected = wl_features(ilg(bw2, bw2.initial_state), 2, d)
+        expected = wl_features(oracles.node_graph(bw2, bw2.initial_state, ROOT, "aoag"), 2, d)
         assert got == expected
 
     def test_phi_full_action_matches_successor_root(self, bw2):

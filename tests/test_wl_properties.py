@@ -4,11 +4,12 @@ growing and then with a frozen dictionary, every feature vector equals the
 oracle's item by item, in the same key order (`sparse_dot` sums in that
 order), and the two dictionaries list the same keys with the same indices.
 
-Each task's graphs run through one first-refinement memo. A random task is a
-list of object colors that all its graphs share, as a planning task's
-objects do. After every call, each memo entry must name the dictionary's id
-of the refined key that it stands for. The later tests pass sequences of
-graphs through one base graph as well, so that each graph is refined by
+Each task's graphs run through one base graph, which keeps the first two
+color ids of every fact vertex it has met. A random task is a list of object
+colors that all its graphs share, as a planning task's objects do. After
+every call, each fact vertex's iteration-1 id in the base must name the
+dictionary's id of the refined key that it stands for. The later tests pass
+sequences of graphs through one base, so that each graph is refined by
 difference from the one before: explicit graphs, and graphs in key form
 (`graphs.KeyGraph`), whose changed vertices are read from their graph keys.
 A key-form graph must also give the vector of its explicit graph."""
@@ -130,14 +131,23 @@ def draw_tasks(data, count: int) -> list:
     return tasks
 
 
-def check_memo(memo: dict, objects: list, dictionary: ColorDictionary) -> None:
-    """Every entry (own, args) -> idx names the known refined key of a fact
-    vertex of color id `own` on the objects `args`, in the string form."""
+def check_base(base: BaseGraph, dictionary: ColorDictionary) -> None:
+    """Every fact slot (color, args) of the base with a known iteration-1 id
+    names the refined key of a fact vertex of that color on the objects
+    `args`, in the string form."""
+    if len(base.levels) < 2:
+        return
     index = dict(dictionary.items())
-    for (own, args), idx in memo.items():
-        pairs = ";".join(f"{label},{index['c|' + objects[u]]}"
+    initial, first = base.levels[:2]
+    for s in range(len(base.objects), len(base.keys)):
+        idx = first[s]
+        if idx is None or idx < 0:
+            continue
+        color, args = base.keys[s]
+        assert initial[s] == index["c|" + color]
+        pairs = ";".join(f"{label},{index['c|' + base.objects[u]]}"
                          for label, u in enumerate(args, 1))
-        assert index.get(f"s|{own}|{pairs}") == idx
+        assert index.get(f"s|{initial[s]}|{pairs}") == idx
 
 
 @settings(SETTINGS)
@@ -146,15 +156,15 @@ def test_tuple_keys_match_string_keys(data):
     iterations = data.draw(st.integers(0, 3))
     dictionary, oracle = ColorDictionary(), ColorDictionary()
     grown = draw_tasks(data, data.draw(st.integers(1, 3)))
-    memos = [{} for _ in range(len(grown) + 2)]
+    bases = [BaseGraph() for _ in range(len(grown) + 2)]
     for phase in (grown, grown + draw_tasks(data, 2)):
-        for (objects, graphs), memo in zip(phase, memos):
+        for (_, graphs), base in zip(phase, bases):
             for graph in graphs:
-                fv = wl_features(graph, iterations, dictionary, memo)
+                fv = wl_features(graph, iterations, dictionary, base=base)
                 assert list(fv.items()) == list(
                     oracles.string_wl_features(graph, iterations, oracle).items())
                 assert list(dictionary.items()) == list(oracle.items())
-                check_memo(memo, objects, dictionary)
+                check_base(base, dictionary)
         dictionary.freeze()
         oracle.freeze()
 
@@ -257,24 +267,23 @@ def draw_key_sequences(data, count: int) -> list:
 
 
 def check_sequences(phases, base) -> None:
-    """Each phase's tasks through one memo per task and the one `base`,
-    against the string-key oracle, first with a growing and then with a
-    frozen dictionary. A key-form graph is checked against its explicit
-    graph, which must then give the same vector without memo or base and
-    add nothing to the dictionary."""
+    """Each phase's tasks through the one `base`, against the string-key
+    oracle, with a dictionary made for this call, growing in the first phase
+    and frozen after it. A key-form graph is checked against its explicit graph,
+    which must then give the same vector without a base and add nothing to
+    the dictionary."""
     dictionary, oracle = ColorDictionary(), ColorDictionary()
-    memos = [{} for _ in phases[-1]]
     for phase in phases:
-        for (objects, sequence), memo in zip(phase, memos):
+        for _, sequence in phase:
             for graph, iterations in sequence:
-                fv = wl_features(graph, iterations, dictionary, memo, base)
+                fv = wl_features(graph, iterations, dictionary, base=base)
                 keyed = isinstance(graph, KeyGraph)
                 if keyed:
                     graph = graph.encoding.build(graph.task, graph.key)
                 assert list(fv.items()) == list(
                     oracles.string_wl_features(graph, iterations, oracle).items())
                 assert list(dictionary.items()) == list(oracle.items())
-                check_memo(memo, objects, dictionary)
+                check_base(base, dictionary)
                 if keyed:
                     size = len(dictionary)
                     assert list(wl_features(graph, iterations, dictionary).items()) == list(
@@ -327,7 +336,8 @@ def test_key_form_on_whole_walks():
 def test_one_base_across_forms_tasks_and_encodings():
     """One base fed an explicit graph, then key-form graphs, then explicit
     ones, then the key-form graphs of another task with the same object
-    colors, and of another encoding, restarts at each change."""
+    colors, and of another encoding, restarts at each change. It restarts
+    too when the next nodes of its last graph come with another dictionary."""
     walks = key_walks()
     (task, aoag_state), (_, aoag_partial), (_, aeg_state) = walks[0], walks[1], walks[2]
     other, other_aoag = walks[4]
@@ -338,7 +348,11 @@ def test_one_base_across_forms_tasks_and_encodings():
     objects = list(object_colors(task))
     tasks = [(objects, sequence), (objects, [(graph, 2) for graph in other_aoag[3:6]]),
              (objects, sequence)]
-    check_sequences([tasks, tasks], BaseGraph())
+    base = BaseGraph()
+    check_sequences([tasks, tasks], base)
+    # the base's last graph is aoag_partial[7]
+    later = [(objects, [(graph, 2) for graph in aoag_partial[8:11]])]
+    check_sequences([later, later], base)
 
 
 def test_key_walks_cover_the_cases():
