@@ -2,8 +2,9 @@
 
 The stats CSV has one comment line noting the counter convention, one header
 line, and one row per run. Coverage counts solved instances per domain and
-config; the quality score of a run is best-cost / cost against the best cost
-any supplied config achieved on that instance (0 when unsolved).
+config, from one run each; the quality score of a run is best-cost / cost
+against the best cost any supplied config achieved on that instance (0 when
+unsolved).
 """
 
 from __future__ import annotations
@@ -148,7 +149,15 @@ def quality_score(length: int | None, best: int | None) -> float:
 
 def report(records: list[RunRecord]) -> tuple[str, str]:
     """Coverage and quality tables as CSV text, one row per domain and one
-    column per config, totals last."""
+    column per config, totals last. Each (domain, instance, config) is one
+    run: a repeated one would count twice, so it raises MalformedCSV."""
+    runs = set()
+    for r in records:
+        key = (r.domain, r.instance, r.config)
+        if key in runs:
+            raise MalformedCSV(f"more than one run of domain {r.domain}, instance "
+                               f"{r.instance}, config {r.config}")
+        runs.add(key)
     configs = sorted({r.config for r in records})
     domains = sorted({r.domain for r in records})
 

@@ -10,17 +10,21 @@ whole task.
 The preconditions of a schema form its successor rule, a `_Rule` like the
 relaxation's Datalog rules, with head (schema name, parameters). It is
 planned once per task and schema by the planner (`_join_steps`) that plans
-the Datalog rules too, into nested loops, and run once per
-state over an index of the state and the static atoms. The plan's head
-cut-off and first-completion exit change nothing for this query. Every
+the Datalog rules too, into nested loops written as Python source, compiled
+once per text and so shared by every task of a domain, and run once per
+state over an index of the state and the static atoms. The caller gives the
+plan's completion as text: here each completion appends the head's
+parameter tuple to the plan's output list, with no call per completion, and
+as the plan is given no set of known heads, it cuts no head as already
+derived. Its first-completion exit changes nothing for this query: every
 binding slot is a parameter or a constant, and an index table lists each
-atom once, so two join paths give two parameter tuples and no head is cut as
-already derived. The task keeps the index of the last state asked about,
-builds each index table on first use, and sorts the join's result once by
-object declaration index: actions come in schema order, then
-lexicographically by declaration index, the order on which the search's
-counters and the restricted FF value depend. That one list fixes the state's
-partial action tree: a prefix's completions are a run of its parent's list.
+atom once, so two join paths give two parameter tuples. The task keeps the
+index of the last state asked about, builds each index table on first use,
+and sorts the join's result once by object declaration index: actions come
+in schema order, then lexicographically by declaration index, the order on
+which the search's counters and the restricted FF value depend. That one
+list fixes the state's partial action tree: a prefix's completions are a
+run of its parent's list.
 
 Effects. `ground_effects` grounds an action's add and delete atoms the
 first time the task asks for them and keeps the two frozensets in the
@@ -168,28 +172,35 @@ def _tuple_text(names) -> str:
 _LOOPS_PER_FUNCTION = 16
 
 
+def _define(source: str, kind: str, name: str):
+    """The function `name` that source defines. Each text gets its own file
+    name, `<kind hash>`: cProfile reports one entry for all the functions
+    that share file, line and name."""
+    namespace: dict = {}
+    exec(compile(source, f"<{kind} {hash(source) & 0xFFFFFFFF:08x}>", "exec"), namespace)
+    return namespace[name]
+
+
 @lru_cache(maxsize=1024)
 def _compiled(source: str):
     """The function that the source of a join plan defines. Cached by the
-    text, so the plans of every task of a domain share one function. Each
-    text gets its own file name: cProfile reports one entry for all the
-    functions that share file, line and name."""
-    namespace: dict = {}
-    exec(compile(source, f"<join plan {hash(source) & 0xFFFFFFFF:08x}>", "exec"), namespace)
-    return namespace["join"]
+    text, so the plans of every task of a domain share one function."""
+    return _define(source, "join plan", "join")
 
 
 class _Plan:
-    """A join plan, as the source of `join(tables, b, known, derive)`: one
-    nested `for` loop per step over the matches in index table
-    `tables[id]` of the step's key, with slot values as locals, the constant
-    slots read from the binding b. Each step binds the new variables of its
-    atom and tests its repeated variables and the equality literals that
-    become fully bound there. Once the head is bound, after `head_at` steps
-    (0: the head is ground), a head in `known` prunes the branch; each
-    completion calls derive(head, binding), with the binding as a tuple
-    indexed by slot, and below `head_at` the first completion ends the
-    branch. `join` returns True only when it has derived a ground head.
+    """A join plan, as the source of `join(tables, b, *args)`: one nested
+    `for` loop per step over the matches in index table `tables[id]` of the
+    step's key, with slot values as locals, the constant slots read from
+    the binding b. Each step binds the new variables of its atom and tests
+    its repeated variables and the equality literals that become fully
+    bound there. A step's lookup and its empty check sit in the outermost
+    loop that has bound its key; a missing key skips that loop's branch.
+    Once the head is bound, after `head_at` steps (0: the head is ground),
+    it is `h`; with `known` among the args, a head in `known` prunes the
+    branch. Each completion runs the caller's completion text, and below
+    `head_at` the first completion ends the branch. `join` returns True
+    only when it has completed a ground head.
     Past `_LOOPS_PER_FUNCTION` steps, the innermost loop calls a function
     with the loops that follow, which returns True when a completion ends
     a branch above it. `table` is the id of the first step's table, None
@@ -206,27 +217,32 @@ class _Plan:
         return _compiled(self.source)
 
 
-def _join_steps(body, eqs, slots, bound, table, head, first=None) -> _Plan:
+def _join_steps(body, eqs, slots, bound, table, head, args, complete, first=None) -> _Plan:
     """Join plan of a query with the terms in `bound` known and head atom
     `head`, (pred, terms): body atom `first` first, if given, then the
     others most-bound first (counting bound argument positions), ties by
     position. `slots` maps terms to binding slots; `table(i, pred, keyed)`
     is the id of the index table that body atom i looks up by its argument
-    positions `keyed`. The plan's source is written here, step by step."""
+    positions `keyed`. The plan's function takes `tables, b, *args`, and
+    each completion runs the lines of `complete`, which read the head as
+    `h` and may name the binding tuple as `{binding}`. The plan's source is
+    written here, step by step."""
     n, head_at = len(body), 0
     given = sorted(slots[a] for a in bound)
     loops = []   # per step: table id, key, unpacking targets, tests, slots bound before
+    binder = {}  # slot -> the step that binds it
+    keys = []    # per step: the slots of its key
     todo = list(range(n))
     while todo:
         i = min(todo, key=lambda i: (i != first, -sum(a in bound for a in body[i][1]), i))
         todo.remove(i)
-        pred, args = body[i]
-        keyed = tuple(pos for pos, a in enumerate(args) if a in bound)
+        pred, terms = body[i]
+        keyed = tuple(pos for pos, a in enumerate(terms) if a in bound)
         tid = table(i, pred, keyed)
         # the unpacking targets of the atom's terms: a new variable's slot,
         # a temporary to compare for a repeated one, `_` for a bound one
         targets, tests, new = [], [], set()
-        for pos, a in enumerate(args):
+        for pos, a in enumerate(terms):
             if a in bound:
                 targets.append("_")
             elif a in new:
@@ -234,12 +250,14 @@ def _join_steps(body, eqs, slots, bound, table, head, first=None) -> _Plan:
                 tests.append(f"r{pos} != s{slots[a]}")
             else:
                 new.add(a)
+                binder[slots[a]] = len(loops)
                 targets.append(f"s{slots[a]}")
-        after = bound.union(args)
+        after = bound.union(terms)
         tests += [f"s{slots[x]} {'!=' if want else '=='} s{slots[y]}" for x, y, want in eqs
                   if x in after and y in after and not (x in bound and y in bound)]
         # a table without key positions lists its atoms under 0, `_no_key`
-        key = [f"s{slots[args[pos]]}" for pos in keyed]
+        key = [f"s{slots[terms[pos]]}" for pos in keyed]
+        keys.append([slots[terms[pos]] for pos in keyed])
         loops.append((tid, "0" if not key else key[0] if len(key) == 1 else _tuple_text(key),
                       _tuple_text(targets) if new else "_", tests,
                       sorted(slots[a] for a in bound)))
@@ -248,7 +266,9 @@ def _join_steps(body, eqs, slots, bound, table, head, first=None) -> _Plan:
         bound = after
 
     head_text = f"h = ({head[0]!r}, {_tuple_text([f's{slots[a]}' for a in head[1]])})"
-    binding = [f"s{slot}" if term in bound else "None" for term, slot in slots.items()]
+    binding = _tuple_text([f"s{slot}" if term in bound else "None" for term, slot in slots.items()])
+    complete = complete.format(binding=binding).splitlines()
+    args = list(args)
     lines = []
     # loops a..z-1 go into one function, `join` for the first ones and
     # `join{a}` for the later ones, called from the innermost loop before
@@ -258,30 +278,46 @@ def _join_steps(body, eqs, slots, bound, table, head, first=None) -> _Plan:
     for a in range(0, max(n, 1), _LOOPS_PER_FUNCTION):
         z = min(a + _LOOPS_PER_FUNCTION, n)
         if a == 0:
-            lines.append("def join(tables, b, known, derive):")
+            lines.append(f"def join({', '.join(['tables', 'b'] + args)}):")
             lines += [f" s{slot} = b[{slot}]" for slot in given]
         else:
-            params = ["tables", "known", "derive"] + ["h"] * (head_at <= a)
+            params = ["tables"] + args + ["h"] * (head_at <= a)
             lines.append(f"def join{a}({', '.join(params + [f's{s}' for s in loops[a][4]])}):")
-        lines += [f" t{tid} = tables[{tid}]" for tid in dict.fromkeys(loops[d][0] for d in range(a, z))]
+        # each step's lookup goes to the outermost loop of this function
+        # that has bound its key, a - 1 standing for the function's top
+        at: dict = {}
+        for d in range(a, z):
+            e = max([binder[s] for s in keys[d] if binder.get(s, -1) >= a], default=a - 1)
+            at.setdefault(e, []).append(d)
+        lines += [f" t{tid} = tables[{tid}]"
+                  for tid in dict.fromkeys(loops[d][0] for d in range(a, z))]
         if a == 0 and head_at == 0:
             lines.append(" " + head_text)
+
+        def lookups(d, pad, miss):
+            for e in at.get(d, ()):
+                tid, key = loops[e][:2]
+                lines.extend([f"{pad}m{e} = t{tid}.get({key})", f"{pad}if m{e} is None:",
+                              f"{pad} {miss}"])
+
+        lookups(a - 1, " ", "return False")
         for d in range(a, z):
-            tid, key, targets, tests, _ = loops[d]
             pad = " " * (d - a + 1)
-            lines += [f"{pad}m{d} = t{tid}.get({key})", f"{pad}if m{d} is None:",
-                      f"{pad} {'continue' if d > a else 'return False'}",
-                      f"{pad}for {targets} in m{d}:"]
+            _, _, targets, tests, _ = loops[d]
+            lines.append(f"{pad}for {targets} in m{d}:")
             if tests:
                 lines += [f"{pad} if {' or '.join(tests)}:", f"{pad}  continue"]
             if d + 1 == head_at:
-                lines += [f"{pad} {head_text}", f"{pad} if h in known:", f"{pad}  continue"]
+                lines.append(f"{pad} {head_text}")
+                if "known" in args:
+                    lines += [f"{pad} if h in known:", f"{pad}  continue"]
+            lookups(d, pad + " ", "continue")
         pad = " " * (z - a + 1)
         if z == n:
-            lines.append(f"{pad}derive(h, {_tuple_text(binding)})")
+            lines += [pad + line for line in complete]
         else:
-            args = ["tables", "known", "derive"] + ["h"] * (head_at <= z)
-            call = f"join{z}({', '.join(args + [f's{s}' for s in loops[z][4]])})"
+            params = ["tables"] + args + ["h"] * (head_at <= z)
+            call = f"join{z}({', '.join(params + [f's{s}' for s in loops[z][4]])})"
             if not (head_at == 0 or head_at < z):
                 lines.append(pad + call)
             else:
@@ -298,20 +334,6 @@ def _join_steps(body, eqs, slots, bound, table, head, first=None) -> _Plan:
                           f"{' ' * (d - a + 2)}break"]
         lines.append(" return False")
     return _Plan("\n".join(lines) + "\n", loops[0][0] if loops else None, head_at)
-
-
-def _fill(atoms, tables_of, tables) -> None:
-    """Append the args of (pred, args) atoms to the index tables of their
-    predicate; `tables_of` maps a predicate to its [(table id, key getter)]."""
-    for pred, args in atoms:
-        for tid, key_of in tables_of.get(pred, ()):
-            table = tables[tid]
-            key = key_of(args)
-            matches = table.get(key)
-            if matches is None:
-                table[key] = [args]
-            else:
-                matches.append(args)
 
 
 class _Rule:
@@ -348,10 +370,11 @@ class _Rule:
                         if not _is_var(x) and not _is_var(y))
         self.plans: list = []     # the join plans of the rule, set by its user
 
-    def plan(self, table, first=None) -> _Plan:
+    def plan(self, table, args, complete, first=None) -> _Plan:
         """`_join_steps` of the rule, with its constants bound from the start."""
         constants = {a for a in self.slots if not _is_var(a)}
-        return _join_steps(self.body, self.eqs, self.slots, constants, table, self.head, first)
+        return _join_steps(self.body, self.eqs, self.slots, constants, table, self.head,
+                           args, complete, first)
 
     def text(self) -> str:
         def fmt(a):
@@ -441,7 +464,8 @@ def _join(task: Task, index: _StateIndex, schema: ActionSchema) -> list:
     if query is None:
         rule = _Rule((schema.name, schema.params), _query_body(schema), schema.equalities, schema)
         names: dict = {}
-        rule.plans = [rule.plan(lambda i, pred, keyed: names.setdefault((pred, keyed), len(names)))]
+        rule.plans = [rule.plan(lambda i, pred, keyed: names.setdefault((pred, keyed), len(names)),
+                                ("out",), "out.append(h[1])")]
         query = task._info_cache["@rule", schema.name] = (rule, list(names))
     rule, names = query
     if not rule.live:
@@ -450,8 +474,6 @@ def _join(task: Task, index: _StateIndex, schema: ActionSchema) -> list:
     for name in names:
         table = index.tables.get(name)
         if table is None:
-            # one table of one predicate: a plain loop, about 3x cheaper
-            # than `_fill` with its per-predicate table lists
             table = index.tables[name] = {}
             key_of = _key_getter(name[1])
             for args in index.groups.get(name[0], ()):
@@ -463,7 +485,7 @@ def _join(task: Task, index: _StateIndex, schema: ActionSchema) -> list:
                     matches.append(args)
         tables.append(table)
     out: list = []
-    rule.plans[0].run(tables, rule.template, (), lambda head, _: out.append(head[1]))
+    rule.plans[0].run(tables, rule.template, out)
     return out
 
 

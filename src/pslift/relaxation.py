@@ -20,13 +20,19 @@ same first bindings while enumerating far fewer:
   position) is built with the program. Successor generation shares the rule
   type `lifted._Rule` and the planner `lifted._join_steps`, which writes each
   plan as Python source, compiled on the plan's first run and shared by
-  every plan with the same text. The source has one nested loop per step
-  over the matches of the step's index key (already bound or constant
-  positions), 16 loops to a function, as CPython nests at most 20 blocks in
-  one; the loop binds new variable slots, and
-  tests repeated variables and the equality literals that become fully
-  bound there. Index lists are filled in commit order, so a multi-column
-  key yields exactly the matches, in the same order, that filtering any
+  every plan with the same text, so every task of a domain shares it. The
+  source has one nested loop per step over the matches of the step's index
+  key (already bound or constant positions), 16 loops to a function, as
+  CPython nests at most 20 blocks in one; the loop binds new variable
+  slots, and tests repeated variables and the equality literals that
+  become fully bound there. A step's index lookup sits in the outermost
+  loop of its function that has bound its key, or at the function's top,
+  so it runs once per binding of its key, not once per binding of the
+  loops between. Each completion is written into the plan too: it records
+  the head's layer and its achiever, the rule with the binding, and
+  appends the head to the layer's new atoms, with no call per derived
+  atom. Index lists are filled in commit order, so a multi-column key
+  yields exactly the matches, in the same order, that filtering any
   one-column list would. The seed atom is step 0, matched against an index
   of the previous layer's atoms keyed by its constants.
 * Semi-naive seeding. With seed position k, body atoms before k match only
@@ -36,9 +42,11 @@ same first bindings while enumerating far fewer:
   recorded then; skipping it leaves every first achiever in place. At layer 1
   every fact is new, so only seed position 0 runs.
 * Head cut-off. Once a plan has bound every head variable, a head that is
-  already derived prunes the branch, and a head just derived by the branch's
-  first completion ends the branch. Every skipped completion would have
-  derived an atom that already has its achiever.
+  already derived (in the layers the plan is given as `known`) prunes the
+  branch, and a head just derived by the branch's first completion ends
+  the branch, by `break` out of each loop below the head's step. Every
+  skipped completion would have derived an atom that already has its
+  achiever.
 * Goal cut-off. The heuristic values stop the fixpoint after the layer L
   that derives `@goal`. The goal rule is ground and the last rule, so it
   fires at layer L only after every other rule of layer L has run, and only
@@ -52,7 +60,12 @@ same first bindings while enumerating far fewer:
   join would have bound them first.
 
 Static facts and `@object` facts are indexed once per program; each call
-indexes only the state and the derived atoms. Achievers are stored as (rule,
+indexes the state's atoms (and again the static facts of a static predicate
+that the state extends) and then each layer's derived atoms. The indexing
+is compiled as well: each program has two fills, one of its _ALL and _DELTA
+tables and one of its _OLD tables, each a function written as source with
+one branch per predicate and its keys written out, and compiled once per
+text, so every task of a domain shares them. Achievers are stored as (rule,
 binding) and expanded into action and body atoms only for the atoms that
 extraction visits.
 
@@ -73,9 +86,9 @@ with the body of each schema rule achiever, so B[0] is counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
-from .lifted import (OBJ, PartialAction, State, _fill, _key_getter, _query_body, _Rule,
+from .lifted import (OBJ, PartialAction, State, _define, _query_body, _Rule, _tuple_text,
                      instantiations, is_applicable)
 from .pddl import Task
 
@@ -89,6 +102,41 @@ GOAL_KEY = (GOAL, ())
 # index table kinds: every atom so far, atoms older than the previous layer,
 # and the previous layer's atoms (at layer 1, every layer-0 atom)
 _ALL, _OLD, _DELTA = 0, 1, 2
+
+# what a schema rule's plan takes after (tables, binding), and what it does
+# with each head that it derives: the head's layer, its achiever and its
+# place in the layer's list of new atoms
+_PLAN_ARGS = ("known", "achievers", "new", "layer", "rule")
+_DERIVE = "known[h] = layer\nachievers[h] = (rule, {binding})\nnew.append(h)"
+
+
+def _fill_source(tables_of) -> str:
+    """Source of `fill(atoms, tables)`, which appends the args of each
+    (pred, args) atom to the index tables of its predicate, in the atoms'
+    order; `tables_of` maps a predicate to its [(table id, key positions)].
+    Each predicate is one branch, with its keys written out."""
+    lines = ["def fill(atoms, tables):"]
+    lines += [f" t{tid} = tables[{tid}]" for entries in tables_of.values() for tid, _ in entries]
+    lines.append(" for pred, args in atoms:")
+    branch = "if"
+    for pred, entries in tables_of.items():
+        lines.append(f"  {branch} pred == {pred!r}:")
+        branch = "elif"
+        for tid, positions in entries:
+            key = [f"args[{pos}]" for pos in positions]
+            key = "0" if not key else key[0] if len(key) == 1 else _tuple_text(key)
+            lines += [f"   m = t{tid}.get({key})", "   if m is None:",
+                      f"    t{tid}[{key}] = [args]", "   else:", "    m.append(args)"]
+    if not tables_of:
+        lines.append("  pass")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=256)
+def _compiled_fill(source: str):
+    """The function that the source of an index fill defines, shared by the
+    programs of every task of a domain, as `lifted._compiled` is."""
+    return _define(source, "index fill", "fill")
 
 
 class EmptyActionSet(Exception):
@@ -126,14 +174,18 @@ class DatalogProgram:
         # index tables: one per (predicate, key positions, kind); a table
         # maps a key to the matching atoms' args in commit order
         self._table_ids: dict = {}
-        # pred -> [(table id, key getter)], of _ALL and _DELTA and of _OLD tables
-        self._new_tables_of: dict[str, list] = {}
-        self._old_tables_of: dict[str, list] = {}
         for rule in self.rules:
             self._compile(rule)
+        # the compiled fills of the _ALL and _DELTA tables, and of the _OLD tables
+        new_of: dict = {}
+        old_of: dict = {}
+        for (pred, positions, kind), tid in self._table_ids.items():
+            (old_of if kind == _OLD else new_of).setdefault(pred, []).append((tid, positions))
+        self._fill_new = _compiled_fill(_fill_source(new_of))
+        self._fill_old = _compiled_fill(_fill_source(old_of))
         self._tables: list = [{} for _ in self._table_ids]
-        _fill(self.base_facts, self._new_tables_of, self._tables)
-        _fill(self.base_facts, self._old_tables_of, self._tables)
+        self._fill_new(self.base_facts, self._tables)
+        self._fill_old(self.base_facts, self._tables)
         self._fluent_tables = [
             tid for (pred, _, _), tid in self._table_ids.items() if pred not in self._static
         ]
@@ -148,13 +200,7 @@ class DatalogProgram:
 
     def _table(self, k, i, pred, positions) -> int:
         kind = _DELTA if i == k else _OLD if i < k else _ALL
-        key = (pred, positions, kind)
-        tid = self._table_ids.get(key)
-        if tid is None:
-            tid = self._table_ids[key] = len(self._table_ids)
-            tables_of = self._old_tables_of if kind == _OLD else self._new_tables_of
-            tables_of.setdefault(pred, []).append((tid, _key_getter(positions)))
-        return tid
+        return self._table_ids.setdefault((pred, positions, kind), len(self._table_ids))
 
     def _compile(self, rule: _Rule) -> None:
         """One plan per seed position: step 0 binds the seed atom from the
@@ -163,7 +209,8 @@ class DatalogProgram:
         every body atom from the atoms older than the previous layer."""
         if rule.ground or not rule.live:
             return
-        rule.plans = [rule.plan(partial(self._table, k), first=k) for k in range(len(rule.body) + 1)]
+        rule.plans = [rule.plan(partial(self._table, k), _PLAN_ARGS, _DERIVE, first=k)
+                      for k in range(len(rule.body) + 1)]
 
     # -- fixpoint -----------------------------------------------------------
 
@@ -189,13 +236,13 @@ class DatalogProgram:
             pred = key.pred
             if pred in self._static and pred not in extended:
                 extended.add(pred)
-                for tables_of in (self._new_tables_of, self._old_tables_of):
-                    for tid, _ in tables_of.get(pred, ()):
+                for (p, _, _), tid in self._table_ids.items():
+                    if p == pred:
                         tables[tid] = {}
                 fresh.extend(f for f in self.base_facts if f[0] == pred)
             layers[key] = 0
             fresh.append(key)
-        _fill(fresh, self._new_tables_of, tables)
+        self._fill_new(fresh, tables)
 
         new: list = []
         layer = 0
@@ -207,10 +254,6 @@ class DatalogProgram:
             layers[head] = layer
             achievers[head] = (source, binding)
             new.append(head)
-
-        def fire(head, binding):
-            # a head derived by the rule that runs now
-            derive(rule, head, binding)
 
         while pending:
             layer += 1
@@ -233,7 +276,8 @@ class DatalogProgram:
                 for plan in rule.plans[:stop]:
                     # skip a plan whose first table is empty; a plan is
                     # True only once it has derived a ground head
-                    if tables[plan.table] and plan.run(tables, rule.template, layers, fire):
+                    if tables[plan.table] and plan.run(tables, rule.template, layers, achievers,
+                                                       new, layer, rule):
                         break
             if layer == 1 and chosen:
                 # B is applicable in the state: each action fires here only
@@ -249,10 +293,10 @@ class DatalogProgram:
             pending = bool(new) and (full or GOAL_KEY not in layers)
             if pending:
                 # the previous layer's atoms become old; this layer's, delta
-                _fill(fresh, self._old_tables_of, tables)
+                self._fill_old(fresh, tables)
                 for tid in self._delta_tables:
                     tables[tid] = {}
-                _fill(new, self._new_tables_of, tables)
+                self._fill_new(new, tables)
                 fresh = new
 
         return ReachResult(layers, achievers)

@@ -441,6 +441,24 @@ def ff_reference(task: Task, state, actions=None) -> float:
     return len(plan)
 
 
+def fill_tables(atoms, tables_of, tables) -> None:
+    """The reference index fill: append the args of (pred, args) atoms to
+    the index tables of their predicate, in the atoms' order; `tables_of`
+    maps a predicate to its [(table id, key positions)]. A table maps a key
+    to the list of matching args: 0 without key positions, the value at a
+    single position, else the tuple of the values."""
+    for pred, args in atoms:
+        for tid, positions in tables_of.get(pred, ()):
+            table = tables[tid]
+            values = tuple(args[pos] for pos in positions)
+            key = 0 if not values else values[0] if len(values) == 1 else values
+            matches = table.get(key)
+            if matches is None:
+                table[key] = [args]
+            else:
+                matches.append(args)
+
+
 # ---------------------------------------------------------------------------
 # ranking datasets
 

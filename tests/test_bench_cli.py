@@ -647,6 +647,26 @@ class TestCli:
         assert (out_dir / "coverage.csv").exists()
         assert (out_dir / "quality.csv").exists()
 
+    @pytest.mark.parametrize("files", [("runs.csv", "runs.csv"), ("a.csv", "b.csv")],
+                             ids=["one-csv", "two-csvs"])
+    def test_report_rejects_a_repeated_run(self, bw_files, tmp_path, capsys, files):
+        """Two runs of one instance under one config, in one CSV or across
+        the CSVs given, would count the instance twice in coverage and
+        quality: the report names the run and exits 2 without writing."""
+        domain, problem = bw_files
+        for name in files:
+            assert cli.main(["solve", str(domain), str(problem), "--output",
+                             str(tmp_path / "p.plan"), "--stats-csv", str(tmp_path / name)]) == 0
+        paths = [str(tmp_path / name) for name in dict.fromkeys(files)]
+        run = read_records(paths[0])[0]
+        capsys.readouterr()
+        out_dir = tmp_path / "report"
+        assert cli.main(["report", *paths, "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert all(part in err for part in (run.domain, run.instance, run.config))
+        assert not out_dir.exists()
+
     def test_report_malformed_csv_exits_2(self, tmp_path, capsys):
         csv_file = tmp_path / "stats.csv"
         csv_file.write_text("bw,i1,partial-ff,Solved\n")

@@ -78,6 +78,57 @@ class TestCompiledPlans:
         assert runs[0] and len(runs[0]) == len(runs[1])
         assert all(a is b for a, b in zip(*runs))
 
+    def test_each_completion_records_its_head(self, bw2, monkeypatch):
+        # a completion puts each head that it appends to the layer's new
+        # atoms in `known` at this layer, with the rule and a binding that
+        # gives that head as its achiever; checked after each plan's run,
+        # as a fixpoint without these records would not end
+        program = RestrictedFFHeuristic(bw2).program
+        checked = []
+
+        def spy(run):
+            def join(tables, b, known, achievers, new, layer, rule):
+                start = len(new)
+                result = run(tables, b, known, achievers, new, layer, rule)
+                for h in new[start:]:
+                    source, binding = achievers[h]
+                    assert known[h] == layer and source is rule
+                    assert h == (rule.head[0], tuple(binding[rule.slots[a]] for a in rule.head[1]))
+                    checked.append(h)
+                return result
+            return join
+
+        for plan in (p for r in program.rules for p in r.plans):
+            monkeypatch.setattr(plan, "run", spy(plan.run))
+        s0 = bw2.initial_state
+        program.relaxed_reach(s0)
+        program.relaxed_reach(s0, list(instantiations(bw2, s0, ROOT)))
+        assert checked
+
+    def test_a_second_task_of_a_domain_compiles_nothing(self):
+        # compiling is per domain: once one blocksworld task has compiled its
+        # join plans and index fills, a task of another size reuses them all
+        from pslift.lifted import _compiled
+        from pslift.relaxation import _compiled_fill
+
+        def build_and_evaluate(task):
+            plain, restricted = FFHeuristic(task), RestrictedFFHeuristic(task)
+            state = task.initial_state
+            plain(state)
+            for rho in [ROOT] + children(task, state, ROOT):
+                restricted(state, rho)
+            for program in (plain.program, restricted.program):
+                for plan in (plan for rule in program.rules for plan in rule.plans):
+                    assert plan.run is not None
+
+        def misses():
+            return _compiled.cache_info().misses, _compiled_fill.cache_info().misses
+
+        build_and_evaluate(generate_task("blocksworld", seed=0, blocks=4))
+        before = misses()
+        build_and_evaluate(generate_task("blocksworld", seed=1, blocks=7))
+        assert misses() == before
+
     @pytest.mark.parametrize("loops", [1, 2, 3])
     @pytest.mark.parametrize("family,params", [
         ("blocksworld", dict(blocks=4)),
@@ -344,9 +395,9 @@ class TestHFFRestricted:
         entered = []
 
         def spy(run):
-            def join(tables, b, known, derive):
+            def join(tables, b, known, *rest):
                 entered.append(GATE in known)
-                return run(tables, b, known, derive)
+                return run(tables, b, known, *rest)
             return join
 
         for plan in (p for r in program.rules if r.schema is not None for p in r.plans):

@@ -3,7 +3,8 @@ at random-walk states, the heuristic values, which stop the fixpoint after
 the layer that derives the goal, equal extraction from the full fixpoint of
 `relaxed_reach`, and are inf exactly on the oracle's relaxed dead ends.
 Restricted reachability with an action set B matches the grounded fixpoint
-of the materialised restricted task."""
+of the materialised restricted task. The program's compiled index fills
+build the tables that the reference fill of `oracles` builds."""
 
 import math
 import random
@@ -16,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from pslift.generators import generate_task  # noqa: E402
 from pslift.lifted import ROOT, _apply_effects, children, instantiations  # noqa: E402
-from pslift.relaxation import DatalogProgram, RestrictedFFHeuristic  # noqa: E402
+from pslift.relaxation import _OLD, DatalogProgram, RestrictedFFHeuristic  # noqa: E402
 
 import oracles  # noqa: E402
 from strategies import SETTINGS, random_strips_task  # noqa: E402
@@ -96,3 +97,64 @@ def test_restricted_reach_matches_the_restricted_task(data):
     atoms, layers = oracles.relaxed_reachable(restricted, start)
     assert oracles.reached_atoms(reach) == atoms
     assert {key: reach.layers[key] for key in atoms} == layers
+
+
+def check_fills(program, state, actions=None) -> None:
+    """Over the full fixpoint from state, with the action set B if given,
+    the program's compiled fills of its _ALL and _DELTA tables and of its
+    _OLD tables give the reference fill's tables, with the same keys and the
+    same lists in the same order, after the layer-0 atoms and after each
+    later layer's atoms, filled one layer after another."""
+    reach = program.relaxed_reach(state, actions)
+    by_layer: dict = {}
+    for atom, layer in reach.layers.items():
+        by_layer.setdefault(layer, []).append(atom)
+    for fill, old in ((program._fill_new, False), (program._fill_old, True)):
+        tables_of: dict = {}
+        for (pred, positions, kind), tid in program._table_ids.items():
+            if (kind == _OLD) == old:
+                tables_of.setdefault(pred, []).append((tid, positions))
+        compiled = [{} for _ in program._table_ids]
+        reference = [{} for _ in program._table_ids]
+        for layer in sorted(by_layer):
+            fill(by_layer[layer], compiled)
+            oracles.fill_tables(by_layer[layer], tables_of, reference)
+            assert compiled == reference
+
+
+def check_fills_at(task, program, state) -> None:
+    check_fills(program, state)
+    kids = children(task, state, ROOT)
+    if kids:
+        check_fills(program, state, list(instantiations(task, state, kids[-1])))
+
+
+@settings(SETTINGS)
+@given(st.data())
+def test_compiled_fill_equals_the_reference(data):
+    task = random_strips_task(data)
+    program = DatalogProgram(task)
+    state = task.initial_state
+    check_fills_at(task, program, state)
+    for _ in range(data.draw(st.integers(0, 3))):
+        actions = list(instantiations(task, state, ROOT))
+        if not actions:
+            break
+        state = _apply_effects(task, state, data.draw(st.sampled_from(actions)))
+        check_fills_at(task, program, state)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("blocksworld", dict(blocks=5)),
+    ("ferry-like", dict(cars=2, locations=3)),
+    ("warehouse-like", dict(stacks=3, boxes=5, marked=1)),
+])
+def test_compiled_fill_on_generator_walks(family, params):
+    for seed in range(2):
+        task = generate_task(family, seed=seed, **params)
+        program = DatalogProgram(task)
+        rng = random.Random(seed)
+        state = task.initial_state
+        for _ in range(10):
+            check_fills_at(task, program, state)
+            state = _apply_effects(task, state, rng.choice(list(instantiations(task, state, ROOT))))
