@@ -9,16 +9,16 @@ whole task.
 
 The preconditions of a schema form its successor rule, a `_Rule` like the
 relaxation's Datalog rules, with head (schema name, parameters). It is
-planned once per task and schema by the planner (`_join_steps`) that plans
-the Datalog rules too, into nested loops written as Python source, compiled
-once per text and so shared by every task of a domain, and run once per
-state over an index of the state and the static atoms. The caller gives the
-plan's completion as text: here each completion appends the head's
-parameter tuple to the plan's output list, with no call per completion, and
-as the plan is given no set of known heads, it cuts no head as already
-derived. Its first-completion exit changes nothing for this query: every
-binding slot is a parameter or a constant, and an index table lists each
-atom once, so two join paths give two parameter tuples. The task keeps the
+planned by the planner (`_join_steps`) that plans the Datalog rules too,
+into nested loops written as Python source once per schema and compiled
+once per text, so every task of a domain shares both, and it runs once per
+state over an index of the state and the static atoms, by object name. The
+caller gives the plan's completion as text: here each completion appends
+the head's parameter tuple to the plan's output list, with no call per
+completion, and as the plan is given no set of known heads, it cuts no head
+as already derived. Its first-completion exit changes nothing for this
+query: every binding slot is a parameter or a constant, and an index table
+lists each atom once, so two join paths give two parameter tuples. The task keeps the
 index of the last state asked about, builds each index table on first use,
 and sorts the join's result once by object declaration index: actions come
 in schema order, then lexicographically by declaration index, the order on
@@ -197,10 +197,12 @@ class _Plan:
     bound there. A step's lookup and its empty check sit in the outermost
     loop that has bound its key; a missing key skips that loop's branch.
     Once the head is bound, after `head_at` steps (0: the head is ground),
-    it is `h`; with `known` among the args, a head in `known` prunes the
-    branch. Each completion runs the caller's completion text, and below
-    `head_at` the first completion ends the branch. `join` returns True
-    only when it has completed a ground head.
+    its key, if the caller gives one, is `h`; the key is a weighted sum of
+    the head's values, and each step adds the terms of the values that it
+    binds to the sum of the loops above. With `known` among the args, a
+    head in `known` prunes the branch. Each completion runs the caller's
+    completion text, and below `head_at` the first completion ends the
+    branch. `join` returns True only when it has completed a ground head.
     Past `_LOOPS_PER_FUNCTION` steps, the innermost loop calls a function
     with the loops that follow, which returns True when a completion ends
     a branch above it. `table` is the id of the first step's table, None
@@ -217,16 +219,21 @@ class _Plan:
         return _compiled(self.source)
 
 
-def _join_steps(body, eqs, slots, bound, table, head, args, complete, first=None) -> _Plan:
+def _join_steps(body, eqs, slots, bound, table, head, head_key, args, complete,
+                first=None) -> _Plan:
     """Join plan of a query with the terms in `bound` known and head atom
     `head`, (pred, terms): body atom `first` first, if given, then the
     others most-bound first (counting bound argument positions), ties by
     position. `slots` maps terms to binding slots; `table(i, pred, keyed)`
     is the id of the index table that body atom i looks up by its argument
-    positions `keyed`. The plan's function takes `tables, b, *args`, and
-    each completion runs the lines of `complete`, which read the head as
-    `h` and may name the binding tuple as `{binding}`. The plan's source is
-    written here, step by step."""
+    positions `keyed`. `head_key` is None or the (base, weights) sources of
+    the head's key `h`: base + weights[0]*value 0 + weights[1]*value 1 +
+    ...; each weight that is not a literal is computed once per function
+    call.
+    The plan's function takes `tables, b, *args`, and each completion runs
+    the lines of `complete`, which may read the head's key as `h` and name
+    the tuple of the head's values as `{head}` and the binding tuple as
+    `{binding}`. The plan's source is written here, step by step."""
     n, head_at = len(body), 0
     given = sorted(slots[a] for a in bound)
     loops = []   # per step: table id, key, unpacking targets, tests, slots bound before
@@ -265,10 +272,21 @@ def _join_steps(body, eqs, slots, bound, table, head, args, complete, first=None
             head_at += 1
         bound = after
 
-    head_text = f"h = ({head[0]!r}, {_tuple_text([f's{slots[a]}' for a in head[1]])})"
+    # the terms of the head's key by the step that binds their value, -1
+    # for a value bound from the start, and the locals of their weights
+    terms: dict = {}
+    weights = []
+    for pos, a in enumerate(head[1] if head_key else ()):
+        weight = head_key[1][pos]
+        if not weight.isdigit():
+            weights.append(f" w{pos} = {weight}")
+            weight = f"w{pos}"
+        terms.setdefault(binder.get(slots[a], -1), []).append(f"{weight}*s{slots[a]}")
+    values = _tuple_text([f"s{slots[a]}" for a in head[1]])
     binding = _tuple_text([f"s{slot}" if term in bound else "None" for term, slot in slots.items()])
-    complete = complete.format(binding=binding).splitlines()
+    complete = complete.format(binding=binding, head=values).splitlines()
     args = list(args)
+    h_arg = ["h"] if head_key else []
     lines = []
     # loops a..z-1 go into one function, `join` for the first ones and
     # `join{a}` for the later ones, called from the innermost loop before
@@ -281,7 +299,7 @@ def _join_steps(body, eqs, slots, bound, table, head, args, complete, first=None
             lines.append(f"def join({', '.join(['tables', 'b'] + args)}):")
             lines += [f" s{slot} = b[{slot}]" for slot in given]
         else:
-            params = ["tables"] + args + ["h"] * (head_at <= a)
+            params = ["tables"] + args + h_arg * (head_at <= a)
             lines.append(f"def join{a}({', '.join(params + [f's{s}' for s in loops[a][4]])}):")
         # each step's lookup goes to the outermost loop of this function
         # that has bound its key, a - 1 standing for the function's top
@@ -291,8 +309,15 @@ def _join_steps(body, eqs, slots, bound, table, head, args, complete, first=None
             at.setdefault(e, []).append(d)
         lines += [f" t{tid} = tables[{tid}]"
                   for tid in dict.fromkeys(loops[d][0] for d in range(a, z))]
-        if a == 0 and head_at == 0:
-            lines.append(" " + head_text)
+        # the key's sum over the values bound before this function's loops
+        if head_key and a < max(head_at, 1):
+            lines += weights
+            total = " + ".join([head_key[0]] + [t for d in range(-1, a) for t in terms.get(d, ())])
+            if head_at == 0:
+                lines.append(f" h = {total}")
+            elif " " in total:
+                lines.append(f" k = {total}")
+                total = "k"
 
         def lookups(d, pad, miss):
             for e in at.get(d, ()):
@@ -307,16 +332,19 @@ def _join_steps(body, eqs, slots, bound, table, head, args, complete, first=None
             lines.append(f"{pad}for {targets} in m{d}:")
             if tests:
                 lines += [f"{pad} if {' or '.join(tests)}:", f"{pad}  continue"]
-            if d + 1 == head_at:
-                lines.append(f"{pad} {head_text}")
-                if "known" in args:
-                    lines += [f"{pad} if h in known:", f"{pad}  continue"]
+            if d in terms and d < head_at:
+                # the key's sum over the values bound so far
+                total = " + ".join([total] + terms[d])
+                lines.append(f"{pad} {'h' if d + 1 == head_at else f'k{d}'} = {total}")
+                total = f"k{d}"
+            if d + 1 == head_at and "known" in args:
+                lines += [f"{pad} if h in known:", f"{pad}  continue"]
             lookups(d, pad + " ", "continue")
         pad = " " * (z - a + 1)
         if z == n:
             lines += [pad + line for line in complete]
         else:
-            params = ["tables"] + args + ["h"] * (head_at <= z)
+            params = ["tables"] + args + h_arg * (head_at <= z)
             call = f"join{z}({', '.join(params + [f's{s}' for s in loops[z][4]])})"
             if not (head_at == 0 or head_at < z):
                 lines.append(pad + call)
@@ -342,7 +370,7 @@ class _Rule:
     constants. A binding is a sequence indexed by slot."""
 
     __slots__ = ("head", "body", "eqs", "schema", "slots", "template",
-                 "ground", "live", "body_args", "param_args", "plans")
+                 "ground", "live", "param_args", "plans")
 
     def __init__(self, head, body, eqs, schema):
         self.head = tuple(head)   # (pred, args) with '?' vars or constants
@@ -362,19 +390,17 @@ class _Rule:
             raise ValueError(f"head variable missing from the body: {self.text()}")
 
         slot = self.slots.__getitem__
-        self.body_args = [(p, _tuple_getter([slot(a) for a in args]))
-                          for p, args in self.body]
         self.param_args = (_tuple_getter([slot(p) for p in schema.params])
                            if schema is not None else None)
         self.live = all((x == y) == want for x, y, want in self.eqs
                         if not _is_var(x) and not _is_var(y))
         self.plans: list = []     # the join plans of the rule, set by its user
 
-    def plan(self, table, args, complete, first=None) -> _Plan:
+    def plan(self, table, key, args, complete, first=None) -> _Plan:
         """`_join_steps` of the rule, with its constants bound from the start."""
         constants = {a for a in self.slots if not _is_var(a)}
         return _join_steps(self.body, self.eqs, self.slots, constants, table, self.head,
-                           args, complete, first)
+                           key, args, complete, first)
 
     def text(self) -> str:
         def fmt(a):
@@ -387,15 +413,12 @@ class _Rule:
         rhs = ", ".join(body) if body else "true"
         return f"{fmt(self.head)} :- {rhs}."
 
-    # -- lazy achiever expansion ---------------------------------------------
-
     def action_of(self, binding):
+        """(schema name, the binding's parameter values), None for a rule
+        without a schema."""
         if self.schema is not None:
             return (self.schema.name, self.param_args(binding))
         return None
-
-    def body_of(self, binding) -> list:
-        return [(p, args(binding)) for p, args in self.body_args]
 
 
 class _StateIndex:
@@ -456,17 +479,26 @@ def _completions(task: Task, state: State, schema: ActionSchema, prefix: tuple[s
     return out
 
 
+@lru_cache(maxsize=256)
+def _query(schema: ActionSchema, loops: int) -> tuple:
+    """The successor rule of schema with its plan, which appends the tuple
+    of each completion's parameters to `out`, and the (pred, key positions) of each of the plan's
+    tables by id. A plan's text depends only on the schema and on `loops`,
+    the loops per function, so the tasks of a domain share one rule."""
+    rule = _Rule((schema.name, schema.params), _query_body(schema), schema.equalities, schema)
+    names: dict = {}
+    rule.plans = [rule.plan(lambda i, pred, keyed: names.setdefault((pred, keyed), len(names)),
+                            None, ("out",), "out.append({head})")]
+    return rule, list(names)
+
+
 def _join(task: Task, index: _StateIndex, schema: ActionSchema) -> list:
     """The applicable argument tuples of schema, in the order the plan of its
     successor rule enumerates them over the index; the plan's table ids
     index `names`."""
     query = task._info_cache.get(("@rule", schema.name))
     if query is None:
-        rule = _Rule((schema.name, schema.params), _query_body(schema), schema.equalities, schema)
-        names: dict = {}
-        rule.plans = [rule.plan(lambda i, pred, keyed: names.setdefault((pred, keyed), len(names)),
-                                ("out",), "out.append(h[1])")]
-        query = task._info_cache["@rule", schema.name] = (rule, list(names))
+        query = task._info_cache["@rule", schema.name] = _query(schema, _LOOPS_PER_FUNCTION)
     rule, names = query
     if not rule.live:
         return []

@@ -69,6 +69,24 @@ text, so every task of a domain shares them. Achievers are stored as (rule,
 binding) and expanded into action and body atoms only for the atoms that
 extraction visits.
 
+Atoms are ints throughout the fixpoint (`Numbering`). A task's objects are
+numbered once, by declaration index, and an atom's key is its predicate id
+plus the number of predicate ids times the mixed-radix code of its object
+ids, with the number of objects as radix. The code is injective, so
+equality tests, `known` probes and the count of distinct actions mean what
+they meant over names. The index tables hold tuples of object ids, and a
+plan computes a head's key as a weighted sum, each loop adding the terms of
+the values that it binds. The radix is an argument of the plan, not part of
+its text, so the tasks of a domain share every plan, and a domain's later
+tasks do not write the plans again (`_written`). A state's atom ids map to
+keys through a table of the program's, filled as ids are first seen. Names
+come back only where they are read: extraction expands the achievers that
+it visits into body keys and (schema, object ids) actions, and
+`ReachResult.layers` and `.achievers` name the keys for tests and oracles. The enumeration order is
+the one over names, so every first achiever, counter and h is the same: the
+state is iterated as given, each table is filled in commit order, and the
+adds of B are keyed in schema order.
+
 The action-set variant evaluates the transformed task in which a fresh 0-ary
 gate `@epsilon` guards every original schema and only the actions of the
 given set B open it; B enters at evaluation, not into the program. Each
@@ -86,9 +104,10 @@ with the body of each schema rule achiever, so B[0] is counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
-from .lifted import (OBJ, PartialAction, State, _define, _query_body, _Rule, _tuple_text,
+from . import lifted
+from .lifted import (OBJ, PartialAction, State, _define, _is_var, _query_body, _Rule, _tuple_text,
                      instantiations, is_applicable)
 from .pddl import Task
 
@@ -96,8 +115,10 @@ INF = float("inf")
 
 EPSILON = "@epsilon"
 GOAL = "@goal"
-GATE = (EPSILON, ())
-GOAL_KEY = (GOAL, ())
+# the predicate ids of the internal predicates, first: the keys of the gate
+# and of the goal are their ids, in every task
+_INTERNAL = (OBJ, GOAL, EPSILON)
+GOAL_KEY, GATE = 1, 2
 
 # index table kinds: every atom so far, atoms older than the previous layer,
 # and the previous layer's atoms (at layer 1, every layer-0 atom)
@@ -105,9 +126,88 @@ _ALL, _OLD, _DELTA = 0, 1, 2
 
 # what a schema rule's plan takes after (tables, binding), and what it does
 # with each head that it derives: the head's layer, its achiever and its
-# place in the layer's list of new atoms
-_PLAN_ARGS = ("known", "achievers", "new", "layer", "rule")
+# place in the layer's list of new atoms; `n` is the task's key radix
+_PLAN_ARGS = ("known", "achievers", "new", "layer", "rule", "n")
 _DERIVE = "known[h] = layer\nachievers[h] = (rule, {binding})\nnew.append(h)"
+
+
+def _key_weights(p: int, arity: int) -> list:
+    """The sources of the weights of an atom's object ids in its key, as
+    `Numbering.key` computes it: p, p*n, p*n*n, ..., with `p` the number of
+    predicate ids and the radix `n` a name."""
+    return ["*".join([str(p)] + ["n"] * i) for i in range(arity)]
+
+
+class Numbering(dict):
+    """The fixpoint keys of a task's atoms, one numbering per program, so
+    that its tables go with the program. Objects are numbered by
+    declaration index, predicates by their id in `preds` (the internal
+    ones first, then the task's in order), and an atom's key is its
+    predicate id plus `p` times the mixed-radix code of its object ids,
+    radix `n`: injective, so keys compare as the atoms do. As a dict it
+    maps each key asked about to its (pred, object ids) pair, decoded on
+    first use; `atoms` maps an atom id to its (key, pair), made on first
+    use, and `adds` an action's key to its add keys in schema order."""
+
+    def __init__(self, task: Task):
+        super().__init__()
+        self.task = task
+        self.preds = _INTERNAL + tuple(pred.name for pred in task.predicates)
+        self.pid = {pred: i for i, pred in enumerate(self.preds)}
+        self.arity = (1, 0, 0) + tuple(pred.arity for pred in task.predicates)
+        self.p = len(self.preds)
+        self.n = max(len(task.objects), 1)
+        self.atoms = _AtomKeys(self)
+        self.adds: dict = {}
+
+    def key(self, pred: str, args) -> int:
+        """The key of pred over the object ids args."""
+        code = 0
+        for arg in reversed(args):
+            code = code * self.n + arg
+        return self.pid[pred] + self.p * code
+
+    def __missing__(self, key: int) -> tuple:
+        code, pid = divmod(key, self.p)
+        args = []
+        for _ in range(self.arity[pid]):
+            code, arg = divmod(code, self.n)
+            args.append(arg)
+        pair = self[key] = (self.preds[pid], tuple(args))
+        return pair
+
+    def name(self, key: int) -> tuple:
+        """The (pred, object names) atom of a key."""
+        pred, args = self[key]
+        return pred, tuple(self.task.objects[arg] for arg in args)
+
+    def adds_of(self, action: PartialAction) -> list:
+        """The keys of a ground action's add atoms, in schema order."""
+        keys = self.adds.get(action._key)
+        if keys is None:
+            index = self.task.object_index
+            binding = dict(zip(action.schema.params, action.args))
+            keys = self.adds[action._key] = [
+                self.key(add.pred, [index[binding.get(a, a)] for a in add.args])
+                for add in action.schema.add]
+        return keys
+
+
+class _AtomKeys(dict):
+    """Atom id -> (key, (pred, object ids)), made on first use, as
+    `graphs.atom_vertices` is."""
+
+    def __init__(self, numbering: Numbering):
+        super().__init__()
+        self.numbering = numbering
+
+    def __missing__(self, i: int) -> tuple:
+        numbering = self.numbering
+        pred, names = numbering.task.atom(i)
+        args = tuple(map(numbering.task.object_index.__getitem__, names))
+        key = numbering.key(pred, args)
+        entry = self[i] = (key, numbering.setdefault(key, (pred, args)))
+        return entry
 
 
 def _fill_source(tables_of) -> str:
@@ -139,18 +239,74 @@ def _compiled_fill(source: str):
     return _define(source, "index fill", "fill")
 
 
+def _table(table_ids: dict, k: int, i: int, pred: str, positions: tuple) -> int:
+    """The id of the table of body atom i of a plan seeded at position k,
+    one per (predicate, key positions, kind)."""
+    kind = _DELTA if i == k else _OLD if i < k else _ALL
+    return table_ids.setdefault((pred, positions, kind), len(table_ids))
+
+
+@lru_cache(maxsize=64)
+def _written(schemas: tuple, preds: tuple, loops: int) -> tuple:
+    """The schema rules of a program, with their join plans; its index
+    tables' ids by (predicate, key positions, kind); and its two compiled
+    fills. The plans' texts depend only on the schemas, the predicates by
+    id, `preds`, and `loops`, the loops per function, so the tasks of a
+    domain share them and write them once.
+
+    A live rule with variables gets one plan per seed position: step 0
+    binds the seed atom from the atoms new in the previous layer, the later
+    steps the other body atoms in the order of `lifted._join_steps`; then
+    the opening plan, with every body atom from the atoms older than the
+    previous layer."""
+    pid = {pred: i for i, pred in enumerate(preds)}
+    table_ids: dict = {}
+    rules = []
+    for schema in schemas:
+        body = _query_body(schema)
+        for add in schema.add:
+            rule = _Rule(add, body, schema.equalities, schema)
+            if not rule.ground and rule.live:
+                key = (str(pid[add.pred]), _key_weights(len(preds), len(add.args)))
+                rule.plans = [rule.plan(partial(_table, table_ids, k), key, _PLAN_ARGS, _DERIVE,
+                                        first=k) for k in range(len(rule.body) + 1)]
+            rules.append(rule)
+    # the fill of the _ALL and _DELTA tables, and that of the _OLD tables
+    new_of: dict = {}
+    old_of: dict = {}
+    for (pred, positions, kind), tid in table_ids.items():
+        (old_of if kind == _OLD else new_of).setdefault(pred, []).append((tid, positions))
+    return (rules, table_ids, _compiled_fill(_fill_source(new_of)),
+            _compiled_fill(_fill_source(old_of)))
+
+
 class EmptyActionSet(Exception):
     pass
 
 
 @dataclass
 class ReachResult:
-    """Fixpoint output: the unit-cost layer of every reached atom, and one
-    achiever per derived atom, stored as the (rule, binding) that derived
-    it, or as (action, None) for an action of the set B."""
+    """Fixpoint output, by key: the unit-cost layer of every reached atom,
+    and one achiever per derived atom, stored as the (rule, binding of
+    object ids) that derived it, or as (action, None) for an action of the
+    set B. `layers` and `achievers` name them: by (pred, args) atom, with
+    each binding's objects by name, made on first read."""
 
-    layers: dict
-    achievers: dict
+    numbering: Numbering
+    key_layers: dict
+    key_achievers: dict
+
+    @cached_property
+    def layers(self) -> dict:
+        name = self.numbering.name
+        return {name(key): layer for key, layer in self.key_layers.items()}
+
+    @cached_property
+    def achievers(self) -> dict:
+        name, objects = self.numbering.name, self.numbering.task.objects
+        return {name(key): (source, binding if binding is None else
+                            tuple(None if v is None else objects[v] for v in binding))
+                for key, (source, binding) in self.key_achievers.items()}
 
 
 class DatalogProgram:
@@ -158,31 +314,38 @@ class DatalogProgram:
 
     def __init__(self, task: Task):
         self.task = task
-        self.rules: list[_Rule] = []
-        for schema in task.schemas:
-            body = _query_body(schema)
-            for add in schema.add:
-                self.rules.append(_Rule(add, body, schema.equalities, schema))
+        self.numbering = keys = Numbering(task)
+        rules, self._table_ids, self._fill_new, self._fill_old = _written(
+            task.schemas, keys.preds, lifted._LOOPS_PER_FUNCTION)
         goal_body = [task.atom(g) for g in sorted(task.goal)]
-        self.rules.append(_Rule((GOAL, ()), goal_body, (), None))
+        self.rules: list[_Rule] = rules + [_Rule((GOAL, ()), goal_body, (), None)]
 
-        self.base_facts: list[tuple] = [task.atom(i) for i in sorted(task.static_atoms)]
-        self.base_facts.extend((OBJ, (o,)) for o in task.objects)
-        self._base_layers = dict.fromkeys(self.base_facts, 0)
+        # per rule: its binding template with object ids; the key of its
+        # head if ground, else None; the keys of its body if ground, else
+        # None; and, for extraction, each body atom's (pred, slots)
+        index = task.object_index
+        self._run: list = []
+        self._bodies: dict = {}
+        for rule in self.rules:
+            template = tuple(None if v is None else index[v] for v in rule.template)
+
+            def key_of(atom):
+                pred, args = atom
+                return keys.key(pred, [template[rule.slots[a]] for a in args])
+
+            head = None if any(map(_is_var, rule.head[1])) else key_of(rule.head)
+            self._run.append((rule, template, head,
+                              [key_of(atom) for atom in rule.body] if rule.ground else None))
+            self._bodies[rule] = [(pred, [rule.slots[a] for a in args])
+                                  for pred, args in rule.body]
+
+        self.base_facts: list[tuple] = [keys.atoms[i][1] for i in sorted(task.static_atoms)]
+        self.base_facts.extend((OBJ, (i,)) for i in range(len(task.objects)))
+        self._base_layers = {keys.key(pred, args): 0 for pred, args in self.base_facts}
         self._static = {p.name for p in task.predicates if p.is_static} | {OBJ}
 
         # index tables: one per (predicate, key positions, kind); a table
-        # maps a key to the matching atoms' args in commit order
-        self._table_ids: dict = {}
-        for rule in self.rules:
-            self._compile(rule)
-        # the compiled fills of the _ALL and _DELTA tables, and of the _OLD tables
-        new_of: dict = {}
-        old_of: dict = {}
-        for (pred, positions, kind), tid in self._table_ids.items():
-            (old_of if kind == _OLD else new_of).setdefault(pred, []).append((tid, positions))
-        self._fill_new = _compiled_fill(_fill_source(new_of))
-        self._fill_old = _compiled_fill(_fill_source(old_of))
+        # maps a key to the matching atoms' object ids in commit order
         self._tables: list = [{} for _ in self._table_ids]
         self._fill_new(self.base_facts, self._tables)
         self._fill_old(self.base_facts, self._tables)
@@ -196,22 +359,6 @@ class DatalogProgram:
     def dump(self) -> str:
         return "\n".join(r.text() for r in self.rules) + "\n"
 
-    # -- compilation ----------------------------------------------------------
-
-    def _table(self, k, i, pred, positions) -> int:
-        kind = _DELTA if i == k else _OLD if i < k else _ALL
-        return self._table_ids.setdefault((pred, positions, kind), len(self._table_ids))
-
-    def _compile(self, rule: _Rule) -> None:
-        """One plan per seed position: step 0 binds the seed atom from the
-        atoms new in the previous layer, the later steps the other body atoms
-        in the order of `lifted._join_steps`; then the opening plan, with
-        every body atom from the atoms older than the previous layer."""
-        if rule.ground or not rule.live:
-            return
-        rule.plans = [rule.plan(partial(self._table, k), _PLAN_ARGS, _DERIVE, first=k)
-                      for k in range(len(rule.body) + 1)]
-
     # -- fixpoint -----------------------------------------------------------
 
     def _fixpoint(self, state: State, chosen=None, full=False) -> ReachResult:
@@ -219,7 +366,7 @@ class DatalogProgram:
         the action set B of the restriction transform, all applicable in
         state. The fixpoint stops after the layer that derives the goal, which
         is all that extraction reads, unless `full` asks for every layer."""
-        task = self.task
+        keys = self.numbering
         layers = dict(self._base_layers)
         achievers: dict = {}
         tables = list(self._tables)
@@ -230,10 +377,10 @@ class DatalogProgram:
         # of any static predicate the state extends
         fresh: list = []
         extended: set = set()
-        for key in map(task.atom, state):
+        for key, pair in map(keys.atoms.__getitem__, state):
             if key in layers:
                 continue
-            pred = key.pred
+            pred = pair[0]
             if pred in self._static and pred not in extended:
                 extended.add(pred)
                 for (p, _, _), tid in self._table_ids.items():
@@ -241,11 +388,12 @@ class DatalogProgram:
                         tables[tid] = {}
                 fresh.extend(f for f in self.base_facts if f[0] == pred)
             layers[key] = 0
-            fresh.append(key)
+            fresh.append(pair)
         self._fill_new(fresh, tables)
 
         new: list = []
         layer = 0
+        n = keys.n
         pending = bool(layers)
         # the first layer of the schema rules; with B, it opens them
         first = 1 if chosen is None else 2 if chosen else INF
@@ -260,31 +408,29 @@ class DatalogProgram:
             new = []
             # seed 0 at layer 1; the opening plan only at an opening layer
             stop = 1 if layer == 1 else None if layer == first else -1
-            for rule in self.rules if layer >= first else self.rules[-1:]:
-                if rule.ground:
-                    if rule.head in layers or not rule.live:
+            for rule, template, head, body in self._run if layer >= first else self._run[-1:]:
+                if body is not None:
+                    if head in layers or not rule.live:
                         continue
-                    for key in rule.body:
+                    for key in body:
                         found = layers.get(key)
                         if found is None or found >= layer:
                             break
                     else:
-                        derive(rule, rule.head, tuple(rule.template))
+                        derive(rule, head, template)
                     continue
-                if not rule.plans or (rule.plans[0].head_at == 0 and rule.head in layers):
+                if not rule.plans or (head is not None and head in layers):
                     continue
                 for plan in rule.plans[:stop]:
                     # skip a plan whose first table is empty; a plan is
                     # True only once it has derived a ground head
-                    if tables[plan.table] and plan.run(tables, rule.template, layers, achievers,
-                                                       new, layer, rule):
+                    if tables[plan.table] and plan.run(tables, template, layers, achievers,
+                                                       new, layer, rule, n):
                         break
             if layer == 1 and chosen:
                 # B is applicable in the state: each action fires here only
                 for action in chosen:
-                    binding = dict(zip(action.schema.params, action.args))
-                    for add in action.schema.add:
-                        head = (add.pred, tuple(binding.get(a, a) for a in add.args))
+                    for head in keys.adds_of(action):
                         if head not in layers:
                             derive(action, head, None)
                     if GATE not in layers:
@@ -296,32 +442,35 @@ class DatalogProgram:
                 self._fill_old(fresh, tables)
                 for tid in self._delta_tables:
                     tables[tid] = {}
-                self._fill_new(new, tables)
-                fresh = new
+                fresh = list(map(keys.__getitem__, new))
+                self._fill_new(fresh, tables)
 
-        return ReachResult(layers, achievers)
+        return ReachResult(keys, layers, achievers)
 
     # -- heuristic values -----------------------------------------------------
 
     def _extract(self, reach: ReachResult) -> float:
-        if GOAL_KEY not in reach.layers:
+        layers, achievers = reach.key_layers, reach.key_achievers
+        if GOAL_KEY not in layers:
             return INF
-        gated = GATE in reach.layers
+        gated = GATE in layers
+        key_of = self.numbering.key
         actions = set()
         seen = set()
         stack = [GOAL_KEY]
         while stack:
             key = stack.pop()
-            if key in seen or reach.layers[key] == 0:
+            if key in seen or layers[key] == 0:
                 continue
             seen.add(key)
-            source, binding = reach.achievers[key]
+            source, binding = achievers[key]
             if binding is None:
                 # an action of B: its preconditions are all at layer 0
                 actions.add(source)
                 continue
+            stack.extend(key_of(pred, [binding[slot] for slot in slots])
+                         for pred, slots in self._bodies[source])
             action_key = source.action_of(binding)
-            stack.extend(source.body_of(binding))
             if action_key is not None:
                 actions.add(action_key)
                 if gated:

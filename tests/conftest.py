@@ -1,10 +1,35 @@
 import pathlib
+import signal
 
 import pytest
 
 from pslift.pddl import load_task, parse_domain, parse_instance
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# seconds a test may run before it fails; the slowest tier-1 test takes a
+# few seconds, so a test past this is stuck, e.g. in a fixpoint that never ends
+TEST_TIME_LIMIT = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail a test that runs past TEST_TIME_LIMIT, naming it, instead of
+    letting it hang the run. Needs SIGALRM, so not on Windows."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"{request.node.nodeid} ran past {TEST_TIME_LIMIT} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 BW_DOMAIN_TEXT = (FIXTURES / "blocksworld.pddl").read_text()
 BW2_TEXT = (FIXTURES / "bw2.pddl").read_text()

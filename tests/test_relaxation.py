@@ -87,13 +87,14 @@ class TestCompiledPlans:
         checked = []
 
         def spy(run):
-            def join(tables, b, known, achievers, new, layer, rule):
+            def join(tables, b, known, achievers, new, layer, rule, n):
                 start = len(new)
-                result = run(tables, b, known, achievers, new, layer, rule)
+                result = run(tables, b, known, achievers, new, layer, rule, n)
                 for h in new[start:]:
                     source, binding = achievers[h]
                     assert known[h] == layer and source is rule
-                    assert h == (rule.head[0], tuple(binding[rule.slots[a]] for a in rule.head[1]))
+                    head = [binding[rule.slots[a]] for a in rule.head[1]]
+                    assert h == program.numbering.key(rule.head[0], head)
                     checked.append(h)
                 return result
             return join
@@ -105,11 +106,23 @@ class TestCompiledPlans:
         program.relaxed_reach(s0, list(instantiations(bw2, s0, ROOT)))
         assert checked
 
-    def test_a_second_task_of_a_domain_compiles_nothing(self):
-        # compiling is per domain: once one blocksworld task has compiled its
-        # join plans and index fills, a task of another size reuses them all
+    def test_a_second_task_of_a_domain_compiles_nothing(self, monkeypatch):
+        # compiling is per domain: once one blocksworld task has written and
+        # compiled its join plans and index fills, a task of another size
+        # reuses them all, and writes no plan
+        import pslift.lifted as lifted
+        import pslift.relaxation as relaxation
         from pslift.lifted import _compiled
         from pslift.relaxation import _compiled_fill
+
+        written = []
+
+        def join_steps(*args, **kwargs):
+            written.append(args[5])
+            return join_steps_of_module(*args, **kwargs)
+
+        join_steps_of_module = lifted._join_steps
+        monkeypatch.setattr(lifted, "_join_steps", join_steps)
 
         def build_and_evaluate(task):
             plain, restricted = FFHeuristic(task), RestrictedFFHeuristic(task)
@@ -124,10 +137,15 @@ class TestCompiledPlans:
         def misses():
             return _compiled.cache_info().misses, _compiled_fill.cache_info().misses
 
+        lifted._query.cache_clear()
+        relaxation._written.cache_clear()
         build_and_evaluate(generate_task("blocksworld", seed=0, blocks=4))
         before = misses()
+        assert written
+        del written[:]
         build_and_evaluate(generate_task("blocksworld", seed=1, blocks=7))
         assert misses() == before
+        assert written == []
 
     @pytest.mark.parametrize("loops", [1, 2, 3])
     @pytest.mark.parametrize("family,params", [
@@ -462,3 +480,90 @@ class TestRestrictedReachability:
                                         action.schema.add)
             plus, _ = oracles.relaxed_reachable(task, state, extra_atoms=adds)
             assert oracles.reached_atoms(reach_one) == plus | {(EPSILON, ())}
+
+
+# finish(?x) needs go, ok(?x) and c(?x); at layer 2 its first binding takes
+# ?x from the first ok atom in the table's commit order, and each ok atom is
+# derived at layer 1 from its raw atom, in the state's order of the raw
+# atoms. finish(o1) needs start and prep(o1); finish(o2) needs mk(o2) too.
+ORDER_DOMAIN = """
+(define (domain order)
+  (:predicates (raw ?x) (ok ?x) (c ?x) (m ?x) (idle) (go) (done))
+  (:action start :parameters () :precondition (idle) :effect (go))
+  (:action prep :parameters (?x) :precondition (raw ?x)
+    :effect (and (ok ?x) (not (raw ?x))))
+  (:action mk :parameters (?x) :precondition (m ?x) :effect (c ?x))
+  (:action finish :parameters (?x) :precondition (and (go) (ok ?x) (c ?x))
+    :effect (done)))
+"""
+
+
+def order_task(raw_first):
+    """The order task with the raw atom of `raw_first` interned first."""
+    from pslift.pddl import load_task
+    raws = " ".join(f"(raw {o})" for o in (raw_first, "o2" if raw_first == "o1" else "o1"))
+    return load_task(ORDER_DOMAIN, f"""(define (problem p) (:domain order)
+        (:objects o1 o2) (:init (idle) {raws} (c o1) (m o2)) (:goal (done)))""")
+
+
+class TestCommitOrder:
+    def test_first_achiever_follows_the_commit_order(self):
+        # within a predicate, the order of the state's atoms and of a layer's
+        # new atoms picks the first achiever, and so h, as the reference does
+        values = []
+        for raw_first in ("o1", "o2"):
+            task = order_task(raw_first)
+            state = task.initial_state
+            actions = list(instantiations(task, state, ROOT))
+            assert FFHeuristic(task)(state) == oracles.ff_reference(task, state)
+            assert (RestrictedFFHeuristic(task).program.h_ff_restricted(state, actions)
+                    == oracles.ff_reference(task, state, actions))
+            values.append(FFHeuristic(task)(state))
+        # the state iterates its raw atoms in the order interned: the two
+        # tasks differ only in that order, and their h differs
+        assert values == [3, 4]
+
+
+NUMBERING_DOMAIN = """
+(define (domain numbered)
+  (:constants c)
+  (:predicates (p ?x) (q ?x ?y) (r ?x ?y ?z) (h) (done))
+  (:action a :parameters (?x) :precondition (and (p ?x) (h))
+    :effect (and (q ?x c) (not (h))))
+  (:action b :parameters (?x ?y) :precondition (q ?x ?y)
+    :effect (and (r ?x ?y c) (h)))
+  (:action f :parameters () :precondition (r c c c) :effect (done)))
+"""
+
+
+class TestNumbering:
+    @pytest.mark.parametrize("objects", ["", "o1 o2 o3"])
+    def test_keys_round_trip_and_name_the_reached_atoms(self, objects):
+        # with the constant as the task's only object, and with three more:
+        # every atom of the full fixpoint, @object, @goal and @epsilon
+        # included, has its own key, which names it back
+        from pslift.pddl import load_task
+        from pslift.relaxation import GOAL, GOAL_KEY
+        task = load_task(NUMBERING_DOMAIN, f"""(define (problem p) (:domain numbered)
+            (:objects {objects}) (:init (p c) (h)) (:goal (done)))""")
+        program = DatalogProgram(task)
+        numbering = program.numbering
+        state = task.initial_state
+        actions = list(instantiations(task, state, ROOT))
+        for reach in (program.relaxed_reach(state), program.relaxed_reach(state, actions)):
+            keys = list(reach.key_layers)
+            named = list(reach.layers)
+            assert len(set(named)) == len(keys)
+            for key, (pred, args) in zip(keys, named):
+                ids = tuple(task.object_index[o] for o in args)
+                assert numbering.key(pred, ids) == key
+                assert numbering[key] == (pred, ids)
+                assert reach.layers[pred, args] == reach.key_layers[key]
+            assert {"@object", GOAL}.issubset(pred for pred, _ in named)
+            assert reach.key_layers[GOAL_KEY] == reach.layers[(GOAL, ())]
+        assert (EPSILON, ()) in reach.layers and reach.key_layers[GATE] == 1
+        plain, oracle_layers = oracles.relaxed_reachable(task, state)
+        assert {k: v for k, v in program.relaxed_reach(state).layers.items()
+                if not k[0].startswith("@")} == oracle_layers
+        assert oracles.reached_atoms(reach) == plain | {(EPSILON, ())}
+        assert program.h_ff(state) == oracles.ff_reference(task, state) == 3
