@@ -75,9 +75,9 @@ def object_colors(task: Task) -> tuple[str, ...]:
         return cached
     preds: list[list[str]] = [[] for _ in task.objects]
     for i in task.static_atoms:
-        a = task.atom(i)
-        if len(a.args) == 1:
-            preds[task.object_index[a.args[0]]].append(a.pred)
+        pred, args = task.id_atoms[i]
+        if len(args) == 1:
+            preds[args[0]].append(pred)
     colors = tuple("ob{" + ",".join(sorted(ps)) + "}" for ps in preds)
     task._info_cache["@object_colors"] = colors
     return colors
@@ -101,9 +101,8 @@ class _AtomVertices(dict):
         self.task = task
 
     def __missing__(self, i: int) -> tuple:
-        atom = self.task.atom(i)
-        index = self.task.object_index
-        entry = self[i] = (tuple(index[obj] for obj in atom.args), _colors(self.task, atom.pred))
+        pred, args = self.task.id_atoms[i]
+        entry = self[i] = (args, _colors(self.task, pred))
         return entry
 
 

@@ -10,21 +10,23 @@ whole task.
 The preconditions of a schema form its successor rule, a `_Rule` like the
 relaxation's Datalog rules, with head (schema name, parameters). It is
 planned by the planner (`_join_steps`) that plans the Datalog rules too,
-into nested loops written as Python source once per schema and compiled
+into nested loops written as Python source once per domain and compiled
 once per text, so every task of a domain shares both, and it runs once per
-state over an index of the state and the static atoms, by object name. The
-caller gives the plan's completion as text: here each completion appends
-the head's parameter tuple to the plan's output list, with no call per
-completion, and as the plan is given no set of known heads, it cuts no head
-as already derived. Its first-completion exit changes nothing for this
-query: every binding slot is a parameter or a constant, and an index table
-lists each atom once, so two join paths give two parameter tuples. The task keeps the
-index of the last state asked about, builds each index table on first use,
-and sorts the join's result once by object declaration index: actions come
-in schema order, then lexicographically by declaration index, the order on
-which the search's counters and the restricted FF value depend. That one
-list fixes the state's partial action tree: a prefix's completions are a
-run of its parent's list.
+state over an index of the state and the static atoms, by object id, as the
+Datalog fixpoint does: the tables hold the (pred, object ids) forms that
+`Task.intern` makes. The caller gives the plan's completion as text: here
+each completion appends the head's parameter ids to the plan's output list,
+with no call per completion, and as the plan is given no set of known
+heads, it cuts no head as already derived. Its first-completion exit
+changes nothing for this query: every binding slot is a parameter or a
+constant, and an index table lists each atom once, so two join paths give
+two parameter tuples. The task keeps the index of the last state asked
+about, filled when made by one compiled fill per domain (`_fill_source`
+writes every index fill), and sorts each join's result once as int tuples,
+then names it: actions come in schema order, then lexicographically by
+declaration index, the order on which the search's counters and the
+restricted FF value depend. That one list fixes the state's partial action
+tree: a prefix's completions are a run of its parent's list.
 
 Effects. `ground_effects` grounds an action's add and delete atoms the
 first time the task asks for them and keeps the two frozensets in the
@@ -142,16 +144,6 @@ def _query_body(schema: ActionSchema) -> list:
     return body
 
 
-# key of a table without key positions: 0 for any sequence, from a C-level
-# callable, which is cheaper to call than a Python function
-_no_key = ().count
-
-
-def _key_getter(idx):
-    """Index key of a sequence at positions idx: 0, a value or a tuple."""
-    return itemgetter(*idx) if idx else _no_key
-
-
 def _tuple_getter(idx):
     """The tuple of a sequence's items at positions idx."""
     if len(idx) == 1:
@@ -186,6 +178,39 @@ def _compiled(source: str):
     """The function that the source of a join plan defines. Cached by the
     text, so the plans of every task of a domain share one function."""
     return _define(source, "join plan", "join")
+
+
+def _fill_source(tables) -> str:
+    """Source of `fill(atoms, tables)`, which appends the object ids of each
+    (pred, object ids) atom to the index tables of its predicate, in the
+    atoms' order; `tables` holds ((pred, key positions, ...), table id)
+    pairs, the items of a dict of table ids. Each predicate is one branch,
+    with its keys written out."""
+    tables_of: dict = {}
+    for (pred, positions, *_), tid in tables:
+        tables_of.setdefault(pred, []).append((tid, positions))
+    lines = ["def fill(atoms, tables):"]
+    lines += [f" t{tid} = tables[{tid}]" for entries in tables_of.values() for tid, _ in entries]
+    lines.append(" for pred, args in atoms:")
+    branch = "if"
+    for pred, entries in tables_of.items():
+        lines.append(f"  {branch} pred == {pred!r}:")
+        branch = "elif"
+        for tid, positions in entries:
+            key = [f"args[{pos}]" for pos in positions]
+            key = "0" if not key else key[0] if len(key) == 1 else _tuple_text(key)
+            lines += [f"   m = t{tid}.get({key})", "   if m is None:",
+                      f"    t{tid}[{key}] = [args]", "   else:", "    m.append(args)"]
+    if not tables_of:
+        lines.append("  pass")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=256)
+def _compiled_fill(source: str):
+    """The function that the source of an index fill defines, shared by
+    every task of a domain, as `_compiled` is."""
+    return _define(source, "index fill", "fill")
 
 
 class _Plan:
@@ -262,7 +287,7 @@ def _join_steps(body, eqs, slots, bound, table, head, head_key, args, complete,
         after = bound.union(terms)
         tests += [f"s{slots[x]} {'!=' if want else '=='} s{slots[y]}" for x, y, want in eqs
                   if x in after and y in after and not (x in bound and y in bound)]
-        # a table without key positions lists its atoms under 0, `_no_key`
+        # a table without key positions lists its atoms under 0
         key = [f"s{slots[terms[pos]]}" for pos in keyed]
         keys.append([slots[terms[pos]] for pos in keyed])
         loops.append((tid, "0" if not key else key[0] if len(key) == 1 else _tuple_text(key),
@@ -422,26 +447,19 @@ class _Rule:
 
 
 class _StateIndex:
-    """The args of the atoms of `state | static atoms`, `@object` included,
-    grouped by predicate in the order the union iterates them; the index
-    tables built from them on first use, keyed by (predicate, key
-    positions); and the sorted completions of each prefix asked about and
-    of its siblings, keyed by (schema name, prefix)."""
+    """The successor query's index tables of `state | static atoms`,
+    `@object` included, by table id; and the sorted completions of each
+    prefix asked about and of its siblings, keyed by (schema name, prefix)."""
 
-    __slots__ = ("state", "groups", "tables", "completions")
+    __slots__ = ("state", "tables", "completions")
 
     def __init__(self, task: Task, state: State):
         self.state = state
-        groups: dict = {OBJ: [(o,) for o in task.objects]}
+        _, tables, fill, objects = _successors(task)
+        self.tables = [{} for _ in tables]
+        fill(objects, self.tables)
         # a state may hold static atoms too; the union lists each atom once
-        for pred, args in map(task.atom, state | task.static_atoms):
-            group = groups.get(pred)
-            if group is None:
-                groups[pred] = [args]
-            else:
-                group.append(args)
-        self.groups = groups
-        self.tables: dict = {}
+        fill(map(task.id_atoms.__getitem__, state | task.static_atoms), self.tables)
         self.completions: dict = {}
 
 
@@ -473,51 +491,55 @@ def _completions(task: Task, state: State, schema: ActionSchema, prefix: tuple[s
                 cache[schema.name, parent + (o,)] = list(run)
             out = cache.setdefault(key, [])
         else:
-            out = cache[key] = _join(task, index, schema)
-            order = task.object_index.__getitem__
-            out.sort(key=lambda args: tuple(map(order, args)))
+            name = task.objects.__getitem__
+            out = cache[key] = [tuple(map(name, ids)) for ids in sorted(_join(task, index, schema))]
     return out
 
 
-@lru_cache(maxsize=256)
-def _query(schema: ActionSchema, loops: int) -> tuple:
-    """The successor rule of schema with its plan, which appends the tuple
-    of each completion's parameters to `out`, and the (pred, key positions) of each of the plan's
-    tables by id. A plan's text depends only on the schema and on `loops`,
-    the loops per function, so the tasks of a domain share one rule."""
-    rule = _Rule((schema.name, schema.params), _query_body(schema), schema.equalities, schema)
-    names: dict = {}
-    rule.plans = [rule.plan(lambda i, pred, keyed: names.setdefault((pred, keyed), len(names)),
-                            None, ("out",), "out.append({head})")]
-    return rule, list(names)
+@lru_cache(maxsize=64)
+def _query(schemas: tuple, loops: int) -> tuple:
+    """The successor rules of a domain's schemas by name, each with its
+    plan, which appends the tuple of each completion's parameter ids to
+    `out`; the (pred, key positions) of their index tables by id, one
+    table for each, whichever schemas share it; and the tables' compiled
+    fill. The texts depend only on the schemas and on `loops`, the loops
+    per function, so the tasks of a domain share them and write them once."""
+    table_ids: dict = {}
+
+    def table(i, pred, keyed):
+        return table_ids.setdefault((pred, keyed), len(table_ids))
+
+    rules = {}
+    for schema in schemas:
+        rule = _Rule((schema.name, schema.params), _query_body(schema), schema.equalities, schema)
+        rule.plans = [rule.plan(table, None, ("out",), "out.append({head})")]
+        rules[schema.name] = rule
+    return rules, list(table_ids), _compiled_fill(_fill_source(table_ids.items()))
+
+
+def _successors(task: Task) -> tuple:
+    """The task's successor query: (schema name -> (rule, binding template
+    with its constants as object ids), the (pred, key positions) of each
+    index table, their fill, the `@object` atoms), made once per task."""
+    query = task._info_cache.get("@successors")
+    if query is None:
+        rules, tables, fill = _query(task.schemas, _LOOPS_PER_FUNCTION)
+        index = task.object_index
+        runs = {name: (rule, [None if v is None else index[v] for v in rule.template])
+                for name, rule in rules.items()}
+        objects = [(OBJ, (i,)) for i in range(len(task.objects))]
+        query = task._info_cache["@successors"] = (runs, tables, fill, objects)
+    return query
 
 
 def _join(task: Task, index: _StateIndex, schema: ActionSchema) -> list:
-    """The applicable argument tuples of schema, in the order the plan of its
-    successor rule enumerates them over the index; the plan's table ids
-    index `names`."""
-    query = task._info_cache.get(("@rule", schema.name))
-    if query is None:
-        query = task._info_cache["@rule", schema.name] = _query(schema, _LOOPS_PER_FUNCTION)
-    rule, names = query
+    """The applicable parameter id tuples of schema, in the order the plan
+    of its successor rule enumerates them over the index."""
+    rule, template = _successors(task)[0][schema.name]
     if not rule.live:
         return []
-    tables = []
-    for name in names:
-        table = index.tables.get(name)
-        if table is None:
-            table = index.tables[name] = {}
-            key_of = _key_getter(name[1])
-            for args in index.groups.get(name[0], ()):
-                key = key_of(args)
-                matches = table.get(key)
-                if matches is None:
-                    table[key] = [args]
-                else:
-                    matches.append(args)
-        tables.append(table)
     out: list = []
-    rule.plans[0].run(tables, rule.template, out)
+    rule.plans[0].run(index.tables, template, out)
     return out
 
 

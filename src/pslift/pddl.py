@@ -36,11 +36,13 @@ class UnsupportedFeature(PddlError):
 
 
 class UndeclaredPredicate(PddlError):
-    pass
+    def __init__(self, what: str):
+        super().__init__(f"undeclared predicate: {what}")
 
 
 class UndeclaredObject(PddlError):
-    pass
+    def __init__(self, what: str):
+        super().__init__(f"undeclared object: {what}")
 
 
 class ArityMismatch(PddlError):
@@ -48,7 +50,8 @@ class ArityMismatch(PddlError):
 
 
 class UnknownType(PddlError):
-    pass
+    def __init__(self, what: str):
+        super().__init__(f"unknown type: {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +248,8 @@ class Task:
 
         self._atom_ids: dict[tuple[str, tuple[str, ...]], int] = {}
         self._atoms: list[Atom] = []
+        # each atom as (pred, object ids by declaration index), by atom id
+        self.id_atoms: list[tuple[str, tuple[int, ...]]] = []
 
         self.init: frozenset[int] = frozenset(self._intern_checked(a) for a in init)
         self.goal: frozenset[int] = frozenset(self._intern_checked(a) for a in goal)
@@ -279,20 +284,23 @@ class Task:
                     raise UndeclaredObject(f"{arg} in schema {s.name}")
         for x, y, _ in s.equalities:
             for v in (x, y):
-                if v.startswith("?") and v not in pset:
-                    raise PddlError(f"unbound variable {v} in schema {s.name}")
+                if v.startswith("?"):
+                    if v not in pset:
+                        raise PddlError(f"unbound variable {v} in schema {s.name}")
+                elif v not in self.object_index:
+                    raise UndeclaredObject(f"{v} in schema {s.name}")
         if set(s.add) & set(s.delete):
             raise PddlError(f"schema {s.name} adds and deletes the same atom")
 
     def _intern_checked(self, a: Atom) -> int:
         p = self._pred.get(a.pred)
         if p is None:
-            raise UndeclaredPredicate(a.pred)
+            raise UndeclaredPredicate(f"{a.pred} in {a}")
         if p.arity != len(a.args):
             raise ArityMismatch(f"{a}: expected arity {p.arity}")
         for arg in a.args:
             if arg not in self.object_index:
-                raise UndeclaredObject(arg)
+                raise UndeclaredObject(f"{arg} in {a}")
         return self.intern(a.pred, a.args)
 
     # -- atom interning --------------------------------------------------------
@@ -304,6 +312,7 @@ class Task:
             i = len(self._atoms)
             self._atom_ids[key] = i
             self._atoms.append(Atom(pred, args))
+            self.id_atoms.append((pred, tuple(map(self.object_index.__getitem__, args))))
         return i
 
     def find(self, pred: str, args: tuple[str, ...]) -> int | None:
@@ -565,9 +574,9 @@ def _ancestors(types: dict[str, str | None], t: str) -> list[str]:
     cur: str | None = t
     while cur is not None and cur != OBJECT_TYPE:
         if cur in seen:
-            raise UnknownType(f"cyclic type hierarchy at {cur}")
+            raise PddlError(f"cyclic type hierarchy at {cur}")
         if cur not in types:
-            raise UnknownType(cur)
+            raise UnknownType(f"{cur} in the hierarchy of {t}")
         seen.add(cur)
         out.append(cur)
         cur = types[cur]
@@ -583,9 +592,9 @@ def compile_types(domain: Domain, instance: Instance) -> Task:
     both sides. Untyped input passes through unchanged.
     """
     types = dict(domain.types)
-    for _, t in domain.constants + instance.objects + [(v, ty) for s in domain.schemas for v, ty in s.params]:
+    for name, t in domain.constants + instance.objects + [(v, ty) for s in domain.schemas for v, ty in s.params]:
         if t != OBJECT_TYPE and t not in types:
-            raise UnknownType(t)
+            raise UnknownType(f"{t} of {name}")
 
     predicates = list(domain.predicates)
     declared = {n for n, _ in predicates}

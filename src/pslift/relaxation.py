@@ -62,10 +62,11 @@ same first bindings while enumerating far fewer:
 Static facts and `@object` facts are indexed once per program; each call
 indexes the state's atoms (and again the static facts of a static predicate
 that the state extends) and then each layer's derived atoms. The indexing
-is compiled as well: each program has two fills, one of its _ALL and _DELTA
-tables and one of its _OLD tables, each a function written as source with
-one branch per predicate and its keys written out, and compiled once per
-text, so every task of a domain shares them. Achievers are stored as (rule,
+is compiled as well, by the fill that the successor query's index uses
+(`lifted._fill_source`): a function written as source with one branch per
+predicate and its keys written out, and compiled once per text, so every
+task of a domain shares it. A program has one fill of its _ALL and _DELTA
+tables and one of its _OLD tables. Achievers are stored as (rule,
 binding) and expanded into action and body atoms only for the atoms that
 extraction visits.
 
@@ -79,7 +80,8 @@ plan computes a head's key as a weighted sum, each loop adding the terms of
 the values that it binds. The radix is an argument of the plan, not part of
 its text, so the tasks of a domain share every plan, and a domain's later
 tasks do not write the plans again (`_written`). A state's atom ids map to
-keys through a table of the program's, filled as ids are first seen. Names
+keys through a table of the program's, filled as ids are first seen from
+the (pred, object ids) form of each atom that `Task.intern` makes. Names
 come back only where they are read: extraction expands the achievers that
 it visits into body keys and (schema, object ids) actions, and
 `ReachResult.layers` and `.achievers` name the keys for tests and oracles. The enumeration order is
@@ -107,8 +109,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 from . import lifted
-from .lifted import (OBJ, PartialAction, State, _define, _is_var, _query_body, _Rule, _tuple_text,
-                     instantiations, is_applicable)
+from .lifted import (OBJ, PartialAction, State, _compiled_fill, _fill_source, _is_var,
+                     _query_body, _Rule, instantiations, is_applicable)
 from .pddl import Task
 
 INF = float("inf")
@@ -194,8 +196,8 @@ class Numbering(dict):
 
 
 class _AtomKeys(dict):
-    """Atom id -> (key, (pred, object ids)), made on first use, as
-    `graphs.atom_vertices` is."""
+    """Atom id -> (key, the task's (pred, object ids) form of the atom),
+    made on first use, as `graphs.atom_vertices` is."""
 
     def __init__(self, numbering: Numbering):
         super().__init__()
@@ -203,40 +205,10 @@ class _AtomKeys(dict):
 
     def __missing__(self, i: int) -> tuple:
         numbering = self.numbering
-        pred, names = numbering.task.atom(i)
-        args = tuple(map(numbering.task.object_index.__getitem__, names))
-        key = numbering.key(pred, args)
-        entry = self[i] = (key, numbering.setdefault(key, (pred, args)))
+        atom = numbering.task.id_atoms[i]
+        key = numbering.key(*atom)
+        entry = self[i] = (key, numbering.setdefault(key, atom))
         return entry
-
-
-def _fill_source(tables_of) -> str:
-    """Source of `fill(atoms, tables)`, which appends the args of each
-    (pred, args) atom to the index tables of its predicate, in the atoms'
-    order; `tables_of` maps a predicate to its [(table id, key positions)].
-    Each predicate is one branch, with its keys written out."""
-    lines = ["def fill(atoms, tables):"]
-    lines += [f" t{tid} = tables[{tid}]" for entries in tables_of.values() for tid, _ in entries]
-    lines.append(" for pred, args in atoms:")
-    branch = "if"
-    for pred, entries in tables_of.items():
-        lines.append(f"  {branch} pred == {pred!r}:")
-        branch = "elif"
-        for tid, positions in entries:
-            key = [f"args[{pos}]" for pos in positions]
-            key = "0" if not key else key[0] if len(key) == 1 else _tuple_text(key)
-            lines += [f"   m = t{tid}.get({key})", "   if m is None:",
-                      f"    t{tid}[{key}] = [args]", "   else:", "    m.append(args)"]
-    if not tables_of:
-        lines.append("  pass")
-    return "\n".join(lines) + "\n"
-
-
-@lru_cache(maxsize=256)
-def _compiled_fill(source: str):
-    """The function that the source of an index fill defines, shared by the
-    programs of every task of a domain, as `lifted._compiled` is."""
-    return _define(source, "index fill", "fill")
 
 
 def _table(table_ids: dict, k: int, i: int, pred: str, positions: tuple) -> int:
@@ -272,12 +244,9 @@ def _written(schemas: tuple, preds: tuple, loops: int) -> tuple:
                                         first=k) for k in range(len(rule.body) + 1)]
             rules.append(rule)
     # the fill of the _ALL and _DELTA tables, and that of the _OLD tables
-    new_of: dict = {}
-    old_of: dict = {}
-    for (pred, positions, kind), tid in table_ids.items():
-        (old_of if kind == _OLD else new_of).setdefault(pred, []).append((tid, positions))
-    return (rules, table_ids, _compiled_fill(_fill_source(new_of)),
-            _compiled_fill(_fill_source(old_of)))
+    fills = [_compiled_fill(_fill_source((table, tid) for table, tid in table_ids.items()
+                                         if (table[2] == _OLD) == old)) for old in (False, True)]
+    return (rules, table_ids, *fills)
 
 
 class EmptyActionSet(Exception):

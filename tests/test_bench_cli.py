@@ -211,6 +211,30 @@ def bw_files(tmp_path):
 
 
 class TestCli:
+    @pytest.mark.parametrize("domain,problem,message", [
+        ("(:predicates (p ?x))", "(:objects a) (:init (p z)) (:goal (p a))",
+         "undeclared object: z in p(z)"),
+        ("(:predicates (p ?x))", "(:objects a) (:init (p a)) (:goal (r a))",
+         "undeclared predicate: r in r(a)"),
+        ("(:requirements :typing) (:predicates (p ?x))",
+         "(:objects a - t) (:init (p a)) (:goal (p a))", "unknown type: t of a"),
+        ("(:requirements :typing) (:types t - ghost) (:predicates (p ?x))",
+         "(:objects a - t) (:init (p a)) (:goal (p a))",
+         "unknown type: ghost in the hierarchy of t"),
+        ("(:requirements :typing) (:types t - u u - t) (:predicates (p ?x))",
+         "(:objects a - t) (:init (p a)) (:goal (p a))", "cyclic type hierarchy at t"),
+        ("(:requirements :equality) (:predicates (p ?x)) (:action go :parameters (?x)"
+         " :precondition (and (p ?x) (not (= ?x c))) :effect (p ?x))",
+         "(:objects a) (:init (p a)) (:goal (p a))", "undeclared object: c in schema go"),
+    ], ids=["object", "predicate", "type", "parent-type", "cyclic-type", "equality-constant"])
+    def test_pddl_errors_say_what_is_wrong(self, tmp_path, capsys, domain, problem, message):
+        d = tmp_path / "d.pddl"
+        d.write_text(f"(define (domain d) {domain})")
+        p = tmp_path / "p.pddl"
+        p.write_text(f"(define (problem q) (:domain d) {problem})")
+        assert cli.main(["solve", str(d), str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_solve_partial_writes_valid_plan(self, bw_files, tmp_path, capsys):
         domain, problem = bw_files
         plan_file = tmp_path / "out.plan"

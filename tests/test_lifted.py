@@ -114,6 +114,18 @@ class TestInstantiations:
         rho = PartialAction(bw2.schema("pickup"), ("a",))
         assert list(instantiations(bw2, bw2.initial_state, rho)) == [act(bw2, "pickup", "a")]
 
+    def test_state_may_extend_a_static_predicate(self, spanner_mini):
+        # a static atom outside init joins as the static ones do, and only
+        # for its own state: the index of the last state must not keep it
+        task = spanner_mini
+        s0 = task.initial_state
+        shortcut = s0 | {task.intern("link", ("p1", "p3"))}
+        for state in (shortcut, s0, shortcut, s0):
+            got = [(a.name, a.args) for a in instantiations(task, state, ROOT)]
+            assert got == [(schema.name, args) for schema, args
+                           in oracles.oracle_applicable_actions(task, state)]
+            assert (("walk", ("bob", "p1", "p3")) in got) == (state == shortcut)
+
 
 class TestActionContract:
     """A ground action is the full partial action of the same schema and

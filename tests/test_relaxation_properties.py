@@ -3,8 +3,9 @@ at random-walk states, the heuristic values, which stop the fixpoint after
 the layer that derives the goal, equal extraction from the full fixpoint of
 `relaxed_reach`, and are inf exactly on the oracle's relaxed dead ends.
 Restricted reachability with an action set B matches the grounded fixpoint
-of the materialised restricted task. The program's compiled index fills
-build the tables that the reference fill of `oracles` builds."""
+of the materialised restricted task. The program's compiled index fills,
+and the successor query's, build the tables that the reference fill of
+`oracles` builds."""
 
 import math
 import random
@@ -15,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from pslift import lifted  # noqa: E402
 from pslift.generators import generate_task  # noqa: E402
 from pslift.lifted import ROOT, _apply_effects, children, instantiations  # noqa: E402
 from pslift.relaxation import _OLD, DatalogProgram, RestrictedFFHeuristic  # noqa: E402
@@ -122,8 +124,26 @@ def check_fills(program, state, actions=None) -> None:
             assert compiled == reference
 
 
+def check_successor_index(task, state) -> None:
+    """The successor query's index of state holds the tables that the
+    reference fill builds from the `@object` atoms and then the atoms of
+    `state | static atoms`, each as (pred, object ids)."""
+    _, tables, _, _ = lifted._successors(task)
+    tables_of: dict = {}
+    for tid, (pred, positions) in enumerate(tables):
+        tables_of.setdefault(pred, []).append((tid, positions))
+    atoms = [(oracles.OBJECT, (i,)) for i in range(len(task.objects))]
+    for i in state | task.static_atoms:
+        pred, args = task.atom(i)
+        atoms.append((pred, tuple(task.objects.index(o) for o in args)))
+    reference = [{} for _ in tables]
+    oracles.fill_tables(atoms, tables_of, reference)
+    assert lifted._state_index(task, state).tables == reference
+
+
 def check_fills_at(task, program, state) -> None:
     check_fills(program, state)
+    check_successor_index(task, state)
     kids = children(task, state, ROOT)
     if kids:
         check_fills(program, state, list(instantiations(task, state, kids[-1])))
