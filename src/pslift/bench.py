@@ -46,10 +46,13 @@ def validate_plan(task: Task, plan: list[PartialAction]) -> PlanCheck:
     applicable in turn and the final state satisfies the goal."""
     state = task.initial_state
     for step, action in enumerate(plan):
+        shown = f"({' '.join((action.schema.name, *action.args))})"
         if len(action.args) != len(action.schema.params):
-            return PlanCheck(False, step, "arity mismatch")
-        if any(o not in task.object_index for o in action.args):
-            return PlanCheck(False, step, "undeclared object")
+            return PlanCheck(False, step, f"arity mismatch: {shown}: expected arity "
+                                          f"{len(action.schema.params)}")
+        for o in action.args:
+            if o not in task.object_index:
+                return PlanCheck(False, step, f"undeclared object: {o} in {shown}")
         reason = unsatisfied(task, state, action)
         if reason is not None:
             return PlanCheck(False, step, reason)

@@ -47,14 +47,19 @@ same first bindings while enumerating far fewer:
   the branch, by `break` out of each loop below the head's step. Every
   skipped completion would have derived an atom that already has its
   achiever.
-* Goal cut-off. The heuristic values stop the fixpoint after the layer L
-  that derives `@goal`. The goal rule is ground and the last rule, so it
-  fires at layer L only after every other rule of layer L has run, and only
-  when every goal atom is below L; at layer 1, B is applied after the rules,
-  so all of layer 1 runs before the stop. Extraction visits only atoms
-  below L, and each of them got its first achiever by the end of its own
-  layer, so later layers cannot change h. `relaxed_reach` runs to the full
-  fixpoint, and so does a dead end, as it never derives `@goal`.
+* Goal cut-off. The heuristic values stop the fixpoint as soon as every
+  goal atom is reached: before layer 1 in a goal state, after the rule of
+  layer L that gives the last goal atom its achiever, or after all of B at
+  layer 1, never inside B, as the gate follows the adds of B[0]. The
+  rest of layer L and its index fills are skipped, and `@goal` is recorded
+  at layer L + 1 with the goal rule as its achiever, where the goal rule
+  would have derived it. A pointer to the first goal atom not yet reached
+  makes each check O(1) amortised. Extraction starts at `@goal`. Each goal
+  atom already has its first achiever, which never changes once set, and
+  every atom that extraction visits below a goal atom has a strictly lower
+  layer, and those layers are complete, so the stop cannot change h.
+  `relaxed_reach` runs to the full fixpoint, and so does a dead end, as it
+  never reaches every goal atom.
 * Fully ground rules (the goal rule, and schemas without parameters) fire
   at the first layer that has all their body atoms, which is exactly when a
   join would have bound them first.
@@ -333,14 +338,26 @@ class DatalogProgram:
     def _fixpoint(self, state: State, chosen=None, full=False) -> ReachResult:
         """Layers and achievers of the program from state; `chosen` is None or
         the action set B of the restriction transform, all applicable in
-        state. The fixpoint stops after the layer that derives the goal, which
-        is all that extraction reads, unless `full` asks for every layer."""
+        state. Unless `full` asks for every layer, the fixpoint stops once
+        every goal atom is reached, before layer 1, after a rule or after all
+        of B, and records `@goal` at the next layer (`_cut`)."""
         keys = self.numbering
         layers = dict(self._base_layers)
         achievers: dict = {}
         tables = list(self._tables)
         for tid in self._fluent_tables:
             tables[tid] = {}
+        goal = self._run[-1][3]
+        todo = 0
+
+        def reached() -> bool:
+            # the goal keys before `todo` are reached, and stay so
+            nonlocal todo
+            if full:
+                return False
+            while todo < len(goal) and goal[todo] in layers:
+                todo += 1
+            return todo == len(goal)
 
         # layer-0 atoms indexed per call: the state's, plus the static facts
         # of any static predicate the state extends
@@ -358,6 +375,8 @@ class DatalogProgram:
                 fresh.extend(f for f in self.base_facts if f[0] == pred)
             layers[key] = 0
             fresh.append(pair)
+        if reached():
+            return self._cut(layers, achievers, 0)
         self._fill_new(fresh, tables)
 
         new: list = []
@@ -379,23 +398,22 @@ class DatalogProgram:
             stop = 1 if layer == 1 else None if layer == first else -1
             for rule, template, head, body in self._run if layer >= first else self._run[-1:]:
                 if body is not None:
-                    if head in layers or not rule.live:
-                        continue
-                    for key in body:
-                        found = layers.get(key)
-                        if found is None or found >= layer:
+                    if head not in layers and rule.live:
+                        for key in body:
+                            found = layers.get(key)
+                            if found is None or found >= layer:
+                                break
+                        else:
+                            derive(rule, head, template)
+                elif rule.plans and (head is None or head not in layers):
+                    for plan in rule.plans[:stop]:
+                        # skip a plan whose first table is empty; a plan is
+                        # True only once it has derived a ground head
+                        if tables[plan.table] and plan.run(tables, template, layers, achievers,
+                                                           new, layer, rule, n):
                             break
-                    else:
-                        derive(rule, head, template)
-                    continue
-                if not rule.plans or (head is not None and head in layers):
-                    continue
-                for plan in rule.plans[:stop]:
-                    # skip a plan whose first table is empty; a plan is
-                    # True only once it has derived a ground head
-                    if tables[plan.table] and plan.run(tables, template, layers, achievers,
-                                                       new, layer, rule, n):
-                        break
+                if reached():
+                    return self._cut(layers, achievers, layer)
             if layer == 1 and chosen:
                 # B is applicable in the state: each action fires here only
                 for action in chosen:
@@ -404,8 +422,10 @@ class DatalogProgram:
                             derive(action, head, None)
                     if GATE not in layers:
                         derive(action, GATE, None)
+                if reached():
+                    return self._cut(layers, achievers, layer)
 
-            pending = bool(new) and (full or GOAL_KEY not in layers)
+            pending = bool(new)
             if pending:
                 # the previous layer's atoms become old; this layer's, delta
                 self._fill_old(fresh, tables)
@@ -415,6 +435,14 @@ class DatalogProgram:
                 self._fill_new(fresh, tables)
 
         return ReachResult(keys, layers, achievers)
+
+    def _cut(self, layers: dict, achievers: dict, layer: int) -> ReachResult:
+        """The result of a fixpoint stopped in `layer`: `@goal` at the next
+        layer, with the goal rule as its achiever."""
+        rule, template, _, _ = self._run[-1]
+        layers[GOAL_KEY] = layer + 1
+        achievers[GOAL_KEY] = (rule, template)
+        return ReachResult(self.numbering, layers, achievers)
 
     # -- heuristic values -----------------------------------------------------
 

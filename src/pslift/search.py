@@ -256,7 +256,8 @@ def parse_plan(text: str, task: Task) -> list[PartialAction]:
             continue
         if not (line.startswith("(") and line.endswith(")")):
             raise ValueError(f"malformed plan line: {raw!r}")
-        parts = line[1:-1].split()
+        # PDDL names are case-insensitive: fold them as the PDDL reader does
+        parts = line[1:-1].lower().split()
         if not parts:
             raise ValueError(f"malformed plan line: {raw!r}")
         schema = task.schema(parts[0])

@@ -81,7 +81,19 @@ class TestValidatePlan:
     def test_undeclared_object(self, bw2):
         plan = [GroundAction(bw2.schema("pickup"), ("zonk",))]
         check = validate_plan(bw2, plan)
-        assert not check and check.reason == "undeclared object"
+        assert not check and check.reason == "undeclared object: zonk in (pickup zonk)"
+
+    @pytest.mark.parametrize("name, args, reason", [
+        ("stack", ("a",), "arity mismatch: (stack a): expected arity 2"),
+        ("stack", ("a", "zz"), "undeclared object: zz in (stack a zz)"),
+    ], ids=["arity", "object"])
+    def test_reasons_name_the_action(self, bw2, name, args, reason):
+        # a partial action skips GroundAction's arity check, as an API
+        # caller's plan may
+        from pslift.lifted import PartialAction
+        plan = plan_of(bw2, ("pickup", "b")) + [PartialAction(bw2.schema(name), args)]
+        check = validate_plan(bw2, plan)
+        assert not check and (check.step, check.reason) == (1, reason)
 
 
 class TestRunRecords:
@@ -411,6 +423,17 @@ class TestCli:
         bad = tmp_path / "bad.plan"
         bad.write_text("(stack a b)\n")
         assert cli.main(["validate", str(domain), str(problem), str(bad)]) == 1
+
+    def test_validate_folds_case_and_names_what_is_wrong(self, bw_files, tmp_path, capsys):
+        # PDDL names are case-insensitive, in a plan as in the PDDL files
+        domain, problem = bw_files
+        plan = tmp_path / "upper.plan"
+        plan.write_text("(PICKUP A)\n(Stack a B)\n")
+        assert cli.main(["validate", str(domain), str(problem), str(plan)]) == 0
+        assert capsys.readouterr().out == "valid plan, cost 2\n"
+        plan.write_text("(pickup ZZ)\n")
+        assert cli.main(["validate", str(domain), str(problem), str(plan)]) == 1
+        assert capsys.readouterr().out == "invalid plan at step 0: undeclared object: zz in (pickup zz)\n"
 
     def test_gen_writes_files(self, tmp_path):
         out = tmp_path / "inst"

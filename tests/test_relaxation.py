@@ -8,6 +8,7 @@ from pslift.lifted import ROOT, GroundAction, children, instantiations, _apply_e
 from pslift.relaxation import (
     EPSILON,
     GATE,
+    GOAL_KEY,
     EmptyActionSet,
     DatalogProgram,
     FFHeuristic,
@@ -436,6 +437,100 @@ class TestHFFRestricted:
             reach = program.relaxed_reach(s0, actions)
             assert reach.layers[(EPSILON, ())] == 1
             assert reach.achievers[(EPSILON, ())][0] == actions[0]
+
+
+def derived_by(reach, key) -> tuple:
+    """(layer, rule) of the run of the fixpoint that derived key: the
+    layer-0 atoms are one run, and so are the adds of B and the gate."""
+    layer = reach.key_layers[key]
+    if layer == 0:
+        return 0, None
+    source, binding = reach.key_achievers[key]
+    return layer, source if binding is not None else "B"
+
+
+class TestGoalCut:
+    """The heuristic values stop the fixpoint in the rule, or after the
+    adds of B, that gives the last goal atom its achiever."""
+
+    def check_cut(self, program, monkeypatch, state, chosen, h_of):
+        """h_of() evaluates an h path of program at state, with B = chosen
+        if given. Its fixpoint holds the full fixpoint's atoms, layers and
+        achievers up to the end of the run that reached the last goal atom,
+        in the same order, and then only `@goal`, one layer up; no plan
+        runs after that run."""
+        runs, cuts = [], []
+
+        def spy(run):
+            def join(tables, b, known, achievers, new, layer, rule, n):
+                runs.append((layer, rule))
+                return run(tables, b, known, achievers, new, layer, rule, n)
+            return join
+
+        with monkeypatch.context() as patch:
+            for plan in (p for r in program.rules for p in r.plans):
+                patch.setattr(plan, "run", spy(plan.run))
+            extract = program._extract
+            patch.setattr(program, "_extract", lambda reach: cuts.append(reach) or extract(reach))
+            h = h_of()
+        [cut] = cuts
+        full = program.relaxed_reach(state, chosen)
+        assert h == program._extract(full)
+        if GOAL_KEY not in full.key_layers:
+            # a dead end runs to the end
+            assert cut.key_layers == full.key_layers
+            assert cut.key_achievers == full.key_achievers
+            return
+        order = list(full.key_layers)
+        numbering, index = program.numbering, program.task.object_index
+        goal = [numbering.key(pred, [index[a] for a in args]) for pred, args in program.rules[-1].body]
+        last = derived_by(full, max(goal, key=order.index)) if goal else (0, None)
+        end = max(i for i, key in enumerate(order) if key != GOAL_KEY and derived_by(full, key) == last)
+        kept = order[:end + 1] + [GOAL_KEY]
+        assert list(cut.key_layers.items()) == [(key, full.key_layers[key]) for key in kept]
+        assert cut.key_achievers == {key: full.key_achievers[key] for key in kept
+                                     if key in full.key_achievers}
+        top = last[0] + 1
+        assert [key for key, layer in cut.key_layers.items() if layer >= top] == [GOAL_KEY]
+        assert cut.key_layers[GOAL_KEY] == top
+        rank = {rule: i for i, rule in enumerate(program.rules)}
+        stop = (last[0], rank.get(last[1], -1))
+        assert all((layer, rank[rule]) <= stop for layer, rule in runs)
+
+    @pytest.mark.parametrize("family, params", [
+        ("blocksworld", dict(blocks=4)),
+        ("ferry-like", dict(cars=2, locations=3)),
+        ("warehouse-like", dict(stacks=3, boxes=4, marked=2)),
+    ])
+    def test_no_plan_runs_after_the_last_goal_atom(self, monkeypatch, family, params):
+        for seed in range(2):
+            task = generate_task(family, seed=seed, **params)
+            plain, restricted = FFHeuristic(task), RestrictedFFHeuristic(task)
+            program = restricted.program
+            for state in random_reachable_states(task, random.Random(seed), 4):
+                self.check_cut(plain.program, monkeypatch, state, None, lambda: plain(state))
+                actions = list(instantiations(task, state, ROOT))
+                for chosen in (actions, actions[::-1]) if actions else ():
+                    self.check_cut(program, monkeypatch, state, chosen,
+                                   lambda: program.h_ff_restricted(state, chosen))
+                for rho in children(task, state, ROOT):
+                    chosen = list(instantiations(task, state, rho))
+                    self.check_cut(program, monkeypatch, state, chosen,
+                                   lambda: restricted(state, rho))
+
+    def test_goal_state_and_goal_reached_by_b(self, bw2, monkeypatch):
+        # the goal holds, and then B[0] adds it, before the other adds of B
+        # and the gate
+        program = DatalogProgram(bw2)
+        goal_state = frozenset(bw2.intern(*atom) for atom in (
+            ("on", ("a", "b")), ("ontable", ("b",)), ("clear", ("a",)), ("handempty", ())))
+        holding = frozenset(bw2.intern(*atom) for atom in (
+            ("holding", ("a",)), ("ontable", ("b",)), ("clear", ("b",))))
+        chosen = [act(bw2, "stack", "a", "b"), act(bw2, "putdown", "a")]
+        self.check_cut(program, monkeypatch, goal_state, None, lambda: program.h_ff(goal_state))
+        self.check_cut(program, monkeypatch, holding, chosen,
+                       lambda: program.h_ff_restricted(holding, chosen))
+        assert program.h_ff_restricted(holding, chosen) == 1
 
 
 def random_reachable_states(task, rng, count):
