@@ -128,6 +128,16 @@ def cmd_solve(args) -> int:
     return 2 if outcome == bench.ERROR else 1
 
 
+def _checked_plan(path: Path, task) -> tuple[list, bench.PlanCheck]:
+    """The plan in a plan file, and its check; a line that names no ground
+    action of the task fails the check at its step."""
+    try:
+        plan = search.parse_plan(path.read_text(), task)
+    except search.PlanLineError as exc:
+        return [], bench.PlanCheck(False, exc.step, exc.reason)
+    return plan, bench.validate_plan(task, plan)
+
+
 def _load_training_corpus(args):
     domain = parse_domain(Path(args.domain).read_text())
     instance_dir = Path(args.instances)
@@ -142,8 +152,7 @@ def _load_training_corpus(args):
         plan_path = plan_dir / (prob_path.stem + ".plan")
         if not plan_path.exists():
             raise FileNotFoundError(f"no training plan for instance {prob_path.name}")
-        plan = search.parse_plan(plan_path.read_text(), task)
-        check = bench.validate_plan(task, plan)
+        plan, check = _checked_plan(plan_path, task)
         if not check:
             raise ranking.InvalidPlan(
                 f"{prob_path.name}: step {check.step}: {check.reason}")
@@ -249,8 +258,7 @@ def cmd_gen(args) -> int:
 
 def cmd_validate(args) -> int:
     task = load_task(Path(args.domain).read_text(), Path(args.problem).read_text())
-    plan = search.parse_plan(Path(args.plan).read_text(), task)
-    check = bench.validate_plan(task, plan)
+    plan, check = _checked_plan(Path(args.plan), task)
     if check:
         print(f"valid plan, cost {len(plan)}")
         return 0

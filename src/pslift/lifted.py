@@ -257,8 +257,9 @@ def _join_steps(body, eqs, slots, bound, table, head, head_key, args, complete,
     call.
     The plan's function takes `tables, b, *args`, and each completion runs
     the lines of `complete`, which may read the head's key as `h` and name
-    the tuple of the head's values as `{head}` and the binding tuple as
-    `{binding}`. The plan's source is written here, step by step."""
+    the head's predicate as `{pred}`, the tuple of the head's values as
+    `{head}` and the binding tuple as `{binding}`. The plan's source is
+    written here, step by step."""
     n, head_at = len(body), 0
     given = sorted(slots[a] for a in bound)
     loops = []   # per step: table id, key, unpacking targets, tests, slots bound before
@@ -309,7 +310,7 @@ def _join_steps(body, eqs, slots, bound, table, head, head_key, args, complete,
         terms.setdefault(binder.get(slots[a], -1), []).append(f"{weight}*s{slots[a]}")
     values = _tuple_text([f"s{slots[a]}" for a in head[1]])
     binding = _tuple_text([f"s{slot}" if term in bound else "None" for term, slot in slots.items()])
-    complete = complete.format(binding=binding, head=values).splitlines()
+    complete = complete.format(binding=binding, head=values, pred=repr(head[0])).splitlines()
     args = list(args)
     h_arg = ["h"] if head_key else []
     lines = []

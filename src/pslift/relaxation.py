@@ -30,17 +30,22 @@ same first bindings while enumerating far fewer:
   so it runs once per binding of its key, not once per binding of the
   loops between. Each completion is written into the plan too: it records
   the head's layer and its achiever, the rule with the binding, and
-  appends the head to the layer's new atoms, with no call per derived
-  atom. Index lists are filled in commit order, so a multi-column key
-  yields exactly the matches, in the same order, that filtering any
-  one-column list would. The seed atom is step 0, matched against an index
-  of the previous layer's atoms keyed by its constants.
+  appends the head's (pred, object ids) pair, the predicate written into
+  the text, to the layer's new atoms, which the next layer's fill reads as
+  they are, with no call and no decoding per derived atom. Ground heads,
+  the adds of B and the gate are decoded from their keys. Index lists are
+  filled in commit order, so a multi-column key yields exactly the
+  matches, in the same order, that filtering any one-column list would.
+  The seed atom is step 0, matched against an index of the previous
+  layer's atoms keyed by its constants.
 * Semi-naive seeding. With seed position k, body atoms before k match only
   atoms committed before the previous layer. A binding skipped this way has
   an atom from the previous layer at some position j < k, so it was already
   enumerated with seed j earlier in the same rule and layer, and its head was
   recorded then; skipping it leaves every first achiever in place. At layer 1
-  every fact is new, so only seed position 0 runs.
+  every fact is new, so only seed position 0 runs. A program lists its rules
+  with the plans of each kind of layer once: seed 0 at layer 1, every plan
+  at an opening layer (below), all but the opening plan at a later one.
 * Head cut-off. Once a plan has bound every head variable, a head that is
   already derived (in the layers the plan is given as `known`) prunes the
   branch, and a head just derived by the branch's first completion ends
@@ -53,11 +58,13 @@ same first bindings while enumerating far fewer:
   layer 1, never inside B, as the gate follows the adds of B[0]. The
   rest of layer L and its index fills are skipped, and `@goal` is recorded
   at layer L + 1 with the goal rule as its achiever, where the goal rule
-  would have derived it. A pointer to the first goal atom not yet reached
-  makes each check O(1) amortised. Extraction starts at `@goal`. Each goal
-  atom already has its first achiever, which never changes once set, and
-  every atom that extraction visits below a goal atom has a strictly lower
-  layer, and those layers are complete, so the stop cannot change h.
+  would have derived it. The check after each rule is one probe, of the
+  first goal atom not yet reached; only when it is in does a pointer move
+  past the goal atoms reached, so the checks are O(1) amortised. Extraction
+  starts at `@goal`. Each goal atom already has its first achiever, which
+  never changes once set, and every atom that extraction visits below a
+  goal atom has a strictly lower layer, and those layers are complete, so
+  the stop cannot change h.
   `relaxed_reach` runs to the full fixpoint, and so does a dead end, as it
   never reaches every goal atom.
 * Fully ground rules (the goal rule, and schemas without parameters) fire
@@ -88,8 +95,10 @@ tasks do not write the plans again (`_written`). A state's atom ids map to
 keys through a table of the program's, filled as ids are first seen from
 the (pred, object ids) form of each atom that `Task.intern` makes. Names
 come back only where they are read: extraction expands the achievers that
-it visits into body keys and (schema, object ids) actions, and
-`ReachResult.layers` and `.achievers` name the keys for tests and oracles. The enumeration order is
+it visits into body keys and (schema, object ids) actions, each body key a
+sum of ints, the body atom's predicate id plus its binding's values times
+the weights that the program keeps per rule; and `ReachResult.layers` and
+`.achievers` name the keys for tests and oracles. The enumeration order is
 the one over names, so every first achiever, counter and h is the same: the
 state is iterated as given, each table is filled in commit order, and the
 adds of B are keyed in schema order.
@@ -132,10 +141,11 @@ GOAL_KEY, GATE = 1, 2
 _ALL, _OLD, _DELTA = 0, 1, 2
 
 # what a schema rule's plan takes after (tables, binding), and what it does
-# with each head that it derives: the head's layer, its achiever and its
-# place in the layer's list of new atoms; `n` is the task's key radix
+# with each head that it derives: the head's layer, its achiever, and its
+# (pred, object ids) pair in the layer's list of new atoms, as the next
+# layer's fill reads it; `n` is the task's key radix
 _PLAN_ARGS = ("known", "achievers", "new", "layer", "rule", "n")
-_DERIVE = "known[h] = layer\nachievers[h] = (rule, {binding})\nnew.append(h)"
+_DERIVE = "known[h] = layer\nachievers[h] = (rule, {binding})\nnew.append(({pred}, {head}))"
 
 
 def _key_weights(p: int, arity: int) -> list:
@@ -216,6 +226,24 @@ class _AtomKeys(dict):
         return entry
 
 
+class _BodyTerms(dict):
+    """Rule -> each body atom's predicate id and its (binding slot, weight)
+    terms, made on first use: over a binding of the rule, the predicate id
+    plus the sum of the terms' weights times their slots' values is the
+    atom's key, as `Numbering.key` computes it."""
+
+    def __init__(self, numbering: Numbering):
+        super().__init__()
+        self.pid = numbering.pid
+        self.weights = [numbering.p * numbering.n ** j for j in range(max(numbering.arity))]
+
+    def __missing__(self, rule: _Rule) -> list:
+        slot, weights = rule.slots.__getitem__, self.weights
+        terms = self[rule] = [(self.pid[pred], list(zip(map(slot, args), weights)))
+                              for pred, args in rule.body]
+        return terms
+
+
 def _table(table_ids: dict, k: int, i: int, pred: str, positions: tuple) -> int:
     """The id of the table of body atom i of a plan seeded at position k,
     one per (predicate, key positions, kind)."""
@@ -294,12 +322,12 @@ class DatalogProgram:
         goal_body = [task.atom(g) for g in sorted(task.goal)]
         self.rules: list[_Rule] = rules + [_Rule((GOAL, ()), goal_body, (), None)]
 
+        self._bodies = _BodyTerms(keys)
         # per rule: its binding template with object ids; the key of its
         # head if ground, else None; the keys of its body if ground, else
-        # None; and, for extraction, each body atom's (pred, slots)
+        # None
         index = task.object_index
-        self._run: list = []
-        self._bodies: dict = {}
+        run = []
         for rule in self.rules:
             template = tuple(None if v is None else index[v] for v in rule.template)
 
@@ -308,14 +336,20 @@ class DatalogProgram:
                 return keys.key(pred, [template[rule.slots[a]] for a in args])
 
             head = None if any(map(_is_var, rule.head[1])) else key_of(rule.head)
-            self._run.append((rule, template, head,
-                              [key_of(atom) for atom in rule.body] if rule.ground else None))
-            self._bodies[rule] = [(pred, [rule.slots[a] for a in args])
-                                  for pred, args in rule.body]
+            run.append((rule, template, head,
+                        [key_of(atom) for atom in rule.body] if rule.ground else None))
+        # the rules with the plans that each kind of layer runs: seed 0 at
+        # layer 1, every plan at an opening layer, all but the opening plan
+        # at a later one; before the schema rules' first layer, the goal rule
+        self._runs = [[entry + (entry[0].plans[cut],) for entry in run]
+                      for cut in (slice(1), slice(None), slice(-1))]
+        self._goal_run = self._runs[0][-1:]
 
-        self.base_facts: list[tuple] = [keys.atoms[i][1] for i in sorted(task.static_atoms)]
+        static = [keys.atoms[i] for i in sorted(task.static_atoms)]
+        self.base_facts: list[tuple] = [pair for _, pair in static]
         self.base_facts.extend((OBJ, (i,)) for i in range(len(task.objects)))
-        self._base_layers = {keys.key(pred, args): 0 for pred, args in self.base_facts}
+        self._base_layers = dict.fromkeys([key for key, _ in static], 0)
+        self._base_layers.update((keys.key(OBJ, (i,)), 0) for i in range(len(task.objects)))
         self._static = {p.name for p in task.predicates if p.is_static} | {OBJ}
 
         # index tables: one per (predicate, key positions, kind); a table
@@ -347,17 +381,21 @@ class DatalogProgram:
         tables = list(self._tables)
         for tid in self._fluent_tables:
             tables[tid] = {}
-        goal = self._run[-1][3]
+        goal = self._goal_run[0][3]
         todo = 0
+        # the first goal key not yet reached; a full fixpoint never stops,
+        # and None is no key
+        target = None
 
         def reached() -> bool:
             # the goal keys before `todo` are reached, and stay so
-            nonlocal todo
-            if full:
-                return False
+            nonlocal todo, target
             while todo < len(goal) and goal[todo] in layers:
                 todo += 1
-            return todo == len(goal)
+            if todo < len(goal):
+                target = goal[todo]
+                return False
+            return True
 
         # layer-0 atoms indexed per call: the state's, plus the static facts
         # of any static predicate the state extends
@@ -375,7 +413,7 @@ class DatalogProgram:
                 fresh.extend(f for f in self.base_facts if f[0] == pred)
             layers[key] = 0
             fresh.append(pair)
-        if reached():
+        if not full and reached():
             return self._cut(layers, achievers, 0)
         self._fill_new(fresh, tables)
 
@@ -385,18 +423,19 @@ class DatalogProgram:
         pending = bool(layers)
         # the first layer of the schema rules; with B, it opens them
         first = 1 if chosen is None else 2 if chosen else INF
+        first_layer, opening, later = self._runs
 
         def derive(source, head, binding):
             layers[head] = layer
             achievers[head] = (source, binding)
-            new.append(head)
+            new.append(keys[head])
 
         while pending:
             layer += 1
             new = []
-            # seed 0 at layer 1; the opening plan only at an opening layer
-            stop = 1 if layer == 1 else None if layer == first else -1
-            for rule, template, head, body in self._run if layer >= first else self._run[-1:]:
+            runs = (self._goal_run if layer < first else first_layer if layer == 1
+                    else opening if layer == first else later)
+            for rule, template, head, body, plans in runs:
                 if body is not None:
                     if head not in layers and rule.live:
                         for key in body:
@@ -405,14 +444,14 @@ class DatalogProgram:
                                 break
                         else:
                             derive(rule, head, template)
-                elif rule.plans and (head is None or head not in layers):
-                    for plan in rule.plans[:stop]:
+                elif plans and (head is None or head not in layers):
+                    for plan in plans:
                         # skip a plan whose first table is empty; a plan is
                         # True only once it has derived a ground head
                         if tables[plan.table] and plan.run(tables, template, layers, achievers,
                                                            new, layer, rule, n):
                             break
-                if reached():
+                if target in layers and reached():
                     return self._cut(layers, achievers, layer)
             if layer == 1 and chosen:
                 # B is applicable in the state: each action fires here only
@@ -422,7 +461,7 @@ class DatalogProgram:
                             derive(action, head, None)
                     if GATE not in layers:
                         derive(action, GATE, None)
-                if reached():
+                if target in layers and reached():
                     return self._cut(layers, achievers, layer)
 
             pending = bool(new)
@@ -431,7 +470,7 @@ class DatalogProgram:
                 self._fill_old(fresh, tables)
                 for tid in self._delta_tables:
                     tables[tid] = {}
-                fresh = list(map(keys.__getitem__, new))
+                fresh = new
                 self._fill_new(fresh, tables)
 
         return ReachResult(keys, layers, achievers)
@@ -439,7 +478,7 @@ class DatalogProgram:
     def _cut(self, layers: dict, achievers: dict, layer: int) -> ReachResult:
         """The result of a fixpoint stopped in `layer`: `@goal` at the next
         layer, with the goal rule as its achiever."""
-        rule, template, _, _ = self._run[-1]
+        rule, template = self._goal_run[0][:2]
         layers[GOAL_KEY] = layer + 1
         achievers[GOAL_KEY] = (rule, template)
         return ReachResult(self.numbering, layers, achievers)
@@ -451,7 +490,6 @@ class DatalogProgram:
         if GOAL_KEY not in layers:
             return INF
         gated = GATE in layers
-        key_of = self.numbering.key
         actions = set()
         seen = set()
         stack = [GOAL_KEY]
@@ -465,8 +503,10 @@ class DatalogProgram:
                 # an action of B: its preconditions are all at layer 0
                 actions.add(source)
                 continue
-            stack.extend(key_of(pred, [binding[slot] for slot in slots])
-                         for pred, slots in self._bodies[source])
+            for key, terms in self._bodies[source]:
+                for slot, weight in terms:
+                    key += weight * binding[slot]
+                stack.append(key)
             action_key = source.action_of(binding)
             if action_key is not None:
                 actions.add(action_key)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .lifted import ROOT, GroundAction, PartialAction, _apply_effects, children, instantiations
-from .pddl import Task
+from .pddl import PddlError, Task
 
 INF = float("inf")
 
@@ -248,6 +248,16 @@ def format_plan(plan: list[PartialAction]) -> str:
     return "\n".join(lines) + "\n"
 
 
+class PlanLineError(ValueError):
+    """A plan line that names no ground action of the task: an unknown
+    schema, or the wrong number of arguments. `step` is the line's index
+    among the plan's actions."""
+
+    def __init__(self, step: int, reason: str):
+        super().__init__(f"step {step}: {reason}")
+        self.step, self.reason = step, reason
+
+
 def parse_plan(text: str, task: Task) -> list[PartialAction]:
     plan: list[PartialAction] = []
     for raw in text.splitlines():
@@ -260,6 +270,13 @@ def parse_plan(text: str, task: Task) -> list[PartialAction]:
         parts = line[1:-1].lower().split()
         if not parts:
             raise ValueError(f"malformed plan line: {raw!r}")
-        schema = task.schema(parts[0])
+        shown = f"({' '.join(parts)})"
+        try:
+            schema = task.schema(parts[0])
+        except PddlError:
+            raise PlanLineError(len(plan), f"unknown action schema: {shown}") from None
+        if len(parts) - 1 != len(schema.params):
+            raise PlanLineError(len(plan), f"arity mismatch: {shown}: expected arity "
+                                           f"{len(schema.params)}")
         plan.append(GroundAction(schema, tuple(parts[1:])))
     return plan

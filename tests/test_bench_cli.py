@@ -435,6 +435,22 @@ class TestCli:
         assert cli.main(["validate", str(domain), str(problem), str(plan)]) == 1
         assert capsys.readouterr().out == "invalid plan at step 0: undeclared object: zz in (pickup zz)\n"
 
+    @pytest.mark.parametrize("line, reason", [
+        ("(stack a)", "arity mismatch: (stack a): expected arity 2"),
+        ("(pickup a b)", "arity mismatch: (pickup a b): expected arity 1"),
+        ("(Jump a)", "unknown action schema: (jump a)"),
+    ], ids=["too-few", "too-many", "unknown-schema"])
+    def test_validate_names_the_step_of_a_line_without_action(self, bw_files, tmp_path,
+                                                              capsys, line, reason):
+        # a line that names no ground action is an invalid plan, as an
+        # undeclared object is: exit 1, naming the step and the action
+        domain, problem = bw_files
+        plan = tmp_path / "bad.plan"
+        plan.write_text(f"; a comment\n(pickup a)\n{line}\n(stack a b)\n")
+        assert cli.main(["validate", str(domain), str(problem), str(plan)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == (f"invalid plan at step 1: {reason}\n", "")
+
     def test_gen_writes_files(self, tmp_path):
         out = tmp_path / "inst"
         rc = cli.main(["gen", "blocksworld", "--out", str(out), "--seed", "2",
@@ -624,6 +640,22 @@ class TestCli:
                        "--output", str(tmp_path / "m.model")])
         assert rc == 2
         assert "lonely" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, reason", [
+        ("(stack a)", "arity mismatch: (stack a): expected arity 2"),
+        ("(unstack a b c)", "arity mismatch: (unstack a b c): expected arity 2"),
+        ("(jump a)", "unknown action schema: (jump a)"),
+    ], ids=["too-few", "too-many", "unknown-schema"])
+    def test_train_names_the_file_and_step_of_a_bad_plan_line(self, tmp_path, capsys,
+                                                              line, reason):
+        domain_file, inst_dir, plan_dir = write_blocksworld_corpus(tmp_path, 2)
+        plan = plan_dir / "p1.plan"
+        plan.write_text(plan.read_text() + line + "\n")
+        steps = len(plan.read_text().splitlines()) - 1
+        rc = cli.main(["train", str(domain_file), str(inst_dir), str(plan_dir),
+                       "--c-grid", "1", "--output", str(tmp_path / "m.model")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: p1.pddl: step {steps}: {reason}\n"
 
     def test_generate_data_dump(self, tmp_path):
         inst_dir = tmp_path / "train"; inst_dir.mkdir()

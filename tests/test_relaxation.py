@@ -81,9 +81,10 @@ class TestCompiledPlans:
 
     def test_each_completion_records_its_head(self, bw2, monkeypatch):
         # a completion puts each head that it appends to the layer's new
-        # atoms in `known` at this layer, with the rule and a binding that
-        # gives that head as its achiever; checked after each plan's run,
-        # as a fixpoint without these records would not end
+        # atoms, as its (pred, object ids) pair, in `known` at this layer,
+        # with the rule and a binding that gives that head as its achiever;
+        # checked after each plan's run, as a fixpoint without these records
+        # would not end
         program = RestrictedFFHeuristic(bw2).program
         checked = []
 
@@ -91,11 +92,13 @@ class TestCompiledPlans:
             def join(tables, b, known, achievers, new, layer, rule, n):
                 start = len(new)
                 result = run(tables, b, known, achievers, new, layer, rule, n)
-                for h in new[start:]:
+                for pred, ids in new[start:]:
+                    h = program.numbering.key(pred, ids)
                     source, binding = achievers[h]
                     assert known[h] == layer and source is rule
                     head = [binding[rule.slots[a]] for a in rule.head[1]]
                     assert h == program.numbering.key(rule.head[0], head)
+                    assert (pred, ids) == (rule.head[0], tuple(head))
                     checked.append(h)
                 return result
             return join
@@ -662,3 +665,90 @@ class TestNumbering:
                 if not k[0].startswith("@")} == oracle_layers
         assert oracles.reached_atoms(reach) == plain | {(EPSILON, ())}
         assert program.h_ff(state) == oracles.ff_reference(task, state) == 3
+
+
+WEIGHTED_DOMAIN = """
+(define (domain weighted)
+  (:constants c)
+  (:predicates (p ?x) (q ?x ?y) (r ?x ?y ?z) (h) (done))
+  (:action a :parameters (?x) :precondition (and (p ?x) (h))
+    :effect (and (q ?x c) (not (h))))
+  (:action b :parameters (?x ?y) :precondition (and (q ?x c) (p ?y) (not (= ?x ?y)))
+    :effect (and (r ?y c ?x) (h)))
+  (:action d :parameters (?x ?y) :precondition (and (r ?x c ?y) (q ?y c) (p ?x))
+    :effect (done)))
+"""
+
+
+class _Reads(dict):
+    """A dict that records each key read by subscript."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def reference_reads(program, reach) -> set:
+    """The keys whose layer extraction reads: `@goal`, then the body keys of
+    each achiever it visits and the gate, each made by `Numbering.key` from
+    the achiever's binding."""
+    layers, achievers = reach.key_layers, reach.key_achievers
+    key = program.numbering.key
+    reads, seen, stack = set(), set(), [GOAL_KEY]
+    while stack:
+        k = stack.pop()
+        if k in seen:
+            continue
+        reads.add(k)
+        if layers[k] == 0:
+            continue
+        seen.add(k)
+        source, binding = achievers[k]
+        if binding is None:
+            continue
+        stack.extend(key(pred, [binding[source.slots[a]] for a in args])
+                     for pred, args in source.body)
+        if source.schema is not None and GATE in layers:
+            stack.append(GATE)
+    return reads
+
+
+class TestExtractKeys:
+    def test_body_keys_and_h_on_a_ternary_atom_with_a_constant(self):
+        # extraction sums each body atom's key from its predicate id and the
+        # weights of its binding's slots; in `(r ?x c ?y)` a variable sits
+        # at weights p and p*n*n around the constant, so a wrong exponent or
+        # slot gives another key
+        from pslift.pddl import load_task
+        from pslift.relaxation import ReachResult
+        task = load_task(WEIGHTED_DOMAIN, """(define (problem p) (:domain weighted)
+            (:objects o1 o2 o3) (:init (p o1) (p o2) (p o3) (h)) (:goal (done)))""")
+        program = DatalogProgram(task)
+        states, frontier = [], [task.initial_state]
+        while frontier and len(states) < 12:
+            state = frontier.pop(0)
+            if state in states:
+                continue
+            states.append(state)
+            frontier += [_apply_effects(task, state, a)
+                         for a in instantiations(task, state, ROOT)]
+        visited = 0
+        for state in states:
+            nodes = [None] + [list(instantiations(task, state, rho))
+                              for rho in children(task, state, ROOT)]
+            for actions in nodes:
+                want = oracles.ff_reference(task, state, actions)
+                for reach in (program._fixpoint(state, actions),
+                              program._fixpoint(state, actions, full=True)):
+                    layers = _Reads(reach.key_layers)
+                    h = program._extract(ReachResult(program.numbering, layers,
+                                                     reach.key_achievers))
+                    assert h == want
+                    if h != math.inf:
+                        assert layers.read == reference_reads(program, reach)
+                        visited += any(program.numbering[k][0] == "r" for k in layers.read)
+        assert visited
