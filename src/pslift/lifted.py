@@ -10,10 +10,10 @@ whole task.
 The preconditions of a schema form its successor rule, a `_Rule` like the
 relaxation's Datalog rules, with head (schema name, parameters). It is
 planned by the planner (`_join_steps`) that plans the Datalog rules too,
-into nested loops written as Python source once per domain and compiled
-once per text, so every task of a domain shares both, and it runs once per
-state over an index of the state and the static atoms, by object id, as the
-Datalog fixpoint does: the tables hold the (pred, object ids) forms that
+into nested loops written as Python source and compiled once per domain,
+so every task of a domain shares them, and it runs once per state over an
+index of the state and the static atoms, by object id, as the Datalog
+fixpoint does: the tables hold the (pred, object ids) forms that
 `Task.intern` makes. The caller gives the plan's completion as text: here
 each completion appends the head's parameter ids to the plan's output list,
 with no call per completion, and as the plan is given no set of known
@@ -173,13 +173,6 @@ def _define(source: str, kind: str, name: str):
     return namespace[name]
 
 
-@lru_cache(maxsize=1024)
-def _compiled(source: str):
-    """The function that the source of a join plan defines. Cached by the
-    text, so the plans of every task of a domain share one function."""
-    return _define(source, "join plan", "join")
-
-
 def _fill_source(tables) -> str:
     """Source of `fill(atoms, tables)`, which appends the object ids of each
     (pred, object ids) atom to the index tables of its predicate, in the
@@ -204,13 +197,6 @@ def _fill_source(tables) -> str:
     if not tables_of:
         lines.append("  pass")
     return "\n".join(lines) + "\n"
-
-
-@lru_cache(maxsize=256)
-def _compiled_fill(source: str):
-    """The function that the source of an index fill defines, shared by
-    every task of a domain, as `_compiled` is."""
-    return _define(source, "index fill", "fill")
 
 
 class _Plan:
@@ -241,7 +227,7 @@ class _Plan:
 
     @cached_property
     def run(self):
-        return _compiled(self.source)
+        return _define(self.source, "join plan", "join")
 
 
 def _join_steps(body, eqs, slots, bound, table, head, head_key, args, complete,
@@ -396,7 +382,7 @@ class _Rule:
     constants. A binding is a sequence indexed by slot."""
 
     __slots__ = ("head", "body", "eqs", "schema", "slots", "template",
-                 "ground", "live", "param_args", "plans")
+                 "live", "param_args", "plans")
 
     def __init__(self, head, body, eqs, schema):
         self.head = tuple(head)   # (pred, args) with '?' vars or constants
@@ -410,7 +396,6 @@ class _Rule:
         constants = [a for a in terms if not _is_var(a)]
         self.slots = {a: i for i, a in enumerate(variables + constants)}
         self.template = [None] * len(variables) + constants
-        self.ground = not variables
         if any(_is_var(a) and not any(a in args for _, args in self.body)
                for a in head[1]):
             raise ValueError(f"head variable missing from the body: {self.text()}")
@@ -515,7 +500,7 @@ def _query(schemas: tuple, loops: int) -> tuple:
         rule = _Rule((schema.name, schema.params), _query_body(schema), schema.equalities, schema)
         rule.plans = [rule.plan(table, None, ("out",), "out.append({head})")]
         rules[schema.name] = rule
-    return rules, list(table_ids), _compiled_fill(_fill_source(table_ids.items()))
+    return rules, list(table_ids), _define(_fill_source(table_ids.items()), "index fill", "fill")
 
 
 def _successors(task: Task) -> tuple:

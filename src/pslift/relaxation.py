@@ -19,10 +19,10 @@ same first bindings while enumerating far fewer:
   bound, i.e. on the rule and the seed position, so one plan per (rule, seed
   position) is built with the program. Successor generation shares the rule
   type `lifted._Rule` and the planner `lifted._join_steps`, which writes each
-  plan as Python source, compiled on the plan's first run and shared by
-  every plan with the same text, so every task of a domain shares it. The
-  source has one nested loop per step over the matches of the step's index
-  key (already bound or constant positions), 16 loops to a function, as
+  plan as Python source, compiled on the plan's first run; the tasks of a
+  domain share the plan (`_written`), and so its function. The source has
+  one nested loop per step over the matches of the step's index key
+  (already bound or constant positions), 16 loops to a function, as
   CPython nests at most 20 blocks in one; the loop binds new variable
   slots, and tests repeated variables and the equality literals that
   become fully bound there. A step's index lookup sits in the outermost
@@ -32,8 +32,8 @@ same first bindings while enumerating far fewer:
   the head's layer and its achiever, the rule with the binding, and
   appends the head's (pred, object ids) pair, the predicate written into
   the text, to the layer's new atoms, which the next layer's fill reads as
-  they are, with no call and no decoding per derived atom. Ground heads,
-  the adds of B and the gate are decoded from their keys. Index lists are
+  they are, with no call and no decoding per derived atom; the adds of B
+  and the gate carry their pairs too (`Numbering.adds_of`). Index lists are
   filled in commit order, so a multi-column key yields exactly the
   matches, in the same order, that filtering any one-column list would.
   The seed atom is step 0, matched against an index of the previous
@@ -43,44 +43,45 @@ same first bindings while enumerating far fewer:
   an atom from the previous layer at some position j < k, so it was already
   enumerated with seed j earlier in the same rule and layer, and its head was
   recorded then; skipping it leaves every first achiever in place. At layer 1
-  every fact is new, so only seed position 0 runs. A program lists its rules
-  with the plans of each kind of layer once: seed 0 at layer 1, every plan
-  at an opening layer (below), all but the opening plan at a later one.
+  every fact is new, so only seed position 0 runs; layer 1 runs even when
+  layer 0 is empty, for a rule with an empty body. A program lists its
+  rules with the plans of each kind of layer once: seed 0 at layer 1,
+  every plan at an opening layer (below), all but the opening plan at a
+  later one. A ground rule runs through its plans too, and fires at its
+  highest body layer + 1.
 * Head cut-off. Once a plan has bound every head variable, a head that is
   already derived (in the layers the plan is given as `known`) prunes the
   branch, and a head just derived by the branch's first completion ends
   the branch, by `break` out of each loop below the head's step. Every
   skipped completion would have derived an atom that already has its
   achiever.
-* Goal cut-off. The heuristic values stop the fixpoint as soon as every
-  goal atom is reached: before layer 1 in a goal state, after the rule of
-  layer L that gives the last goal atom its achiever, or after all of B at
-  layer 1, never inside B, as the gate follows the adds of B[0]. The
-  rest of layer L and its index fills are skipped, and `@goal` is recorded
-  at layer L + 1 with the goal rule as its achiever, where the goal rule
-  would have derived it. The check after each rule is one probe, of the
+* Goal cut-off. `@goal` is recorded once, as soon as every goal atom is
+  reached: before layer 1 in a goal state, after the rule of layer L that
+  gives the last goal atom its achiever, or after all of B at layer 1,
+  never inside B, as the gate follows the adds of B[0]. It goes to layer
+  L + 1 with the goal rule as its achiever, where the goal rule would
+  derive it; no layer runs the goal rule, as no rule body reads `@goal`.
+  The heuristic values stop the fixpoint there, and skip the rest of layer
+  L and its index fills. The check after each rule is one probe, of the
   first goal atom not yet reached; only when it is in does a pointer move
   past the goal atoms reached, so the checks are O(1) amortised. Extraction
   starts at `@goal`. Each goal atom already has its first achiever, which
   never changes once set, and every atom that extraction visits below a
   goal atom has a strictly lower layer, and those layers are complete, so
   the stop cannot change h.
-  `relaxed_reach` runs to the full fixpoint, and so does a dead end, as it
-  never reaches every goal atom.
-* Fully ground rules (the goal rule, and schemas without parameters) fire
-  at the first layer that has all their body atoms, which is exactly when a
-  join would have bound them first.
+  `relaxed_reach` runs on to the full fixpoint, and so does a dead end, as
+  it never reaches every goal atom.
 
 Static facts and `@object` facts are indexed once per program; each call
 indexes the state's atoms (and again the static facts of a static predicate
 that the state extends) and then each layer's derived atoms. The indexing
 is compiled as well, by the fill that the successor query's index uses
 (`lifted._fill_source`): a function written as source with one branch per
-predicate and its keys written out, and compiled once per text, so every
-task of a domain shares it. A program has one fill of its _ALL and _DELTA
-tables and one of its _OLD tables. Achievers are stored as (rule,
-binding) and expanded into action and body atoms only for the atoms that
-extraction visits.
+predicate and its keys written out, and compiled once per domain
+(`_written`), so every task of a domain shares it. A program has one fill
+of its _ALL and _DELTA tables and one of its _OLD tables. Achievers are
+stored as (rule, binding) and expanded into action and body atoms only for
+the atoms that extraction visits.
 
 Atoms are ints throughout the fixpoint (`Numbering`). A task's objects are
 numbered once, by declaration index, and an atom's key is its predicate id
@@ -106,10 +107,10 @@ adds of B are keyed in schema order.
 The action-set variant evaluates the transformed task in which a fresh 0-ary
 gate `@epsilon` guards every original schema and only the actions of the
 given set B open it; B enters at evaluation, not into the program. Each
-action of B is applicable, so it fires at layer 1 only: layer 1 runs the
-goal rule, then gives each add atom not yet reached the first action of B
-that adds it as achiever, which extraction counts as it is, and the gate
-after the adds of B[0]. Schema rules run from layer 2 on, never with B empty.
+action of B is applicable, so it fires at layer 1 only: layer 1 runs no
+rule, and gives each add atom not yet reached the first action of B that
+adds it as achiever, which extraction counts as it is, and the gate after
+the adds of B[0]. Schema rules run from layer 2 on, never with B empty.
 A gate body atom would be every plan's last join step and match once; only
 the plan it seeds is needed: the rule's last, opening plan, which binds the
 body from the atoms older than the previous layer, at layer 2 only, after
@@ -123,8 +124,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 from . import lifted
-from .lifted import (OBJ, PartialAction, State, _compiled_fill, _fill_source, _is_var,
-                     _query_body, _Rule, instantiations, is_applicable)
+from .lifted import (OBJ, PartialAction, State, _fill_source, _is_var, _query_body, _Rule,
+                     instantiations, is_applicable)
 from .pddl import Task
 
 INF = float("inf")
@@ -135,6 +136,8 @@ GOAL = "@goal"
 # and of the goal are their ids, in every task
 _INTERNAL = (OBJ, GOAL, EPSILON)
 GOAL_KEY, GATE = 1, 2
+# the gate's (key, (pred, object ids) pair), as `Numbering.adds_of` lists adds
+_OPEN = [(GATE, (EPSILON, ()))]
 
 # index table kinds: every atom so far, atoms older than the previous layer,
 # and the previous layer's atoms (at layer 1, every layer-0 atom)
@@ -164,7 +167,8 @@ class Numbering(dict):
     radix `n`: injective, so keys compare as the atoms do. As a dict it
     maps each key asked about to its (pred, object ids) pair, decoded on
     first use; `atoms` maps an atom id to its (key, pair), made on first
-    use, and `adds` an action's key to its add keys in schema order."""
+    use, and `adds` an action's key to its adds' (key, pair) entries in
+    schema order."""
 
     def __init__(self, task: Task):
         super().__init__()
@@ -199,15 +203,16 @@ class Numbering(dict):
         return pred, tuple(self.task.objects[arg] for arg in args)
 
     def adds_of(self, action: PartialAction) -> list:
-        """The keys of a ground action's add atoms, in schema order."""
-        keys = self.adds.get(action._key)
-        if keys is None:
+        """The (key, (pred, object ids) pair) of each of a ground action's
+        add atoms, in schema order."""
+        entries = self.adds.get(action._key)
+        if entries is None:
             index = self.task.object_index
             binding = dict(zip(action.schema.params, action.args))
-            keys = self.adds[action._key] = [
-                self.key(add.pred, [index[binding.get(a, a)] for a in add.args])
-                for add in action.schema.add]
-        return keys
+            pairs = [(add.pred, tuple(index[binding.get(a, a)] for a in add.args))
+                     for add in action.schema.add]
+            entries = self.adds[action._key] = [(self.key(*pair), pair) for pair in pairs]
+        return entries
 
 
 class _AtomKeys(dict):
@@ -219,10 +224,8 @@ class _AtomKeys(dict):
         self.numbering = numbering
 
     def __missing__(self, i: int) -> tuple:
-        numbering = self.numbering
-        atom = numbering.task.id_atoms[i]
-        key = numbering.key(*atom)
-        entry = self[i] = (key, numbering.setdefault(key, atom))
+        atom = self.numbering.task.id_atoms[i]
+        entry = self[i] = (self.numbering.key(*atom), atom)
         return entry
 
 
@@ -259,11 +262,10 @@ def _written(schemas: tuple, preds: tuple, loops: int) -> tuple:
     id, `preds`, and `loops`, the loops per function, so the tasks of a
     domain share them and write them once.
 
-    A live rule with variables gets one plan per seed position: step 0
-    binds the seed atom from the atoms new in the previous layer, the later
-    steps the other body atoms in the order of `lifted._join_steps`; then
-    the opening plan, with every body atom from the atoms older than the
-    previous layer."""
+    A live rule gets one plan per seed position: step 0 binds the seed atom
+    from the atoms new in the previous layer, the later steps the other
+    body atoms in the order of `lifted._join_steps`; then the opening plan,
+    with every body atom from the atoms older than the previous layer."""
     pid = {pred: i for i, pred in enumerate(preds)}
     table_ids: dict = {}
     rules = []
@@ -271,14 +273,15 @@ def _written(schemas: tuple, preds: tuple, loops: int) -> tuple:
         body = _query_body(schema)
         for add in schema.add:
             rule = _Rule(add, body, schema.equalities, schema)
-            if not rule.ground and rule.live:
+            if rule.live:
                 key = (str(pid[add.pred]), _key_weights(len(preds), len(add.args)))
                 rule.plans = [rule.plan(partial(_table, table_ids, k), key, _PLAN_ARGS, _DERIVE,
                                         first=k) for k in range(len(rule.body) + 1)]
             rules.append(rule)
     # the fill of the _ALL and _DELTA tables, and that of the _OLD tables
-    fills = [_compiled_fill(_fill_source((table, tid) for table, tid in table_ids.items()
-                                         if (table[2] == _OLD) == old)) for old in (False, True)]
+    fills = [lifted._define(_fill_source((table, tid) for table, tid in table_ids.items()
+                                         if (table[2] == _OLD) == old), "index fill", "fill")
+             for old in (False, True)]
     return (rules, table_ids, *fills)
 
 
@@ -319,31 +322,27 @@ class DatalogProgram:
         self.numbering = keys = Numbering(task)
         rules, self._table_ids, self._fill_new, self._fill_old = _written(
             task.schemas, keys.preds, lifted._LOOPS_PER_FUNCTION)
-        goal_body = [task.atom(g) for g in sorted(task.goal)]
-        self.rules: list[_Rule] = rules + [_Rule((GOAL, ()), goal_body, (), None)]
+        goal = _Rule((GOAL, ()), [task.atom(g) for g in sorted(task.goal)], (), None)
+        self.rules: list[_Rule] = rules + [goal]
 
         self._bodies = _BodyTerms(keys)
-        # per rule: its binding template with object ids; the key of its
-        # head if ground, else None; the keys of its body if ground, else
-        # None
+        # per schema rule: its binding template with object ids, and the key
+        # of its head if ground, else None
         index = task.object_index
         run = []
-        for rule in self.rules:
-            template = tuple(None if v is None else index[v] for v in rule.template)
-
-            def key_of(atom):
-                pred, args = atom
-                return keys.key(pred, [template[rule.slots[a]] for a in args])
-
-            head = None if any(map(_is_var, rule.head[1])) else key_of(rule.head)
-            run.append((rule, template, head,
-                        [key_of(atom) for atom in rule.body] if rule.ground else None))
+        for rule in rules:
+            pred, args = rule.head
+            head = None if any(map(_is_var, args)) else keys.key(pred, [index[a] for a in args])
+            run.append((rule, tuple(None if v is None else index[v] for v in rule.template), head))
+        # no layer runs the goal rule: once every goal key is reached,
+        # `@goal` is recorded with the goal rule's binding as its achiever
+        self._goal = [keys.atoms[i][0] for i in sorted(task.goal)]
+        self._goal_achiever = (goal, tuple(index[c] for c in goal.template))
         # the rules with the plans that each kind of layer runs: seed 0 at
         # layer 1, every plan at an opening layer, all but the opening plan
-        # at a later one; before the schema rules' first layer, the goal rule
-        self._runs = [[entry + (entry[0].plans[cut],) for entry in run]
+        # at a later one
+        self._runs = [[entry + (plans,) for entry in run if (plans := entry[0].plans[cut])]
                       for cut in (slice(1), slice(None), slice(-1))]
-        self._goal_run = self._runs[0][-1:]
 
         static = [keys.atoms[i] for i in sorted(task.static_atoms)]
         self.base_facts: list[tuple] = [pair for _, pair in static]
@@ -372,20 +371,21 @@ class DatalogProgram:
     def _fixpoint(self, state: State, chosen=None, full=False) -> ReachResult:
         """Layers and achievers of the program from state; `chosen` is None or
         the action set B of the restriction transform, all applicable in
-        state. Unless `full` asks for every layer, the fixpoint stops once
-        every goal atom is reached, before layer 1, after a rule or after all
-        of B, and records `@goal` at the next layer (`_cut`)."""
+        state. Once every goal atom is reached, before layer 1, after a rule
+        or after all of B, `@goal` is recorded at the next layer; unless
+        `full` asks for every layer, the fixpoint stops there."""
         keys = self.numbering
         layers = dict(self._base_layers)
         achievers: dict = {}
         tables = list(self._tables)
         for tid in self._fluent_tables:
             tables[tid] = {}
-        goal = self._goal_run[0][3]
+        goal = self._goal
         todo = 0
-        # the first goal key not yet reached; a full fixpoint never stops,
-        # and None is no key
+        # the first goal key not yet reached; None, which is no key, once
+        # every goal key is
         target = None
+        layer = 0
 
         def reached() -> bool:
             # the goal keys before `todo` are reached, and stay so
@@ -395,6 +395,9 @@ class DatalogProgram:
             if todo < len(goal):
                 target = goal[todo]
                 return False
+            target = None
+            layers[GOAL_KEY] = layer + 1
+            achievers[GOAL_KEY] = self._goal_achiever
             return True
 
         # layer-0 atoms indexed per call: the state's, plus the static facts
@@ -413,75 +416,50 @@ class DatalogProgram:
                 fresh.extend(f for f in self.base_facts if f[0] == pred)
             layers[key] = 0
             fresh.append(pair)
-        if not full and reached():
-            return self._cut(layers, achievers, 0)
+        if reached() and not full:
+            return ReachResult(keys, layers, achievers)
         self._fill_new(fresh, tables)
 
-        new: list = []
-        layer = 0
         n = keys.n
-        pending = bool(layers)
         # the first layer of the schema rules; with B, it opens them
         first = 1 if chosen is None else 2 if chosen else INF
         first_layer, opening, later = self._runs
-
-        def derive(source, head, binding):
-            layers[head] = layer
-            achievers[head] = (source, binding)
-            new.append(keys[head])
-
-        while pending:
+        while True:
             layer += 1
             new = []
-            runs = (self._goal_run if layer < first else first_layer if layer == 1
+            runs = (() if layer < first else first_layer if layer == 1
                     else opening if layer == first else later)
-            for rule, template, head, body, plans in runs:
-                if body is not None:
-                    if head not in layers and rule.live:
-                        for key in body:
-                            found = layers.get(key)
-                            if found is None or found >= layer:
-                                break
-                        else:
-                            derive(rule, head, template)
-                elif plans and (head is None or head not in layers):
+            for rule, template, head, plans in runs:
+                if head is None or head not in layers:
                     for plan in plans:
-                        # skip a plan whose first table is empty; a plan is
-                        # True only once it has derived a ground head
-                        if tables[plan.table] and plan.run(tables, template, layers, achievers,
-                                                           new, layer, rule, n):
+                        # skip a plan whose first table is empty (a plan
+                        # without steps has none); a plan is True only once
+                        # it has derived a ground head
+                        if ((plan.table is None or tables[plan.table])
+                                and plan.run(tables, template, layers, achievers, new, layer,
+                                             rule, n)):
                             break
-                if target in layers and reached():
-                    return self._cut(layers, achievers, layer)
+                if target in layers and reached() and not full:
+                    return ReachResult(keys, layers, achievers)
             if layer == 1 and chosen:
-                # B is applicable in the state: each action fires here only
+                # B is applicable in the state: each action fires here only,
+                # and B[0] opens the gate after its adds
                 for action in chosen:
-                    for head in keys.adds_of(action):
+                    for head, pair in keys.adds_of(action) + _OPEN:
                         if head not in layers:
-                            derive(action, head, None)
-                    if GATE not in layers:
-                        derive(action, GATE, None)
-                if target in layers and reached():
-                    return self._cut(layers, achievers, layer)
-
-            pending = bool(new)
-            if pending:
-                # the previous layer's atoms become old; this layer's, delta
-                self._fill_old(fresh, tables)
-                for tid in self._delta_tables:
-                    tables[tid] = {}
-                fresh = new
-                self._fill_new(fresh, tables)
-
-        return ReachResult(keys, layers, achievers)
-
-    def _cut(self, layers: dict, achievers: dict, layer: int) -> ReachResult:
-        """The result of a fixpoint stopped in `layer`: `@goal` at the next
-        layer, with the goal rule as its achiever."""
-        rule, template = self._goal_run[0][:2]
-        layers[GOAL_KEY] = layer + 1
-        achievers[GOAL_KEY] = (rule, template)
-        return ReachResult(self.numbering, layers, achievers)
+                            layers[head] = layer
+                            achievers[head] = (action, None)
+                            new.append(pair)
+                if target in layers and reached() and not full:
+                    return ReachResult(keys, layers, achievers)
+            if not new:
+                return ReachResult(keys, layers, achievers)
+            # the previous layer's atoms become old; this layer's, delta
+            self._fill_old(fresh, tables)
+            for tid in self._delta_tables:
+                tables[tid] = {}
+            fresh = new
+            self._fill_new(fresh, tables)
 
     # -- heuristic values -----------------------------------------------------
 

@@ -44,6 +44,10 @@ BW3_STACK_TEXT = """
 )
 """
 
+# no objects, no static facts, an empty initial state and the plan (go)
+ONE_STEP_DOMAIN = (FIXTURES / "one-step-domain.pddl").read_text()
+ONE_STEP_PROBLEM = (FIXTURES / "one-step.pddl").read_text()
+
 SPANNER_MINI_DOMAIN = """
 (define (domain walkway)
   (:requirements :strips)

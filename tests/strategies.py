@@ -25,14 +25,14 @@ _PREDICATES = st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=1, 
 _ATOMS = {size: st.lists(st.tuples(_INDEX, _INDEX, _INDEX), max_size=size) for size in (3, 5)}
 _REPEATED = st.lists(st.tuples(_INDEX, _INDEX).map(lambda t: t + t[1:]), max_size=1)
 _EQUALITIES = st.lists(st.tuples(_INDEX, _INDEX, st.booleans()), max_size=2)
-_OBJECTS = st.integers(1, 3)
+_OBJECTS = st.integers(0, 3)
 _SIZE = st.integers(0, 3)
 _CHAIN = st.integers(4, 5)
 _LINKS = st.lists(st.tuples(_INDEX, _INDEX), max_size=3)
 
 
 def random_strips_task(data) -> Task:
-    """A random STRIPS task with up to 3 objects, 4 predicates of arity 0-2
+    """A random STRIPS task with 0-3 objects, 4 predicates of arity 0-2
     and 3 schemas of up to 3 parameters. Schema atoms mention parameters and
     objects; equality literals compare a parameter with a parameter or an
     object."""
@@ -76,8 +76,11 @@ def _random_parts(data, objects):
     binary = [p for p in predicates if p[1] == 2]
 
     def atoms(preds, terms, strategy):
-        """Distinct atoms over preds and terms, in drawn order."""
-        if not (preds and terms):
+        """Distinct atoms over preds and terms, in drawn order; without
+        terms, over the 0-ary preds only."""
+        if not terms:
+            preds = [p for p in preds if p[1] == 0]
+        if not preds:
             return ()
         out = {}
         for p, x, y in data.draw(strategy):

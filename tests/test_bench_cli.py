@@ -29,7 +29,8 @@ from pslift.relaxation import FFHeuristic, RestrictedFFHeuristic
 from pslift.wl import ColorDictionary
 
 import oracles
-from conftest import BW2_TEXT, BW_DOMAIN_TEXT, SPANNER_MINI_DOMAIN, SPANNER_MINI_PROBLEM
+from conftest import (BW2_TEXT, BW_DOMAIN_TEXT, FIXTURES, SPANNER_MINI_DOMAIN,
+                      SPANNER_MINI_PROBLEM)
 
 
 def write_blocksworld_corpus(tmp_path, count: int):
@@ -261,6 +262,15 @@ class TestCli:
         assert validate_plan(task, plan)
         records = read_records(str(csv_file))
         assert records[0].outcome == "Solved" and records[0].config == "partial-ff"
+
+    @pytest.mark.parametrize("search", ["partial", "state"])
+    def test_solve_a_task_without_objects(self, tmp_path, search):
+        plan_file = tmp_path / "out.plan"
+        rc = cli.main(["solve", str(FIXTURES / "one-step-domain.pddl"),
+                       str(FIXTURES / "one-step.pddl"), "--search", search,
+                       "--heuristic", "ff", "--output", str(plan_file)])
+        assert rc == 0
+        assert plan_file.read_text().splitlines()[0] == "(go)"
 
     def test_solve_time_limit_reports_timeout(self, tmp_path):
         domain, problem = generate("blocksworld-large", seed=5, blocks=14, goal_atoms=3)

@@ -116,17 +116,20 @@ class TestCompiledPlans:
         # reuses them all, and writes no plan
         import pslift.lifted as lifted
         import pslift.relaxation as relaxation
-        from pslift.lifted import _compiled
-        from pslift.relaxation import _compiled_fill
 
-        written = []
+        written, compiled = [], []
 
         def join_steps(*args, **kwargs):
             written.append(args[5])
             return join_steps_of_module(*args, **kwargs)
 
-        join_steps_of_module = lifted._join_steps
+        def define(source, kind, name):
+            compiled.append(kind)
+            return define_of_module(source, kind, name)
+
+        join_steps_of_module, define_of_module = lifted._join_steps, lifted._define
         monkeypatch.setattr(lifted, "_join_steps", join_steps)
+        monkeypatch.setattr(lifted, "_define", define)
 
         def build_and_evaluate(task):
             plain, restricted = FFHeuristic(task), RestrictedFFHeuristic(task)
@@ -138,17 +141,13 @@ class TestCompiledPlans:
                 for plan in (plan for rule in program.rules for plan in rule.plans):
                     assert plan.run is not None
 
-        def misses():
-            return _compiled.cache_info().misses, _compiled_fill.cache_info().misses
-
         lifted._query.cache_clear()
         relaxation._written.cache_clear()
         build_and_evaluate(generate_task("blocksworld", seed=0, blocks=4))
-        before = misses()
-        assert written
-        del written[:]
+        assert written and {"join plan", "index fill"} <= set(compiled)
+        del written[:], compiled[:]
         build_and_evaluate(generate_task("blocksworld", seed=1, blocks=7))
-        assert misses() == before
+        assert compiled == []
         assert written == []
 
     @pytest.mark.parametrize("loops", [1, 2, 3])
@@ -290,6 +289,25 @@ class TestRelaxedReach:
             assert (program.h_ff_restricted(state, actions)
                     == oracles.optimal_relaxed_plan_length(restricted, start))
         assert program.h_ff(shortcut) == 1 and program.h_ff(s0) == 2
+
+
+class TestObjectlessTask:
+    def test_h_equals_the_reference_in_both_spaces(self):
+        # no objects, no static facts and an empty state: layer 1 still runs,
+        # and `go` reaches the goal there
+        from pslift.pddl import load_task
+        from conftest import ONE_STEP_DOMAIN, ONE_STEP_PROBLEM
+        task = load_task(ONE_STEP_DOMAIN, ONE_STEP_PROBLEM)
+        program, state = DatalogProgram(task), task.initial_state
+        actions = list(instantiations(task, state, ROOT))
+        assert [str(a) for a in actions] == ["(go)"]
+        for chosen in (None, actions):
+            want = oracles.ff_reference(task, state, chosen)
+            assert want == 1
+            for full in (False, True):
+                assert program._extract(program._fixpoint(state, chosen, full)) == want
+        assert FFHeuristic(task)(state) == 1
+        assert RestrictedFFHeuristic(task)(state, ROOT) == 1
 
 
 class TestHFF:
@@ -440,6 +458,16 @@ class TestHFFRestricted:
             reach = program.relaxed_reach(s0, actions)
             assert reach.layers[(EPSILON, ())] == 1
             assert reach.achievers[(EPSILON, ())][0] == actions[0]
+
+    def test_b_commits_the_gate_after_the_adds_of_its_first_action(self, bw2):
+        # layer 1 holds only what B adds, committed in B's order: the adds
+        # of B[0], then the gate, then the adds of B[1] not yet reached
+        program = RestrictedFFHeuristic(bw2).program
+        s0 = bw2.initial_state
+        a, b = act(bw2, "pickup", "a"), act(bw2, "pickup", "b")
+        for reach in (program.relaxed_reach(s0, [a, b]), program._fixpoint(s0, [a, b])):
+            assert [atom for atom, layer in reach.layers.items() if layer == 1] == [
+                ("holding", ("a",)), (EPSILON, ()), ("holding", ("b",))]
 
 
 def derived_by(reach, key) -> tuple:
