@@ -91,6 +91,7 @@ def cmd_solve(args) -> int:
         best_h = result.best_h
     except Exception as exc:  # noqa: BLE001 - reported as an Error row
         log.error("search failed: %s", exc)
+        log.debug("traceback of the failed search", exc_info=True)
         outcome, stats, plan, reason = bench.ERROR, search.SearchStats(), None, "error"
         best_h = []
 

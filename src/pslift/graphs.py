@@ -16,23 +16,23 @@ atom, by ascending atom id; then, in an action graph, one vertex per action
 of B, in the order of `instantiations`.
 
 Each encoding runs in two steps. `aoag_key`/`aeg_key` give a node's graph
-key, and only they decide the special cases; `aoag_graph`/`aeg_graph` build
-the graph from the key alone, reading each atom's argument vertices and color
+key, and only they decide the special cases; `Encoding.build` builds the
+graph from the key alone, through the atoms, tags and action vertices that
+the encoding reads off the key, and each atom's argument vertices and color
 strings from a table kept per task, so a build formats no string. A key fixes
 the graph exactly, its vertex order included, so nodes with equal keys have
 equal WL feature vectors, with the same key order, and equal learned
 heuristic values. `aoag` and `aeg` build a node's graph in one call.
 
 The key form. An atom's vertex and color follow from its tag, and its tag
-from the key: the builds take the atoms and their tags from the same
+from the key: the build takes the atoms and their tags from the same
 functions of the key that WL reads in key form. `AOAG_ENCODING` and
-`AEG_ENCODING` give, besides the key and the build, a key's atoms and tags,
-the atoms whose tag may differ between two keys of one task, and the action
-vertices. A `KeyGraph` is a node's graph as its key alone; `wl` refines it
-by difference from the last key, and builds the explicit graph once, and
-only if its `colors` or `args` are read. Effects come from
-`lifted.ground_effects`, grounded once per task, so a key computes no atom
-of an action twice.
+`AEG_ENCODING` give the key, a key's atoms and tags, the atoms whose tag may
+differ between two keys of one task, and the action vertices. A `KeyGraph`
+is a node's graph as its key alone; `wl` refines it by difference from the
+last key, and builds the explicit graph once, and only if its `colors` or
+`args` are read. Effects come from `lifted.ground_effects`, grounded once
+per task, so a key computes no atom of an action twice.
 
 Color strings:
     ob{p,q}      object with static unary predicates p, q
@@ -120,7 +120,7 @@ def action_vertex(task: Task, action: PartialAction) -> tuple:
     return _colors(task, action.schema.name)["act"], tuple(index[obj] for obj in action.args)
 
 
-def _graph(task: Task, atom_ids, tag_of, actions=()) -> LabeledGraph:
+def _graph(task: Task, atom_ids, tag_of, actions) -> LabeledGraph:
     """The object vertices, then a vertex per atom by ascending id, colored
     by its tag `tag_of(i)`, then a vertex per action, in order."""
     table = atom_vertices(task)
@@ -215,17 +215,11 @@ def aoag_key(task: Task, state: State, rho: PartialAction) -> tuple:
     return state, actions
 
 
-def aoag_graph(task: Task, key: tuple) -> LabeledGraph:
-    """The AOAG graph of a key from `aoag_key`: the instance graph plus one
-    vertex per action, linked to its arguments by position."""
-    return _graph(task, _aoag_atoms(task, key), _aoag_tags(task, key), key[1])
-
-
 def aoag(task: Task, state: State, rho: PartialAction) -> LabeledGraph:
     """Shallow action embedding: the instance graph plus one vertex per action
     in B, linked to its arguments by position (see `aoag_key` for the special
     cases)."""
-    return aoag_graph(task, aoag_key(task, state, rho))
+    return AOAG_ENCODING.build(task, aoag_key(task, state, rho))
 
 
 def aeg_key(task: Task, state: State, rho: PartialAction) -> tuple:
@@ -268,42 +262,39 @@ def _aeg_atoms(task: Task, key: tuple) -> frozenset:
     return task.goal_fluent | s_prime | opt_add | opt_del
 
 
-def aeg_graph(task: Task, key: tuple) -> LabeledGraph:
-    """The AEG graph of a key from `aeg_key`: the atoms of s', the goal and
-    the optional effects, colored (alpha, beta, P) as `_aeg_tags` gives."""
-    return _graph(task, _aeg_atoms(task, key), _aeg_tags(task, key))
-
-
 def aeg(task: Task, state: State, rho: PartialAction) -> LabeledGraph:
     """Deep action embedding: the state after B's unavoidable effects, plus
-    optional add/delete effect atoms (see `aeg_key` and `aeg_graph`)."""
-    return aeg_graph(task, aeg_key(task, state, rho))
+    optional add/delete effect atoms, colored (alpha, beta, P) as `_aeg_tags`
+    gives (see `aeg_key`)."""
+    return AEG_ENCODING.build(task, aeg_key(task, state, rho))
 
 
 class Encoding(NamedTuple):
     """A graph kind, with what refinement by difference reads of its graph
-    keys: `key(task, state, rho)` gives a node's key and `build(task, key)`
-    its graph; for keys of one task, `atoms(task, key)` are the atoms with
-    a vertex, `tags(task, key)` maps an atom to its vertex's tag (None
-    without one), `changed(key, old)` holds every atom whose tag may differ
-    between the graphs of `old` and `key` (the goal is fixed per task), and
-    `actions(key)` are the action vertices, in vertex order."""
+    keys: `key(task, state, rho)` gives a node's key; for keys of one task,
+    `atoms(task, key)` are the atoms with a vertex, `tags(task, key)` maps
+    an atom to its vertex's tag (None without one), `changed(key, old)`
+    holds every atom whose tag may differ between the graphs of `old` and
+    `key` (the goal is fixed per task), and `actions(key)` are the action
+    vertices, in vertex order. `build(task, key)` is a key's graph."""
 
     key: Callable
-    build: Callable
     atoms: Callable
     tags: Callable
     changed: Callable
     actions: Callable
 
+    def build(self, task: Task, key: tuple) -> LabeledGraph:
+        return _graph(task, self.atoms(task, key), self.tags(task, key), self.actions(key))
+
 
 AOAG_ENCODING = Encoding(
-    aoag_key, aoag_graph, _aoag_atoms, _aoag_tags,
+    aoag_key, _aoag_atoms, _aoag_tags,
     changed=lambda key, old: key[0] ^ old[0],
     actions=itemgetter(1))
 
 AEG_ENCODING = Encoding(
-    aeg_key, aeg_graph, _aeg_atoms, _aeg_tags,
+    aeg_key, _aeg_atoms, _aeg_tags,
     changed=lambda key, old: (key[0] ^ old[0]) | (key[1] ^ old[1]) | (key[2] ^ old[2]),
     actions=lambda key: ())
 

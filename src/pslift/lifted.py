@@ -2,9 +2,10 @@
 
 A partial action is a schema with a prefix of its parameters instantiated; the
 root (no schema chosen) is `ROOT`, and a full one is the ground action that
-search applies (`GroundAction` only adds an arity check). Children extend the
-prefix by one object and are pruned exactly: a child is produced only if at
-least one applicable ground action completes it. Nothing here ever grounds the
+search applies; a plan file's lines become full partial actions, their arity
+checked where they are read (`search.parse_plan`). Children extend the prefix
+by one object and are pruned exactly: a child is produced only if at least
+one applicable ground action completes it. Nothing here ever grounds the
 whole task.
 
 The preconditions of a schema form its successor rule, a `_Rule` like the
@@ -97,18 +98,6 @@ class PartialAction:
             return "<root>"
         shown = self.args + ("*",) * (len(self.schema.params) - len(self.args))
         return f"({' '.join((self.schema.name,) + shown)})"
-
-
-class GroundAction(PartialAction):
-    """A schema instantiated with one object per parameter: a full partial
-    action, checked for its arity."""
-
-    __slots__ = ()
-
-    def __init__(self, schema: ActionSchema, args: tuple[str, ...]):
-        if len(args) != len(schema.params):
-            raise ValueError(f"{schema.name} expects {len(schema.params)} args")
-        super().__init__(schema, args)
 
 
 ROOT = PartialAction(None, ())
@@ -207,23 +196,22 @@ class _Plan:
     its repeated variables and the equality literals that become fully
     bound there. A step's lookup and its empty check sit in the outermost
     loop that has bound its key; a missing key skips that loop's branch.
-    Once the head is bound, after `head_at` steps (0: the head is ground),
-    its key, if the caller gives one, is `h`; the key is a weighted sum of
-    the head's values, and each step adds the terms of the values that it
-    binds to the sum of the loops above. With `known` among the args, a
-    head in `known` prunes the branch. Each completion runs the caller's
-    completion text, and below `head_at` the first completion ends the
-    branch. `join` returns True only when it has completed a ground head.
-    Past `_LOOPS_PER_FUNCTION` steps, the innermost loop calls a function
-    with the loops that follow, which returns True when a completion ends
-    a branch above it. `table` is the id of the first step's table, None
+    Once the head is bound, by the step that binds its last variable or
+    from the start if it is ground, its key, if the caller gives one, is
+    `h`; the key is a weighted sum of the head's values, and each step adds
+    the terms of the values that it binds to the sum of the loops above.
+    With `known` among the args, a head in `known` prunes the branch. Each
+    completion runs the caller's completion text, and below the head's
+    step the first completion ends the branch. `join` returns True only
+    when it has completed a ground head. Past `_LOOPS_PER_FUNCTION` steps,
+    the innermost loop calls a function with the loops that follow, which
+    returns True when a completion ends a branch above it. `table` is the id of the first step's table, None
     without steps.
     `run` is the function, compiled on first use."""
 
-    def __init__(self, source, table, head_at):
+    def __init__(self, source, table):
         self.source = source
         self.table = table
-        self.head_at = head_at
 
     @cached_property
     def run(self):
@@ -373,7 +361,7 @@ def _join_steps(body, eqs, slots, bound, table, head, head_key, args, complete,
                 lines += [f"{' ' * (d - a + 2)}else:", f"{' ' * (d - a + 3)}continue",
                           f"{' ' * (d - a + 2)}break"]
         lines.append(" return False")
-    return _Plan("\n".join(lines) + "\n", loops[0][0] if loops else None, head_at)
+    return _Plan("\n".join(lines) + "\n", loops[0][0] if loops else None)
 
 
 class _Rule:

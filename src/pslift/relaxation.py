@@ -98,8 +98,8 @@ the (pred, object ids) form of each atom that `Task.intern` makes. Names
 come back only where they are read: extraction expands the achievers that
 it visits into body keys and (schema, object ids) actions, each body key a
 sum of ints, the body atom's predicate id plus its binding's values times
-the weights that the program keeps per rule; and `ReachResult.layers` and
-`.achievers` name the keys for tests and oracles. The enumeration order is
+the weights that the program keeps per rule. A `ReachResult` holds keys
+only; the tests' oracles decode them. The enumeration order is
 the one over names, so every first achiever, counter and h is the same: the
 state is iterated as given, each table is filled in commit order, and the
 adds of B are keyed in schema order.
@@ -121,7 +121,7 @@ with the body of each schema rule achiever, so B[0] is counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 from . import lifted
 from .lifted import (OBJ, PartialAction, State, _fill_source, _is_var, _query_body, _Rule,
@@ -158,20 +158,18 @@ def _key_weights(p: int, arity: int) -> list:
     return ["*".join([str(p)] + ["n"] * i) for i in range(arity)]
 
 
-class Numbering(dict):
+class Numbering:
     """The fixpoint keys of a task's atoms, one numbering per program, so
     that its tables go with the program. Objects are numbered by
     declaration index, predicates by their id in `preds` (the internal
     ones first, then the task's in order), and an atom's key is its
     predicate id plus `p` times the mixed-radix code of its object ids,
-    radix `n`: injective, so keys compare as the atoms do. As a dict it
-    maps each key asked about to its (pred, object ids) pair, decoded on
-    first use; `atoms` maps an atom id to its (key, pair), made on first
-    use, and `adds` an action's key to its adds' (key, pair) entries in
-    schema order."""
+    radix `n`: injective, so keys compare as the atoms do. `atoms` maps an
+    atom id to its (key, (pred, object ids) pair), made on first use, and
+    `adds` an action's key to its adds' (key, pair) entries in schema
+    order."""
 
     def __init__(self, task: Task):
-        super().__init__()
         self.task = task
         self.preds = _INTERNAL + tuple(pred.name for pred in task.predicates)
         self.pid = {pred: i for i, pred in enumerate(self.preds)}
@@ -187,20 +185,6 @@ class Numbering(dict):
         for arg in reversed(args):
             code = code * self.n + arg
         return self.pid[pred] + self.p * code
-
-    def __missing__(self, key: int) -> tuple:
-        code, pid = divmod(key, self.p)
-        args = []
-        for _ in range(self.arity[pid]):
-            code, arg = divmod(code, self.n)
-            args.append(arg)
-        pair = self[key] = (self.preds[pid], tuple(args))
-        return pair
-
-    def name(self, key: int) -> tuple:
-        """The (pred, object names) atom of a key."""
-        pred, args = self[key]
-        return pred, tuple(self.task.objects[arg] for arg in args)
 
     def adds_of(self, action: PartialAction) -> list:
         """The (key, (pred, object ids) pair) of each of a ground action's
@@ -294,24 +278,10 @@ class ReachResult:
     """Fixpoint output, by key: the unit-cost layer of every reached atom,
     and one achiever per derived atom, stored as the (rule, binding of
     object ids) that derived it, or as (action, None) for an action of the
-    set B. `layers` and `achievers` name them: by (pred, args) atom, with
-    each binding's objects by name, made on first read."""
+    set B."""
 
-    numbering: Numbering
     key_layers: dict
     key_achievers: dict
-
-    @cached_property
-    def layers(self) -> dict:
-        name = self.numbering.name
-        return {name(key): layer for key, layer in self.key_layers.items()}
-
-    @cached_property
-    def achievers(self) -> dict:
-        name, objects = self.numbering.name, self.numbering.task.objects
-        return {name(key): (source, binding if binding is None else
-                            tuple(None if v is None else objects[v] for v in binding))
-                for key, (source, binding) in self.key_achievers.items()}
 
 
 class DatalogProgram:
@@ -417,7 +387,7 @@ class DatalogProgram:
             layers[key] = 0
             fresh.append(pair)
         if reached() and not full:
-            return ReachResult(keys, layers, achievers)
+            return ReachResult(layers, achievers)
         self._fill_new(fresh, tables)
 
         n = keys.n
@@ -440,7 +410,7 @@ class DatalogProgram:
                                              rule, n)):
                             break
                 if target in layers and reached() and not full:
-                    return ReachResult(keys, layers, achievers)
+                    return ReachResult(layers, achievers)
             if layer == 1 and chosen:
                 # B is applicable in the state: each action fires here only,
                 # and B[0] opens the gate after its adds
@@ -451,9 +421,9 @@ class DatalogProgram:
                             achievers[head] = (action, None)
                             new.append(pair)
                 if target in layers and reached() and not full:
-                    return ReachResult(keys, layers, achievers)
+                    return ReachResult(layers, achievers)
             if not new:
-                return ReachResult(keys, layers, achievers)
+                return ReachResult(layers, achievers)
             # the previous layer's atoms become old; this layer's, delta
             self._fill_old(fresh, tables)
             for tid in self._delta_tables:

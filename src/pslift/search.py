@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .lifted import ROOT, GroundAction, PartialAction, _apply_effects, children, instantiations
+from .lifted import ROOT, PartialAction, _apply_effects, children, instantiations
 from .pddl import PddlError, Task
 
 INF = float("inf")
@@ -278,5 +278,5 @@ def parse_plan(text: str, task: Task) -> list[PartialAction]:
         if len(parts) - 1 != len(schema.params):
             raise PlanLineError(len(plan), f"arity mismatch: {shown}: expected arity "
                                            f"{len(schema.params)}")
-        plan.append(GroundAction(schema, tuple(parts[1:])))
+        plan.append(PartialAction(schema, tuple(parts[1:])))
     return plan

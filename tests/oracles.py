@@ -189,11 +189,47 @@ def h_add(task: Task, state):
     return value
 
 
-def reached_atoms(reach) -> frozenset:
-    """The (pred, args) keys that a `relaxation.ReachResult` reached: the
-    fluent and static atoms, plus the gate when B was given; the program's
-    other internal facts (their predicates start with "@") are left out."""
-    return frozenset(key for key in reach.layers
+def key_atom(numbering, key: int) -> tuple:
+    """The (pred, object ids) atom of a fixpoint key, `Numbering.key` read
+    backwards: the predicate id is the key mod p, and the object ids are
+    the digits of the rest in radix n, lowest first."""
+    code, pid = divmod(key, numbering.p)
+    ids = []
+    for _ in range(numbering.arity[pid]):
+        code, arg = divmod(code, numbering.n)
+        ids.append(arg)
+    return numbering.preds[pid], tuple(ids)
+
+
+def key_name(numbering, key: int) -> tuple:
+    """The (pred, object names) atom of a fixpoint key."""
+    pred, ids = key_atom(numbering, key)
+    return pred, tuple(numbering.task.objects[i] for i in ids)
+
+
+def named_layers(program, reach) -> dict:
+    """The layers of a `relaxation.ReachResult` of program, by (pred, args)
+    atom, in commit order."""
+    return {key_name(program.numbering, key): layer for key, layer in reach.key_layers.items()}
+
+
+def named_achievers(program, reach) -> dict:
+    """The achievers of a `relaxation.ReachResult` of program, by (pred,
+    args) atom: (rule, binding) with the binding's objects by name, or
+    (action, None) for an action of B."""
+    objects = program.task.objects
+    return {key_name(program.numbering, key):
+            (source, binding if binding is None else
+             tuple(None if v is None else objects[v] for v in binding))
+            for key, (source, binding) in reach.key_achievers.items()}
+
+
+def reached_atoms(program, reach) -> frozenset:
+    """The (pred, args) keys that a `relaxation.ReachResult` of program
+    reached: the fluent and static atoms, plus the gate when B was given;
+    the program's other internal facts (their predicates start with "@")
+    are left out."""
+    return frozenset(key for key in named_layers(program, reach)
                      if key[0] == EPSILON or not key[0].startswith("@"))
 
 

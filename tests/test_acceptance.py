@@ -13,7 +13,7 @@ import pytest
 from pslift.bench import validate_plan
 from pslift.generators import generate_task
 from pslift.graphs import LabeledGraph, aeg, aoag, effect_partition
-from pslift.lifted import (ROOT, GroundAction, PartialAction, _apply_effects,
+from pslift.lifted import (ROOT, PartialAction, _apply_effects,
                            instantiations)
 from pslift.pddl import ActionSchema, Atom, Task
 from pslift.ranking import (RankingTuple, TrainConfig, evaluate, generate_dataset,
@@ -39,7 +39,7 @@ def bfs_ground_plan(task):
     plan = oracles.bfs_plan(task)
     if plan is None:
         return None
-    return [GroundAction(task.schema(name), args) for name, args in plan]
+    return [PartialAction(task.schema(name), args) for name, args in plan]
 
 
 def make_bw_corpus(count, blocks_cycle, min_len=4, start_seed=0):
@@ -228,7 +228,7 @@ def test_criterion_3_restriction_oracle():
             checked += 1
             reach_full = program.relaxed_reach(state, actions)
             plain, _ = oracles.relaxed_reachable(task, state)
-            if oracles.reached_atoms(reach_full) != plain | {(EPSILON, ())}:
+            if oracles.reached_atoms(program, reach_full) != plain | {(EPSILON, ())}:
                 failures += 1
                 continue
             action = rng.choice(actions)
@@ -236,7 +236,7 @@ def test_criterion_3_restriction_oracle():
             adds = oracles.ground_atoms(task, action.schema, action.args,
                                         action.schema.add)
             plus, _ = oracles.relaxed_reachable(task, state, extra_atoms=adds)
-            if oracles.reached_atoms(reach_one) != plus | {(EPSILON, ())}:
+            if oracles.reached_atoms(program, reach_one) != plus | {(EPSILON, ())}:
                 failures += 1
     conclude(3, "restriction heuristic reachability equals the grounded oracle",
              checked >= 50 and failures == 0, f"{checked} states, {failures} failures")
@@ -294,7 +294,7 @@ def test_criterion_5_dataset_closed_form():
                     task = Task("syn", "s", predicates, schemas, objects, [], [])
                     rng = random.Random(alpha * 311 + beta * 37 + k * 7 + n)
                     plan = [
-                        GroundAction(schemas[rng.randrange(alpha)],
+                        PartialAction(schemas[rng.randrange(alpha)],
                                      tuple(objects[rng.randrange(beta)]
                                            for _ in range(k)))
                         for _ in range(n)

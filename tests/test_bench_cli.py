@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pslift import cli, relaxation
+from pslift import cli, relaxation, search
 from pslift.bench import (
     CSV_HEADER,
     MalformedCSV,
@@ -21,7 +21,7 @@ from pslift.bench import (
     validate_plan,
 )
 from pslift.generators import FAMILIES, generate, generate_task
-from pslift.lifted import ROOT, GroundAction, instantiations
+from pslift.lifted import ROOT, PartialAction, instantiations
 from pslift.pddl import load_task
 from pslift.ranking import LinearModel, load_model, save_model
 from pslift.search import SearchStats, gbfs_partial, gbfs_state
@@ -55,7 +55,7 @@ def write_blocksworld_corpus(tmp_path, count: int):
 
 
 def plan_of(task, *steps):
-    return [GroundAction(task.schema(name), tuple(args)) for name, *args in steps]
+    return [PartialAction(task.schema(name), tuple(args)) for name, *args in steps]
 
 
 class TestValidatePlan:
@@ -80,7 +80,7 @@ class TestValidatePlan:
         assert validate_plan(task, [])
 
     def test_undeclared_object(self, bw2):
-        plan = [GroundAction(bw2.schema("pickup"), ("zonk",))]
+        plan = [PartialAction(bw2.schema("pickup"), ("zonk",))]
         check = validate_plan(bw2, plan)
         assert not check and check.reason == "undeclared object: zonk in (pickup zonk)"
 
@@ -89,9 +89,7 @@ class TestValidatePlan:
         ("stack", ("a", "zz"), "undeclared object: zz in (stack a zz)"),
     ], ids=["arity", "object"])
     def test_reasons_name_the_action(self, bw2, name, args, reason):
-        # a partial action skips GroundAction's arity check, as an API
-        # caller's plan may
-        from pslift.lifted import PartialAction
+        # an action of the wrong arity, as an API caller's plan may hold
         plan = plan_of(bw2, ("pickup", "b")) + [PartialAction(bw2.schema(name), args)]
         check = validate_plan(bw2, plan)
         assert not check and (check.step, check.reason) == (1, reason)
@@ -348,6 +346,32 @@ class TestCli:
                  if r.message.startswith("New best heuristic value: ")]
         assert len(lines) == len(best)
         assert lines[0].startswith(f"New best heuristic value: {root_h} [1 evaluated, 0 expanded")
+
+    @pytest.mark.parametrize("space", ["state", "partial"])
+    def test_search_that_raises_gives_an_error_row(self, bw_files, tmp_path, monkeypatch,
+                                                   caplog, space):
+        """The search's exception gives exit 2 and an `Error` row; the ERROR
+        log line names it in one line, and its traceback is logged at DEBUG."""
+        def broken(task, heuristic, limits):
+            raise RuntimeError("heuristic exploded")
+
+        monkeypatch.setattr(search, f"gbfs_{space}", broken)
+        domain, problem = bw_files
+        json_file, csv_file = tmp_path / "stats.json", tmp_path / "stats.csv"
+        with caplog.at_level(logging.DEBUG, logger="pslift"):
+            rc = cli.main(["solve", str(domain), str(problem), "--search", space,
+                           "--stats-json", str(json_file), "--stats-csv", str(csv_file),
+                           "--output", str(tmp_path / "p.plan")])
+        assert rc == 2
+        assert read_records(str(csv_file))[0].outcome == "Error"
+        assert json.loads(json_file.read_text())["reason"] == "error"
+        assert not (tmp_path / "p.plan").exists()
+        [error] = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert error.getMessage() == "search failed: heuristic exploded"
+        assert error.exc_info is None
+        [debug] = [r for r in caplog.records if r.levelno == logging.DEBUG and r.exc_info]
+        assert debug.exc_info[0] is RuntimeError
+        assert "in broken" in caplog.text and "Traceback" in caplog.text
 
     def test_solve_with_a_bad_log_level_warns_and_solves(self, bw_files, tmp_path):
         """An LL_LOG value that names no level, even one that names another

@@ -27,6 +27,8 @@ from pslift.lifted import instantiations
 from pslift.relaxation import FFHeuristic, RestrictedFFHeuristic
 from pslift.search import gbfs_partial, gbfs_state
 
+import oracles
+
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "golden_h.json"
 
 CASES = (
@@ -60,8 +62,8 @@ def _key_string(key) -> str:
     return f"{pred}({','.join(args)})"
 
 
-def _layers_json(reach) -> dict:
-    return {_key_string(k): v for k, v in sorted(reach.layers.items())}
+def _layers_json(program, reach) -> dict:
+    return {_key_string(k): v for k, v in sorted(oracles.named_layers(program, reach).items())}
 
 
 def record_search(family, params, seed, space) -> dict:
@@ -109,7 +111,7 @@ def record_search(family, params, seed, space) -> dict:
             if not actions:
                 continue
             reach = heuristic.program.relaxed_reach(state, actions)
-        layers.append({"node": i, "layers": _layers_json(reach)})
+        layers.append({"node": i, "layers": _layers_json(heuristic.program, reach)})
 
     st = result.stats
     return {

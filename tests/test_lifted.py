@@ -5,7 +5,6 @@ import pytest
 from pslift.generators import generate_task
 from pslift.lifted import (
     ROOT,
-    GroundAction,
     NotApplicable,
     PartialAction,
     apply,
@@ -23,7 +22,7 @@ from pslift.search import gbfs_partial, gbfs_state
 
 
 def act(task, name, *args):
-    return GroundAction(task.schema(name), args)
+    return PartialAction(task.schema(name), args)
 
 
 def atoms(task, state):
@@ -39,7 +38,7 @@ class TestApplicability:
 
     def test_empty_precondition_always_applicable(self):
         task = Task("d", "p", [("p", 1)], [ActionSchema("go", (), (), (), ())], ["o"], [], [])
-        assert is_applicable(task, task.initial_state, GroundAction(task.schema("go"), ()))
+        assert is_applicable(task, task.initial_state, PartialAction(task.schema("go"), ()))
 
 
 class TestApply:
@@ -51,7 +50,7 @@ class TestApply:
         task = Task("d", "p", [("p", 1)], [ActionSchema("go", (), (), (), ())], ["o"],
                     [Atom("p", ("o",))], [])
         s = task.initial_state
-        assert apply(task, s, GroundAction(task.schema("go"), ())) == s
+        assert apply(task, s, PartialAction(task.schema("go"), ())) == s
 
     def test_pickup_putdown_roundtrip(self, bw2):
         s0 = bw2.initial_state
@@ -128,26 +127,19 @@ class TestInstantiations:
 
 
 class TestActionContract:
-    """A ground action is the full partial action of the same schema and
+    """A ground action is the full partial action of its schema and
     arguments: one type, one equality, one hash and one printed form."""
 
-    def test_ground_action_is_the_full_partial_action(self, bw2):
+    def test_full_partial_action_is_the_ground_action(self, bw2):
         schema = bw2.schema("stack")
-        ground, full = GroundAction(schema, ("a", "b")), PartialAction(schema, ("a", "b"))
-        assert ground == full and full == ground
-        assert hash(ground) == hash(full)
-        assert repr(ground) == repr(full) == "(stack a b)"
-        assert ground.name == "stack" and ground.args == ("a", "b")
-        assert ground != PartialAction(schema, ("a",))
-        assert ground != GroundAction(schema, ("b", "a"))
-        assert ground != GroundAction(bw2.schema("unstack"), ("a", "b"))
-        assert ground != ("stack", ("a", "b"))
-
-    def test_wrong_arity_raises(self, bw2):
-        with pytest.raises(ValueError, match="^stack expects 2 args$"):
-            GroundAction(bw2.schema("stack"), ("a",))
-        with pytest.raises(ValueError, match="^pickup expects 1 args$"):
-            GroundAction(bw2.schema("pickup"), ("a", "b"))
+        full = PartialAction(schema, ("a", "b"))
+        assert full.is_full
+        assert repr(full) == "(stack a b)"
+        assert full.name == "stack" and full.args == ("a", "b")
+        assert full != PartialAction(schema, ("a",))
+        assert full != PartialAction(schema, ("b", "a"))
+        assert full != PartialAction(bw2.schema("unstack"), ("a", "b"))
+        assert full != ("stack", ("a", "b"))
 
     def test_both_search_spaces_plan_with_one_action_type(self):
         task = generate_task("blocksworld", seed=2, blocks=4)
@@ -174,7 +166,7 @@ class TestDecompose:
 
     def test_zero_ary_chain(self):
         task = Task("d", "p", [("p", 0)], [ActionSchema("go", (), (), (), ())], ["o"], [], [])
-        chain = decompose(GroundAction(task.schema("go"), ()))
+        chain = decompose(PartialAction(task.schema("go"), ()))
         assert len(chain) == 2 and chain[0] is ROOT and chain[1].is_full
 
 
@@ -267,7 +259,7 @@ class TestAgainstBruteForce:
         rng = random.Random(seed + 3)
         for state in random_states(task, rng, 5):
             for schema, args in oracles.oracle_applicable_actions(task, state):
-                action = GroundAction(schema, args)
+                action = PartialAction(schema, args)
                 assert is_applicable(task, state, action)
                 got = oracles.state_to_keys(task, apply(task, state, action))
                 expected = oracles.oracle_apply(

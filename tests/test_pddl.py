@@ -20,7 +20,7 @@ import oracles
 from oracles import signature, write_domain, write_problem
 from conftest import BW2_TEXT, BW_DOMAIN_TEXT, SPANNER_MINI_DOMAIN, SPANNER_MINI_PROBLEM
 from pslift.bench import validate_plan
-from pslift.lifted import ROOT, GroundAction, apply, instantiations
+from pslift.lifted import ROOT, PartialAction, apply, instantiations
 from pslift.relaxation import FFHeuristic, RestrictedFFHeuristic
 from pslift.search import gbfs_partial, gbfs_state
 
@@ -198,7 +198,7 @@ class TestCompileTypes:
             got = {(a.name, a.args) for a in instantiations(task, state, ROOT)}
             want = {(s.name, a) for s, a in oracles.oracle_applicable_actions(task, state)}
             assert got == want
-            state = apply(task, state, GroundAction(task.schema(name), args))
+            state = apply(task, state, PartialAction(task.schema(name), args))
         assert task.is_goal(state)
         for search, h in ((gbfs_state, FFHeuristic(task)),
                           (gbfs_partial, RestrictedFFHeuristic(task))):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pslift.generators import generate_task
-from pslift.lifted import ROOT, GroundAction, PartialAction, _apply_effects, instantiations
+from pslift.lifted import ROOT, PartialAction, _apply_effects, instantiations
 from pslift import ranking
 from pslift.pddl import ActionSchema, Atom, Task
 from pslift.ranking import (
@@ -57,8 +57,8 @@ def stub_phi_factory():
 
 
 def bw2_plan(task):
-    return [GroundAction(task.schema("pickup"), ("a",)),
-            GroundAction(task.schema("stack"), ("a", "b"))]
+    return [PartialAction(task.schema("pickup"), ("a",)),
+            PartialAction(task.schema("stack"), ("a", "b"))]
 
 
 class TestGenerateDataset:
@@ -81,19 +81,19 @@ class TestGenerateDataset:
         assert generate_dataset(bw2, [], stub_phi_factory(), IMPS) == []
 
     def test_invalid_plan_rejected(self, bw2):
-        bad = [GroundAction(bw2.schema("stack"), ("a", "b"))]
+        bad = [PartialAction(bw2.schema("stack"), ("a", "b"))]
         with pytest.raises(InvalidPlan):
             generate_dataset(bw2, bad, stub_phi_factory(), IMPS)
 
     def test_plan_not_reaching_goal_rejected(self, bw2):
-        short = [GroundAction(bw2.schema("pickup"), ("a",))]
+        short = [PartialAction(bw2.schema("pickup"), ("a",))]
         with pytest.raises(InvalidPlan):
             generate_dataset(bw2, short, stub_phi_factory(), IMPS)
 
     def test_degenerate_single_schema_task(self):
         schema = ActionSchema("tick", (), (), (Atom("done", ()),), ())
         task = Task("d", "p", [("done", 0)], [schema], ["o"], [], [Atom("done", ())])
-        plan = [GroundAction(schema, ())]
+        plan = [PartialAction(schema, ())]
         data = generate_dataset(task, plan, stub_phi_factory(), IMPS)
         # one in-state pair, one state predecessor, no siblings, no cross-state
         assert kind_histogram(data) == {"lp": 1, "ls": 0, "sp": 1, "ss": 0}
@@ -101,7 +101,7 @@ class TestGenerateDataset:
 
     def test_sibling_relations_hold(self, bw3_stack):
         plan = oracles.bfs_plan(bw3_stack)
-        actions = [GroundAction(bw3_stack.schema(n), a) for n, a in plan]
+        actions = [PartialAction(bw3_stack.schema(n), a) for n, a in plan]
         feats = {}
 
         def fn(state, rho):
@@ -179,7 +179,7 @@ class TestClosedForm:
         for _ in range(n):
             schema = task.schemas[rng.randrange(alpha)]
             args = tuple(task.objects[rng.randrange(beta)] for _ in range(k))
-            plan.append(GroundAction(schema, args))
+            plan.append(PartialAction(schema, args))
         data = generate_dataset(task, plan, stub_phi_factory(), IMPS)
         assert len(data) == oracles.dataset_size_closed_form(alpha, beta, k, n)
 
@@ -293,7 +293,7 @@ def tiny_corpus(n=6, blocks=(3, 4)):
         plan_keys = oracles.bfs_plan(task)
         if not plan_keys:
             continue
-        plan = [GroundAction(task.schema(name), args) for name, args in plan_keys]
+        plan = [PartialAction(task.schema(name), args) for name, args in plan_keys]
         corpus.append((f"bw-{seed}", task, plan))
     return corpus
 
@@ -336,7 +336,7 @@ class TestTrainModel:
         corpus = []
         for seed in range(5):
             task = generate_task("warehouse-like", seed=seed, stacks=2, boxes=4, marked=1)
-            plan = [GroundAction(task.schema(name), args)
+            plan = [PartialAction(task.schema(name), args)
                     for name, args in oracles.bfs_plan(task)]
             corpus.append((f"wh-{seed}", task, plan))
         config = TrainConfig(graph_kind=kind)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pslift.generators import generate_task
-from pslift.lifted import ROOT, GroundAction, children, instantiations, _apply_effects
+from pslift.lifted import ROOT, PartialAction, children, instantiations, _apply_effects
 from pslift.relaxation import (
     EPSILON,
     GATE,
@@ -19,7 +19,7 @@ import oracles
 
 
 def act(task, name, *args):
-    return GroundAction(task.schema(name), args)
+    return PartialAction(task.schema(name), args)
 
 
 class TestBuildDatalog:
@@ -200,8 +200,8 @@ class TestCompiledPlans:
         assert f"def join{loops}(" in split.rules[0].plans[0].source
         for program in (whole, split):
             reach = program.relaxed_reach(task.initial_state)
-            assert reach.layers[("done", ("a",))] == 1
-            rule, binding = reach.achievers[("done", ("a",))]
+            assert oracles.named_layers(program, reach)[("done", ("a",))] == 1
+            rule, binding = oracles.named_achievers(program, reach)[("done", ("a",))]
             assert rule.action_of(binding) == ("finish", ("a", "b2", "c2"))
 
 
@@ -209,10 +209,10 @@ class TestRelaxedReach:
     def test_bw2_everything_reachable(self, bw2):
         program = DatalogProgram(bw2)
         reach = program.relaxed_reach(bw2.initial_state)
-        assert ("holding", ("a",)) in oracles.reached_atoms(reach)
-        assert ("on", ("a", "b")) in oracles.reached_atoms(reach)
+        assert ("holding", ("a",)) in oracles.reached_atoms(program, reach)
+        assert ("on", ("a", "b")) in oracles.reached_atoms(program, reach)
         oracle_atoms, _ = oracles.relaxed_reachable(bw2, bw2.initial_state)
-        assert oracles.reached_atoms(reach) == oracle_atoms
+        assert oracles.reached_atoms(program, reach) == oracle_atoms
 
     def test_empty_rule_program_reaches_only_facts(self):
         from pslift.pddl import Atom, Task
@@ -220,7 +220,7 @@ class TestRelaxedReach:
                     [Atom("q", ("o",))])
         program = DatalogProgram(task)
         reach = program.relaxed_reach(task.initial_state)
-        assert oracles.reached_atoms(reach) == frozenset({("p", ("o",))})
+        assert oracles.reached_atoms(program, reach) == frozenset({("p", ("o",))})
 
     def test_goal_state_derives_goal_at_layer_one(self, bw2):
         program = DatalogProgram(bw2)
@@ -229,7 +229,7 @@ class TestRelaxedReach:
              bw2.intern("clear", ("a",)), bw2.intern("handempty", ())}
         )
         reach = program.relaxed_reach(goal_state)
-        assert reach.layers[("@goal", ())] == 1
+        assert oracles.named_layers(program, reach)[("@goal", ())] == 1
 
     def test_full_fixpoint_runs_past_the_goal_layer(self, bw2):
         # the goal holds, so @goal is at layer 1; unstacking a and moving
@@ -239,34 +239,36 @@ class TestRelaxedReach:
             {bw2.intern("on", ("a", "b")), bw2.intern("ontable", ("b",)),
              bw2.intern("clear", ("a",)), bw2.intern("handempty", ())}
         )
-        reach = program.relaxed_reach(goal_state)
-        goal_layer = reach.layers[("@goal", ())]
-        assert max(reach.layers.values()) > goal_layer
+        layers = oracles.named_layers(program, program.relaxed_reach(goal_state))
+        goal_layer = layers[("@goal", ())]
+        assert max(layers.values()) > goal_layer
         _, oracle_layers = oracles.relaxed_reachable(bw2, goal_state)
-        assert {k: v for k, v in reach.layers.items()
+        assert {k: v for k, v in layers.items()
                 if not k[0].startswith("@")} == oracle_layers
         # the heuristic's own fixpoint stops at the goal's layer
-        assert max(program._fixpoint(goal_state).layers.values()) == goal_layer
+        cut = oracles.named_layers(program, program._fixpoint(goal_state))
+        assert max(cut.values()) == goal_layer
 
     def test_layers_match_grounded_hmax(self, bw2, bw3_stack, spanner_mini):
         for task in (bw2, bw3_stack, spanner_mini):
             program = DatalogProgram(task)
-            reach = program.relaxed_reach(task.initial_state)
+            layers = oracles.named_layers(program, program.relaxed_reach(task.initial_state))
             _, oracle_layers = oracles.relaxed_reachable(task, task.initial_state)
             for key, layer in oracle_layers.items():
-                if key in reach.layers:
-                    assert reach.layers[key] == layer, key
+                if key in layers:
+                    assert layers[key] == layer, key
 
 
     def test_state_may_add_static_atoms(self, spanner_mini):
         # a static atom outside init: the state's facts extend the static ones
         task = spanner_mini
         state = task.initial_state | {task.intern("link", ("p1", "p3"))}
-        reach = DatalogProgram(task).relaxed_reach(state)
+        program = DatalogProgram(task)
+        layers = oracles.named_layers(program, program.relaxed_reach(state))
         _, oracle_layers = oracles.relaxed_reachable(task, state)
-        assert {k: v for k, v in reach.layers.items()
+        assert {k: v for k, v in layers.items()
                 if not k[0].startswith("@")} == oracle_layers
-        assert reach.layers[("at", ("bob", "p3"))] == 1
+        assert layers[("at", ("bob", "p3"))] == 1
 
     def test_static_extension_stays_with_its_state(self, spanner_mini):
         # the extension is indexed for one evaluation only: a later state
@@ -277,12 +279,12 @@ class TestRelaxedReach:
         shortcut = s0 | {task.intern("link", ("p1", "p3"))}
         for state in (shortcut, s0, shortcut, s0):
             plain, oracle_layers = oracles.relaxed_reachable(task, state)
-            reach = program.relaxed_reach(state)
-            assert {k: v for k, v in reach.layers.items()
+            layers = oracles.named_layers(program, program.relaxed_reach(state))
+            assert {k: v for k, v in layers.items()
                     if not k[0].startswith("@")} == oracle_layers
             assert program.h_ff(state) == oracles.optimal_relaxed_plan_length(task, state)
             actions = list(instantiations(task, state, ROOT))
-            reached = oracles.reached_atoms(program.relaxed_reach(state, actions))
+            reached = oracles.reached_atoms(program, program.relaxed_reach(state, actions))
             assert reached == plain | {(EPSILON, ())}
             restricted = oracles.restrict_task(task, actions).as_task()
             start = oracles.intern_keys(restricted, oracles.state_to_keys(task, state))
@@ -353,8 +355,8 @@ class TestAgainstAdditiveOracle:
             additive = oracles.h_add(task, state)
             assert (ff == math.inf) == (additive == math.inf)
             if ff != math.inf:
-                reach = program.relaxed_reach(state)
-                hmax = reach.layers[("@goal", ())] - 1  # goal rule adds a layer
+                layers = oracles.named_layers(program, program.relaxed_reach(state))
+                hmax = layers[("@goal", ())] - 1  # goal rule adds a layer
                 assert hmax <= ff
                 assert hmax <= additive
 
@@ -456,8 +458,8 @@ class TestHFFRestricted:
         a, b = act(bw2, "pickup", "a"), act(bw2, "pickup", "b")
         for actions in ([a, b], [b, a]):
             reach = program.relaxed_reach(s0, actions)
-            assert reach.layers[(EPSILON, ())] == 1
-            assert reach.achievers[(EPSILON, ())][0] == actions[0]
+            assert oracles.named_layers(program, reach)[(EPSILON, ())] == 1
+            assert oracles.named_achievers(program, reach)[(EPSILON, ())][0] == actions[0]
 
     def test_b_commits_the_gate_after_the_adds_of_its_first_action(self, bw2):
         # layer 1 holds only what B adds, committed in B's order: the adds
@@ -466,7 +468,8 @@ class TestHFFRestricted:
         s0 = bw2.initial_state
         a, b = act(bw2, "pickup", "a"), act(bw2, "pickup", "b")
         for reach in (program.relaxed_reach(s0, [a, b]), program._fixpoint(s0, [a, b])):
-            assert [atom for atom, layer in reach.layers.items() if layer == 1] == [
+            layers = oracles.named_layers(program, reach)
+            assert [atom for atom, layer in layers.items() if layer == 1] == [
                 ("holding", ("a",)), (EPSILON, ()), ("holding", ("b",))]
 
 
@@ -598,14 +601,14 @@ class TestRestrictedReachability:
             # B = A_s: restricted reachability = plain reachability + epsilon
             reach = program.relaxed_reach(state, actions)
             plain, _ = oracles.relaxed_reachable(task, state)
-            assert oracles.reached_atoms(reach) == plain | {(EPSILON, ())}
+            assert oracles.reached_atoms(program, reach) == plain | {(EPSILON, ())}
             # singleton B = {a}: equals plain reachability from s + add(a)
             action = rng.choice(actions)
             reach_one = program.relaxed_reach(state, [action])
             adds = oracles.ground_atoms(task, action.schema, action.args,
                                         action.schema.add)
             plus, _ = oracles.relaxed_reachable(task, state, extra_atoms=adds)
-            assert oracles.reached_atoms(reach_one) == plus | {(EPSILON, ())}
+            assert oracles.reached_atoms(program, reach_one) == plus | {(EPSILON, ())}
 
 
 # finish(?x) needs go, ok(?x) and c(?x); at layer 2 its first binding takes
@@ -678,20 +681,21 @@ class TestNumbering:
         actions = list(instantiations(task, state, ROOT))
         for reach in (program.relaxed_reach(state), program.relaxed_reach(state, actions)):
             keys = list(reach.key_layers)
-            named = list(reach.layers)
+            layers = oracles.named_layers(program, reach)
+            named = list(layers)
             assert len(set(named)) == len(keys)
             for key, (pred, args) in zip(keys, named):
                 ids = tuple(task.object_index[o] for o in args)
                 assert numbering.key(pred, ids) == key
-                assert numbering[key] == (pred, ids)
-                assert reach.layers[pred, args] == reach.key_layers[key]
+                assert oracles.key_atom(numbering, key) == (pred, ids)
+                assert layers[pred, args] == reach.key_layers[key]
             assert {"@object", GOAL}.issubset(pred for pred, _ in named)
-            assert reach.key_layers[GOAL_KEY] == reach.layers[(GOAL, ())]
-        assert (EPSILON, ()) in reach.layers and reach.key_layers[GATE] == 1
+            assert reach.key_layers[GOAL_KEY] == layers[(GOAL, ())]
+        assert (EPSILON, ()) in layers and reach.key_layers[GATE] == 1
         plain, oracle_layers = oracles.relaxed_reachable(task, state)
-        assert {k: v for k, v in program.relaxed_reach(state).layers.items()
+        assert {k: v for k, v in oracles.named_layers(program, program.relaxed_reach(state)).items()
                 if not k[0].startswith("@")} == oracle_layers
-        assert oracles.reached_atoms(reach) == plain | {(EPSILON, ())}
+        assert oracles.reached_atoms(program, reach) == plain | {(EPSILON, ())}
         assert program.h_ff(state) == oracles.ff_reference(task, state) == 3
 
 
@@ -773,10 +777,10 @@ class TestExtractKeys:
                 for reach in (program._fixpoint(state, actions),
                               program._fixpoint(state, actions, full=True)):
                     layers = _Reads(reach.key_layers)
-                    h = program._extract(ReachResult(program.numbering, layers,
-                                                     reach.key_achievers))
+                    h = program._extract(ReachResult(layers, reach.key_achievers))
                     assert h == want
                     if h != math.inf:
                         assert layers.read == reference_reads(program, reach)
-                        visited += any(program.numbering[k][0] == "r" for k in layers.read)
+                        visited += any(oracles.key_atom(program.numbering, k)[0] == "r"
+                                       for k in layers.read)
         assert visited

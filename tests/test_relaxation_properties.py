@@ -102,12 +102,14 @@ def test_restricted_reach_matches_the_restricted_task(data):
         rho = data.draw(st.sampled_from(children(task, state, rho)))
     actions = list(instantiations(task, state, rho))
 
-    reach = DatalogProgram(task).relaxed_reach(state, actions)
+    program = DatalogProgram(task)
+    reach = program.relaxed_reach(state, actions)
     restricted = oracles.restrict_task(task, actions).as_task()
     start = oracles.intern_keys(restricted, oracles.state_to_keys(task, state))
     atoms, layers = oracles.relaxed_reachable(restricted, start)
-    assert oracles.reached_atoms(reach) == atoms
-    assert {key: reach.layers[key] for key in atoms} == layers
+    assert oracles.reached_atoms(program, reach) == atoms
+    named = oracles.named_layers(program, reach)
+    assert {key: named[key] for key in atoms} == layers
 
 
 def check_fills(program, state, actions=None) -> None:
@@ -118,7 +120,7 @@ def check_fills(program, state, actions=None) -> None:
     later layer's atoms, filled one layer after another."""
     reach = program.relaxed_reach(state, actions)
     by_layer: dict = {}
-    for atom, layer in reach.layers.items():
+    for atom, layer in oracles.named_layers(program, reach).items():
         by_layer.setdefault(layer, []).append(atom)
     for fill, old in ((program._fill_new, False), (program._fill_old, True)):
         tables_of: dict = {}

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from pslift.generators import generate_task
-from pslift.lifted import ROOT, GroundAction, PartialAction
+from pslift.lifted import ROOT, PartialAction
 from pslift.pddl import parse_instance
 from pslift.relaxation import FFHeuristic, RestrictedFFHeuristic
 from pslift.search import (
@@ -182,10 +182,10 @@ class TestExtractPlan:
         n1 = SearchNode(s0, PartialAction(pickup, ()), n0)
         n2 = SearchNode(s0, PartialAction(pickup, ("a",)), n1)
         s1 = frozenset()
-        a1 = GroundAction(pickup, ("a",))
+        a1 = PartialAction(pickup, ("a",))
         n3 = SearchNode(s1, ROOT, n2, generating_action=a1)
         n4 = SearchNode(s1, PartialAction(stack, ("a", "b")), n3)
-        a2 = GroundAction(stack, ("a", "b"))
+        a2 = PartialAction(stack, ("a", "b"))
         n5 = SearchNode(frozenset(), ROOT, n4, generating_action=a2)
         assert extract_plan(n5) == [a1, a2]
 
@@ -194,7 +194,7 @@ class TestExtractPlan:
 
     def test_state_space_chain(self, bw2):
         pickup = bw2.schema("pickup")
-        a = GroundAction(pickup, ("b",))
+        a = PartialAction(pickup, ("b",))
         n0 = SearchNode(bw2.initial_state, ROOT)
         n1 = SearchNode(frozenset(), ROOT, n0, generating_action=a)
         assert extract_plan(n1) == [a]
@@ -202,8 +202,8 @@ class TestExtractPlan:
 
 class TestPlanFormat:
     def test_roundtrip(self, bw2):
-        plan = [GroundAction(bw2.schema("pickup"), ("a",)),
-                GroundAction(bw2.schema("stack"), ("a", "b"))]
+        plan = [PartialAction(bw2.schema("pickup"), ("a",)),
+                PartialAction(bw2.schema("stack"), ("a", "b"))]
         text = format_plan(plan)
         assert text.splitlines()[0] == "(pickup a)"
         assert text.splitlines()[-1] == "; cost = 2 (unit cost)"

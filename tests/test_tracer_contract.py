@@ -14,6 +14,8 @@ import pathlib
 
 import pytest
 
+from pslift import ranking, wl
+from pslift.graphs import AOAG_ENCODING, KeyGraph
 from pslift.lifted import ROOT, instantiations
 from pslift.ranking import TrainConfig, load_model, save_model, train_model
 from pslift.relaxation import DatalogProgram, FFHeuristic, RestrictedFFHeuristic
@@ -61,6 +63,54 @@ def test_heuristics_expose_their_program(bw2):
     program = restricted.program
     assert program.h_ff_restricted(s0, actions) == restricted(s0, ROOT)
     assert program._extract(program.relaxed_reach(s0, actions)) == restricted(s0, ROOT)
+
+
+def _refine_args(task):
+    key = AOAG_ENCODING.key(task, task.initial_state, ROOT)
+    return KeyGraph(AOAG_ENCODING, task, key), 2, wl.ColorDictionary()
+
+
+def _dataset_args(dictionary):
+    _, task, plan = tiny_corpus(n=1)[0]
+    features = wl.keyed_features(task, "aoag", 2, dictionary)
+    return task, plan, features, TrainConfig().resolved_importances()
+
+
+def _lp_args():
+    dictionary = wl.ColorDictionary()
+    dataset = ranking.informative(ranking.generate_dataset(*_dataset_args(dictionary)))
+    return dataset, 1.0, len(dictionary)
+
+
+# per noted span: the (module, name) that its span wraps, and the args of
+# one real call of it
+NOTE_CALLS = {
+    "graphs.build": ("pslift.wl", "aoag", lambda task: (task, task.initial_state, ROOT)),
+    "wl.refine": ("pslift.wl", "wl_features", _refine_args),
+    "ranking.dataset": ("pslift.ranking", "generate_dataset",
+                        lambda task: _dataset_args(wl.ColorDictionary())),
+    "ranking.lp": ("pslift.ranking", "train_lp", lambda task: _lp_args()),
+}
+
+
+def test_every_note_has_a_real_call(spans):
+    assert set(NOTE_CALLS) == set(spans.NOTES)
+
+
+@pytest.mark.parametrize("span", [
+    pytest.param("graphs.build", marks=pytest.mark.xfail(
+        strict=True, raises=AttributeError,
+        reason="the note reads g.edges, which graphs.LabeledGraph lacks; the fix is "
+               "part of ROADMAP item 1, which must then remove this marker")),
+    "wl.refine", "ranking.dataset", "ranking.lp"])
+def test_each_note_reads_what_its_call_gives(spans, bw3_stack, span):
+    """A note reads only attributes that the args and the result of the
+    function that its span wraps have."""
+    module_name, attr, make_args = NOTE_CALLS[span]
+    assert (module_name, attr, span, False) in spans.PATCHES
+    args = make_args(bw3_stack)
+    result = getattr(importlib.import_module(module_name), attr)(*args)
+    assert spans.NOTES[span](args, result) is not None
 
 
 def _traced_and_plain(spans, space, run):
