@@ -11,23 +11,24 @@ whole task.
 The preconditions of a schema form its successor rule, a `_Rule` like the
 relaxation's Datalog rules, with head (schema name, parameters). It is
 planned by the planner (`_join_steps`) that plans the Datalog rules too,
-into nested loops written as Python source and compiled once per domain,
-so every task of a domain shares them, and it runs once per state over an
+into nested loops written as Python source and compiled once per domain, so
+every task of a domain shares them, and it runs once per state over an
 index of the state and the static atoms, by object id, as the Datalog
 fixpoint does: the tables hold the (pred, object ids) forms that
 `Task.intern` makes. The caller gives the plan's completion as text: here
 each completion appends the head's parameter ids to the plan's output list,
 with no call per completion, and as the plan is given no set of known
-heads, it cuts no head as already derived. Its first-completion exit
-changes nothing for this query: every binding slot is a parameter or a
-constant, and an index table lists each atom once, so two join paths give
-two parameter tuples. The task keeps the index of the last state asked
-about, filled when made by one compiled fill per domain (`_fill_source`
-writes every index fill), and sorts each join's result once as int tuples,
-then names it: actions come in schema order, then lexicographically by
-declaration index, the order on which the search's counters and the
-restricted FF value depend. That one list fixes the state's partial action
-tree: a prefix's completions are a run of its parent's list.
+heads, it cuts no head as already derived and caps no variable. Its
+first-completion exit changes nothing for this query: every binding slot is
+a parameter or a constant, and an index table lists each atom once, so two
+join paths give two parameter tuples. The task keeps the index of the last
+state asked about, filled when made by one compiled fill per domain
+(`_fill_source` writes every index fill), and sorts each join's result once
+as int tuples, then names it: actions come in schema order, then
+lexicographically by declaration index, the order on which the search's
+counters and the restricted FF value depend. That one list fixes the
+state's partial action tree: a prefix's completions are a run of its
+parent's list.
 
 Effects. `ground_effects` grounds an action's add and delete atoms the
 first time the task asks for them and keeps the two frozensets in the
@@ -153,11 +154,17 @@ def _tuple_text(names) -> str:
 _LOOPS_PER_FUNCTION = 16
 
 
+class _Stop(Exception):
+    """Raised by a plan's completion text to end the plan's run at once,
+    through every nested function; `_define` gives every text the name."""
+
+
 def _define(source: str, kind: str, name: str):
-    """The function `name` that source defines. Each text gets its own file
-    name, `<kind hash>`: cProfile reports one entry for all the functions
-    that share file, line and name."""
-    namespace: dict = {}
+    """The function `name` that source defines, with `_Stop` in its
+    namespace. Each text gets its own file name, `<kind hash>`: cProfile
+    reports one entry for all the functions that share file, line and
+    name."""
+    namespace: dict = {"_Stop": _Stop}
     exec(compile(source, f"<{kind} {hash(source) & 0xFFFFFFFF:08x}>", "exec"), namespace)
     return namespace[name]
 
@@ -200,14 +207,16 @@ class _Plan:
     from the start if it is ground, its key, if the caller gives one, is
     `h`; the key is a weighted sum of the head's values, and each step adds
     the terms of the values that it binds to the sum of the loops above.
-    With `known` among the args, a head in `known` prunes the branch. Each
-    completion runs the caller's completion text, and below the head's
+    With `known` among the args, a head in `known` prunes the branch, and
+    a step may cap the values of a variable that only inequalities read
+    (`_join_steps`). Each completion runs the caller's completion text,
+    which may end the whole run by raising `_Stop`, and below the head's
     step the first completion ends the branch. `join` returns True only
     when it has completed a ground head. Past `_LOOPS_PER_FUNCTION` steps,
     the innermost loop calls a function with the loops that follow, which
-    returns True when a completion ends a branch above it. `table` is the id of the first step's table, None
-    without steps.
-    `run` is the function, compiled on first use."""
+    returns True when a completion ends a branch above it. `table` is the
+    id of the first step's table, None without steps. `run` is the
+    function, compiled on first use."""
 
     def __init__(self, source, table):
         self.source = source
@@ -232,8 +241,22 @@ def _join_steps(body, eqs, slots, bound, table, head, head_key, args, complete,
     The plan's function takes `tables, b, *args`, and each completion runs
     the lines of `complete`, which may read the head's key as `h` and name
     the head's predicate as `{pred}`, the tuple of the head's values as
-    `{head}` and the binding tuple as `{binding}`. The plan's source is
-    written here, step by step."""
+    `{head}` and the binding tuple as `{binding}`, and may raise `_Stop`.
+    The plan's source is written here, step by step.
+
+    With `known` among the args, where a completion records its head, a
+    step caps one variable v that it binds, if v is not in the head, no
+    later atom reads v, only inequalities compare v with the variables of
+    later steps, k of them, and a later step binds a head variable: for
+    each binding of the variables bound up to the step other than v, v's
+    group, the step lets through the first k + 1 values of v that pass its
+    tests and skips the rest. The later steps do not depend on v, and each
+    of their bindings rules out at most k values, so a value after the
+    first k + 1 would only find heads that are already known (see the
+    `relaxation` module docstring). The enclosing loops bind each group's
+    earlier variables once, so the count is made before the step's loop, a
+    dict by the values of the step's other variables, or an int without
+    any."""
     n, head_at = len(body), 0
     given = sorted(slots[a] for a in bound)
     loops = []   # per step: table id, key, unpacking targets, tests, slots bound before
@@ -271,6 +294,23 @@ def _join_steps(body, eqs, slots, bound, table, head, head_key, args, complete,
         if not bound.issuperset(head[1]):
             head_at += 1
         bound = after
+
+    # the capped steps: step d -> (k, the slots that its atom binds besides
+    # v's), for the first variable v in slot order that step d binds, that
+    # is not in the head, that no later atom reads and that only
+    # inequalities compare with later variables, k of them, where a later
+    # step binds a head variable and the completion records heads in `known`
+    caps = {}
+    step = {a: binder[slots[a]] for a in slots if slots[a] in binder}
+    for d in range(head_at - 1 if "known" in args else 0):
+        fresh = [a for a in step if step[a] == d]
+        for v in fresh:
+            # a later atom that reads v has it at a key position
+            wants = [want for x, y, want in eqs if v in (x, y) and step.get(y if x == v else x, d) > d]
+            if (v not in head[1] and not any(slots[v] in key for key in keys[d + 1:])
+                    and not any(wants)):
+                caps[d] = (len(wants), [slots[a] for a in fresh if a != v])
+                break
 
     # the terms of the head's key by the step that binds their value, -1
     # for a value bound from the start, and the locals of their weights
@@ -329,9 +369,19 @@ def _join_steps(body, eqs, slots, bound, table, head, head_key, args, complete,
         for d in range(a, z):
             pad = " " * (d - a + 1)
             _, _, targets, tests, _ = loops[d]
+            k, group = caps.get(d, (None, None))
+            if k is not None:
+                lines.append(f"{pad}c{d} = {'{}' if group else 0}")
             lines.append(f"{pad}for {targets} in m{d}:")
             if tests:
                 lines += [f"{pad} if {' or '.join(tests)}:", f"{pad}  continue"]
+            if group:
+                # the values of v so far in this group
+                g = _tuple_text([f"s{s}" for s in group]) if len(group) > 1 else f"s{group[0]}"
+                lines += [f"{pad} c = c{d}.get({g}, 0)", f"{pad} if c > {k}:", f"{pad}  continue",
+                          f"{pad} c{d}[{g}] = c + 1"]
+            elif k is not None:
+                lines += [f"{pad} if c{d} > {k}:", f"{pad}  continue", f"{pad} c{d} += 1"]
             if d in terms and d < head_at:
                 # the key's sum over the values bound so far
                 total = " + ".join([total] + terms[d])

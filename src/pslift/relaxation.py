@@ -38,6 +38,24 @@ same first bindings while enumerating far fewer:
   matches, in the same order, that filtering any one-column list would.
   The seed atom is step 0, matched against an index of the previous
   layer's atoms keyed by its constants.
+
+  A plan caps the values of a variable v that only inequalities read:
+  v is bound at step d, is not in the head, no atom joined after step d
+  reads it, k inequality literals compare it with variables bound after
+  step d, and a step after d binds a head variable. Fix the binding of
+  every other variable bound up to step d, v's group. The later steps
+  enumerate the same bindings whatever v is, and each of them rules out at
+  most k values of v, so the first k + 1 values of v in a group meet each
+  later binding with a value that passes its k tests: they find the first
+  achiever of every head that a later value could find, and a later value
+  only probes heads that are already known. The plan counts the values of
+  v per group and skips each after the first k + 1, which keeps every first
+  achiever and the commit order. In warehouse-like's `move`, `on(?b,?to)`
+  seeded by Δ`on(?b,?from)` or Δ`clear(?b)` caps `?from` per `?b` (k = 1),
+  and `clear(?from)` seeded by Δ`clear(?to)` caps `?to` (k = 2, an empty
+  group); blocksworld's `clear(?x)` seeded by Δ`clear(?y)` in `stack`
+  caps `?y` (k = 0). Where the head is bound by step d, the `known` probe
+  prunes each later value once the head is derived, and no step is capped.
 * Semi-naive seeding. With seed position k, body atoms before k match only
   atoms committed before the previous layer. A binding skipped this way has
   an atom from the previous layer at some position j < k, so it was already
@@ -55,22 +73,25 @@ same first bindings while enumerating far fewer:
   the branch, by `break` out of each loop below the head's step. Every
   skipped completion would have derived an atom that already has its
   achiever.
-* Goal cut-off. `@goal` is recorded once, as soon as every goal atom is
-  reached: before layer 1 in a goal state, after the rule of layer L that
+* Goal cut-off. Each call keeps the set of goal atoms not yet reached,
+  made once after layer 0; each completion takes its head out of it, and
+  so does each add of B. `@goal` is recorded once, as soon as the set is
+  empty: before layer 1 in a goal state, at the completion of layer L that
   gives the last goal atom its achiever, or after all of B at layer 1,
   never inside B, as the gate follows the adds of B[0]. It goes to layer
   L + 1 with the goal rule as its achiever, where the goal rule would
   derive it; no layer runs the goal rule, as no rule body reads `@goal`.
-  The heuristic values stop the fixpoint there, and skip the rest of layer
-  L and its index fills. The check after each rule is one probe, of the
-  first goal atom not yet reached; only when it is in does a pointer move
-  past the goal atoms reached, so the checks are O(1) amortised. Extraction
-  starts at `@goal`. Each goal atom already has its first achiever, which
-  never changes once set, and every atom that extraction visits below a
-  goal atom has a strictly lower layer, and those layers are complete, so
-  the stop cannot change h.
+  The heuristic values stop the fixpoint there: that completion raises
+  `lifted._Stop`, which leaves each loop and function of the plan at once,
+  so the rest of the rule, of layer L and its index fills never run.
+  Extraction starts at `@goal`. Each goal atom already has its first
+  achiever, which never changes once set, and every atom that extraction
+  visits below a goal atom has a strictly lower layer, and those layers
+  are complete, so the stop cannot change h.
   `relaxed_reach` runs on to the full fixpoint, and so does a dead end, as
-  it never reaches every goal atom.
+  it never reaches every goal atom. Under `full` the set holds None too,
+  which no completion takes out, and `@goal` is recorded after the rule
+  that reached the last goal atom.
 
 Static facts and `@object` facts are indexed once per program; each call
 indexes the state's atoms (and again the static facts of a static predicate
@@ -124,7 +145,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from . import lifted
-from .lifted import (OBJ, PartialAction, State, _fill_source, _is_var, _query_body, _Rule,
+from .lifted import (OBJ, PartialAction, State, _fill_source, _is_var, _query_body, _Rule, _Stop,
                      instantiations, is_applicable)
 from .pddl import Task
 
@@ -146,9 +167,17 @@ _ALL, _OLD, _DELTA = 0, 1, 2
 # what a schema rule's plan takes after (tables, binding), and what it does
 # with each head that it derives: the head's layer, its achiever, and its
 # (pred, object ids) pair in the layer's list of new atoms, as the next
-# layer's fill reads it; `n` is the task's key radix
-_PLAN_ARGS = ("known", "achievers", "new", "layer", "rule", "n")
-_DERIVE = "known[h] = layer\nachievers[h] = (rule, {binding})\nnew.append(({pred}, {head}))"
+# layer's fill reads it; a head among `goals`, the goal keys not yet
+# reached, leaves them, and the last one to leave stops the fixpoint; `n`
+# is the task's key radix
+_PLAN_ARGS = ("known", "achievers", "new", "layer", "rule", "n", "goals")
+_DERIVE = """known[h] = layer
+achievers[h] = (rule, {binding})
+new.append(({pred}, {head}))
+if h in goals:
+ goals.remove(h)
+ if not goals:
+  raise _Stop"""
 
 
 def _key_weights(p: int, arity: int) -> list:
@@ -341,34 +370,16 @@ class DatalogProgram:
     def _fixpoint(self, state: State, chosen=None, full=False) -> ReachResult:
         """Layers and achievers of the program from state; `chosen` is None or
         the action set B of the restriction transform, all applicable in
-        state. Once every goal atom is reached, before layer 1, after a rule
-        or after all of B, `@goal` is recorded at the next layer; unless
-        `full` asks for every layer, the fixpoint stops there."""
+        state. Once every goal atom is reached, before layer 1, by a
+        completion or by the adds of B, `@goal` is recorded at the next
+        layer; unless `full` asks for every layer, the fixpoint stops there."""
         keys = self.numbering
         layers = dict(self._base_layers)
         achievers: dict = {}
         tables = list(self._tables)
         for tid in self._fluent_tables:
             tables[tid] = {}
-        goal = self._goal
-        todo = 0
-        # the first goal key not yet reached; None, which is no key, once
-        # every goal key is
-        target = None
         layer = 0
-
-        def reached() -> bool:
-            # the goal keys before `todo` are reached, and stay so
-            nonlocal todo, target
-            while todo < len(goal) and goal[todo] in layers:
-                todo += 1
-            if todo < len(goal):
-                target = goal[todo]
-                return False
-            target = None
-            layers[GOAL_KEY] = layer + 1
-            achievers[GOAL_KEY] = self._goal_achiever
-            return True
 
         # layer-0 atoms indexed per call: the state's, plus the static facts
         # of any static predicate the state extends
@@ -386,8 +397,24 @@ class DatalogProgram:
                 fresh.extend(f for f in self.base_facts if f[0] == pred)
             layers[key] = 0
             fresh.append(pair)
-        if reached() and not full:
-            return ReachResult(layers, achievers)
+
+        # the goal keys not yet reached, which each head derived leaves: the
+        # completion that takes out the last one raises `_Stop`. Under
+        # `full` the set keeps None, which is no key, so no completion
+        # empties it, and `@goal` is recorded after the run that leaves
+        # only None
+        reached = {None} if full else set()
+        goals = {key for key in self._goal if key not in layers} | reached
+
+        def record():
+            goals.clear()
+            layers[GOAL_KEY] = layer + 1
+            achievers[GOAL_KEY] = self._goal_achiever
+
+        if goals == reached:
+            record()
+            if not full:
+                return ReachResult(layers, achievers)
         self._fill_new(fresh, tables)
 
         n = keys.n
@@ -402,26 +429,36 @@ class DatalogProgram:
             for rule, template, head, plans in runs:
                 if head is None or head not in layers:
                     for plan in plans:
-                        # skip a plan whose first table is empty (a plan
-                        # without steps has none); a plan is True only once
-                        # it has derived a ground head
-                        if ((plan.table is None or tables[plan.table])
-                                and plan.run(tables, template, layers, achievers, new, layer,
-                                             rule, n)):
-                            break
-                if target in layers and reached() and not full:
-                    return ReachResult(layers, achievers)
+                        try:
+                            # skip a plan whose first table is empty (a plan
+                            # without steps has none); a plan is True only
+                            # once it has derived a ground head
+                            if ((plan.table is None or tables[plan.table])
+                                    and plan.run(tables, template, layers, achievers, new,
+                                                 layer, rule, n, goals)):
+                                break
+                        except _Stop:
+                            # a completion reached the last goal atom
+                            record()
+                            return ReachResult(layers, achievers)
+                    if goals == reached:
+                        # under `full`: the rule reached the last goal atom
+                        record()
             if layer == 1 and chosen:
                 # B is applicable in the state: each action fires here only,
-                # and B[0] opens the gate after its adds
+                # and B[0] opens the gate after its adds; the stop waits for
+                # the end of B
                 for action in chosen:
                     for head, pair in keys.adds_of(action) + _OPEN:
                         if head not in layers:
                             layers[head] = layer
                             achievers[head] = (action, None)
                             new.append(pair)
-                if target in layers and reached() and not full:
-                    return ReachResult(layers, achievers)
+                            goals.discard(head)
+                if goals == reached:
+                    record()
+                    if not full:
+                        return ReachResult(layers, achievers)
             if not new:
                 return ReachResult(layers, achievers)
             # the previous layer's atoms become old; this layer's, delta

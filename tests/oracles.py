@@ -224,6 +224,32 @@ def named_achievers(program, reach) -> dict:
             for key, (source, binding) in reach.key_achievers.items()}
 
 
+def reference_form(program, reach, actions=None) -> tuple[dict, dict]:
+    """A `relaxation.ReachResult` of program with B = actions in the form
+    of `reference_reach`, `@goal` left out: (atom -> layer, atom ->
+    (action, body atoms)) by name, in commit order. A schema rule's body
+    ends in the gate when B is given; B[i] is `@restricted-i`, with its
+    ground preconditions as body."""
+    task, numbering = program.task, program.numbering
+    layers = {key_name(numbering, key): layer for key, layer in reach.key_layers.items()
+              if key_atom(numbering, key)[0] != GOAL}
+    achievers = {}
+    for key, (source, binding) in reach.key_achievers.items():
+        if binding is None:
+            achiever = ((f"@restricted-{actions.index(source)}", ()),
+                        ground_atoms(task, source.schema, source.args, source.schema.pre))
+        elif source.schema is None:
+            continue
+        else:
+            value = {a: task.objects[binding[slot]] for a, slot in source.slots.items()}
+            body = [(pred, tuple(value[a] for a in args)) for pred, args in source.body]
+            body += [(EPSILON, ())] * (actions is not None)
+            name, ids = source.action_of(binding)
+            achiever = (name, tuple(task.objects[i] for i in ids)), body
+        achievers[key_name(numbering, key)] = achiever
+    return layers, achievers
+
+
 def reached_atoms(program, reach) -> frozenset:
     """The (pred, args) keys that a `relaxation.ReachResult` of program
     reached: the fluent and static atoms, plus the gate when B was given;
@@ -382,9 +408,17 @@ def _match(pattern, fact, binding):
 
 def _matches(pattern, facts, binding) -> list:
     """The extensions of binding that match pattern with a fact of facts,
-    in the order of facts."""
-    out = (_match(pattern, fact, binding) for fact in facts)
+    a dict of each predicate's facts in order, in that order."""
+    out = (_match(pattern, fact, binding) for fact in facts.get(pattern[0], ()))
     return [b for b in out if b is not None]
+
+
+def _by_pred(facts) -> dict:
+    """facts grouped by predicate, each group in the order of facts."""
+    out: dict = {}
+    for fact in facts:
+        out.setdefault(fact[0], []).append(fact)
+    return out
 
 
 def _bindings(rule, seed, delta, known):
@@ -393,7 +427,8 @@ def _bindings(rule, seed, delta, known):
     other body atoms most-bound first (counting the argument positions that
     hold a constant or an already bound variable), ties by position, each
     over its matches among the atoms in known, in commit order. The
-    equality literals filter the complete bindings."""
+    equality literals filter the complete bindings. delta and known group
+    their atoms by predicate."""
     _, body, equalities, _ = rule
     for first in _matches(body[seed], delta, {}):
         order, todo = [], [i for i in range(len(body)) if i != seed]
@@ -414,20 +449,22 @@ def _holds(equalities, binding) -> bool:
     return all((binding.get(x, x) == binding.get(y, y)) == want for x, y, want in equalities)
 
 
-def ff_reference(task: Task, state, actions=None) -> float:
-    """The FF value of state, with the restriction transform to the action
-    set `actions` (B, a list of applicable ground actions) when given: the
-    number of distinct actions in the relaxed plan extracted from each
-    reached atom's first achiever, inf if the goal is not reached.
+def reference_reach(task: Task, state, actions=None) -> tuple[dict, dict]:
+    """The layers and achievers of state's relaxed fixpoint, with the
+    restriction transform to the action set `actions` (B, a list of
+    applicable ground actions) when given: (atom -> layer, atom ->
+    achiever), both in commit order, atoms as (pred, args) by name. An
+    achiever is (action, body atoms): the rule's action of
+    `_reference_rules` and its body, both under the first binding that
+    derived the atom.
 
     A naive lifted fixpoint in unit-cost layers over the rules of
-    `_reference_rules`, with no index, no semi-naive skip and no cut-off of
-    any kind: at layer L, each rule in program order, for each seed position
-    k in order, enumerates `_bindings` with body atom k from the atoms of
-    layer L - 1 and the others from every atom below L, and a binding
-    derives its head at L unless the head is already derived. A rule with
-    an empty body fires at layer 1. The fixpoint runs until a layer derives
-    nothing new.
+    `_reference_rules`, with no semi-naive skip and no cut-off of any kind:
+    at layer L, each rule in program order, for each seed position k in
+    order, enumerates `_bindings` with body atom k from the atoms of layer
+    L - 1 and the others from every atom below L, and a binding derives its
+    head at L unless the head is already derived. A rule with an empty body
+    fires at layer 1. The fixpoint runs until a layer derives nothing new.
 
     Commit order: the static atoms by ascending atom id, then one `@object`
     atom per object in declaration order, then the state's other atoms, then
@@ -447,7 +484,8 @@ def ff_reference(task: Task, state, actions=None) -> float:
         layer += 1
         changed = False
         known = [key for key, at in layers.items() if at < layer]
-        delta = [key for key in known if layers[key] == layer - 1]
+        delta = _by_pred(key for key in known if layers[key] == layer - 1)
+        known = _by_pred(known)
         for rule in rules:
             head, body, equalities, action = rule
             if body:
@@ -462,6 +500,16 @@ def ff_reference(task: Task, state, actions=None) -> float:
                                       (action[0], tuple(b.get(t, t) for t in action[1])),
                                       [(p, tuple(b.get(t, t) for t in terms)) for p, terms in body])
                     changed = True
+    return layers, achievers
+
+
+def ff_reference(task: Task, state, actions=None) -> float:
+    """The FF value of state, with the restriction transform to the action
+    set `actions` (B, a list of applicable ground actions) when given: the
+    number of distinct actions in the relaxed plan extracted from each
+    reached atom's first achiever in `reference_reach`, inf if the goal is
+    not reached."""
+    layers, achievers = reference_reach(task, state, actions)
     if (GOAL, ()) not in layers:
         return math.inf
     plan, seen, stack = set(), set(), [(GOAL, ())]

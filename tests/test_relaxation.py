@@ -89,9 +89,9 @@ class TestCompiledPlans:
         checked = []
 
         def spy(run):
-            def join(tables, b, known, achievers, new, layer, rule, n):
+            def join(tables, b, known, achievers, new, layer, rule, n, goals):
                 start = len(new)
-                result = run(tables, b, known, achievers, new, layer, rule, n)
+                result = run(tables, b, known, achievers, new, layer, rule, n, goals)
                 for pred, ids in new[start:]:
                     h = program.numbering.key(pred, ids)
                     source, binding = achievers[h]
@@ -203,6 +203,24 @@ class TestCompiledPlans:
             assert oracles.named_layers(program, reach)[("done", ("a",))] == 1
             rule, binding = oracles.named_achievers(program, reach)[("done", ("a",))]
             assert rule.action_of(binding) == ("finish", ("a", "b2", "c2"))
+
+    def test_a_capped_variable_keeps_its_first_k_plus_1_values_per_group(self):
+        # only ?from != ?to reads ?from, so the plan seeded at at(?x,?from)
+        # caps ?from at 2 values per ?x; each ?x needs both of its values,
+        # one for each ?to, so a cap of 1 value, or one count for every ?x,
+        # leaves a goal atom unreached
+        from pslift.pddl import load_task
+        task = load_task("""(define (domain d) (:predicates (at ?x ?l) (spot ?l) (seen ?x ?l))
+            (:action look :parameters (?x ?from ?to)
+             :precondition (and (at ?x ?from) (spot ?to) (not (= ?from ?to)))
+             :effect (seen ?x ?to)))""", """(define (problem e) (:domain d)
+            (:objects a b l1 l2) (:init (at a l1) (at a l2) (at b l1) (at b l2) (spot l1)
+            (spot l2)) (:goal (and (seen a l1) (seen a l2) (seen b l1) (seen b l2))))""")
+        program = DatalogProgram(task)
+        assert "c0 = {}" in program.rules[0].plans[0].source
+        layers = oracles.named_layers(program, program.relaxed_reach(task.initial_state))
+        assert [layers.get(("seen", (x, l))) for x in "ab" for l in ("l1", "l2")] == [1] * 4
+        assert program.h_ff(task.initial_state) == oracles.ff_reference(task, task.initial_state) == 4
 
 
 class TestRelaxedReach:
@@ -484,21 +502,22 @@ def derived_by(reach, key) -> tuple:
 
 
 class TestGoalCut:
-    """The heuristic values stop the fixpoint in the rule, or after the
-    adds of B, that gives the last goal atom its achiever."""
+    """The heuristic values stop the fixpoint at the completion, or after
+    the adds of B, that gives the last goal atom its achiever."""
 
     def check_cut(self, program, monkeypatch, state, chosen, h_of):
         """h_of() evaluates an h path of program at state, with B = chosen
         if given. Its fixpoint holds the full fixpoint's atoms, layers and
-        achievers up to the end of the run that reached the last goal atom,
-        in the same order, and then only `@goal`, one layer up; no plan
-        runs after that run."""
+        achievers up to and including the last goal atom, in the same
+        order, and then only `@goal`, one layer up; the layer-0 atoms, and
+        the adds of B with the gate, each stay one run. No plan runs after
+        the run that reached the last goal atom."""
         runs, cuts = [], []
 
         def spy(run):
-            def join(tables, b, known, achievers, new, layer, rule, n):
+            def join(tables, b, known, achievers, new, layer, rule, n, goals):
                 runs.append((layer, rule))
-                return run(tables, b, known, achievers, new, layer, rule, n)
+                return run(tables, b, known, achievers, new, layer, rule, n, goals)
             return join
 
         with monkeypatch.context() as patch:
@@ -518,17 +537,21 @@ class TestGoalCut:
         order = list(full.key_layers)
         numbering, index = program.numbering, program.task.object_index
         goal = [numbering.key(pred, [index[a] for a in args]) for pred, args in program.rules[-1].body]
-        last = derived_by(full, max(goal, key=order.index)) if goal else (0, None)
-        end = max(i for i, key in enumerate(order) if key != GOAL_KEY and derived_by(full, key) == last)
+        last = max(goal, key=order.index) if goal else None
+        by = derived_by(full, last) if goal else (0, None)
+        if by[1] in (None, "B"):
+            end = max(i for i, key in enumerate(order) if key != GOAL_KEY and derived_by(full, key) == by)
+        else:
+            end = order.index(last)
         kept = order[:end + 1] + [GOAL_KEY]
         assert list(cut.key_layers.items()) == [(key, full.key_layers[key]) for key in kept]
         assert cut.key_achievers == {key: full.key_achievers[key] for key in kept
                                      if key in full.key_achievers}
-        top = last[0] + 1
+        top = by[0] + 1
         assert [key for key, layer in cut.key_layers.items() if layer >= top] == [GOAL_KEY]
         assert cut.key_layers[GOAL_KEY] == top
         rank = {rule: i for i, rule in enumerate(program.rules)}
-        stop = (last[0], rank.get(last[1], -1))
+        stop = (by[0], rank.get(by[1], -1))
         assert all((layer, rank[rule]) <= stop for layer, rule in runs)
 
     @pytest.mark.parametrize("family, params", [
