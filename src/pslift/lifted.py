@@ -156,7 +156,9 @@ _LOOPS_PER_FUNCTION = 16
 
 class _Stop(Exception):
     """Raised by a plan's completion text to end the plan's run at once,
-    through every nested function; `_define` gives every text the name."""
+    through every nested function, with what the completion hands back as
+    its argument: a relaxation probe's first binding (`relaxation._probe`).
+    `_define` gives every text the name."""
 
 
 def _define(source: str, kind: str, name: str):

@@ -73,25 +73,31 @@ same first bindings while enumerating far fewer:
   the branch, by `break` out of each loop below the head's step. Every
   skipped completion would have derived an atom that already has its
   achiever.
-* Goal cut-off. Each call keeps the set of goal atoms not yet reached,
-  made once after layer 0; each completion takes its head out of it, and
-  so does each add of B. `@goal` is recorded once, as soon as the set is
-  empty: before layer 1 in a goal state, at the completion of layer L that
-  gives the last goal atom its achiever, or after all of B at layer 1,
-  never inside B, as the gate follows the adds of B[0]. It goes to layer
-  L + 1 with the goal rule as its achiever, where the goal rule would
-  derive it; no layer runs the goal rule, as no rule body reads `@goal`.
-  The heuristic values stop the fixpoint there: that completion raises
-  `lifted._Stop`, which leaves each loop and function of the plan at once,
-  so the rest of the rule, of layer L and its index fills never run.
-  Extraction starts at `@goal`. Each goal atom already has its first
-  achiever, which never changes once set, and every atom that extraction
-  visits below a goal atom has a strictly lower layer, and those layers
-  are complete, so the stop cannot change h.
-  `relaxed_reach` runs on to the full fixpoint, and so does a dead end, as
-  it never reaches every goal atom. Under `full` the set holds None too,
-  which no completion takes out, and `@goal` is recorded after the rule
-  that reached the last goal atom.
+* Goal cut-off. `@goal` is recorded once, as soon as every goal atom is
+  reached: before layer 1 in a goal state, after the adds of B at layer 1,
+  never inside B, as the gate follows the adds of B[0], or at the layer L
+  that gives the last goal atom its achiever. It goes to layer L + 1 with
+  the goal rule as its achiever, where the goal rule would derive it; no
+  layer runs the goal rule, as no rule body reads `@goal`. The heuristic
+  values stop the fixpoint there, and answer layer L without running it:
+  before a layer's rules run, each goal atom not yet reached is probed.
+  A probe is the plan of a rule whose head unifies with the goal atom, with
+  the same steps over the same index tables, each head variable tested
+  where it is bound against a pseudo-constant slot after the rule's slots
+  that holds the goal atom's value; it has no `known`, so no head cut-off
+  and no cap, and its first completion raises `lifted._Stop` with its
+  binding. The probes of a goal atom go through the rules in program order
+  and the plans of the layer's kind in seed order, so the first binding
+  that they find is the first binding of the layer that derives the atom,
+  its first achiever. If every goal atom gets one, each is recorded at the
+  layer with it, `@goal` above them, and the fixpoint returns; otherwise
+  the layer runs. A layer that runs thus never reaches every goal atom.
+  Extraction starts at `@goal`: each goal atom has its first achiever, and
+  every atom that extraction visits below a goal atom has a strictly lower
+  layer, and those layers are complete, so the stop cannot change h.
+  `relaxed_reach` runs on to the full fixpoint and probes nothing, and
+  records `@goal` after the rule that reached the last goal atom; a dead
+  end runs to the end, as no layer's probes ever find every goal atom.
 
 Static facts and `@object` facts are indexed once per program; each call
 indexes the state's atoms (and again the static facts of a static predicate
@@ -167,17 +173,15 @@ _ALL, _OLD, _DELTA = 0, 1, 2
 # what a schema rule's plan takes after (tables, binding), and what it does
 # with each head that it derives: the head's layer, its achiever, and its
 # (pred, object ids) pair in the layer's list of new atoms, as the next
-# layer's fill reads it; a head among `goals`, the goal keys not yet
-# reached, leaves them, and the last one to leave stops the fixpoint; `n`
-# is the task's key radix
-_PLAN_ARGS = ("known", "achievers", "new", "layer", "rule", "n", "goals")
+# layer's fill reads it; `n` is the task's key radix
+_PLAN_ARGS = ("known", "achievers", "new", "layer", "rule", "n")
 _DERIVE = """known[h] = layer
 achievers[h] = (rule, {binding})
-new.append(({pred}, {head}))
-if h in goals:
- goals.remove(h)
- if not goals:
-  raise _Stop"""
+new.append(({pred}, {head}))"""
+
+# the layers of each kind, as slices of a rule's plans: seed 0 at layer 1,
+# every plan at an opening layer, all but the opening plan at a later one
+_CUTS = (slice(1), slice(None), slice(-1))
 
 
 def _key_weights(p: int, arity: int) -> list:
@@ -267,35 +271,68 @@ def _table(table_ids: dict, k: int, i: int, pred: str, positions: tuple) -> int:
     return table_ids.setdefault((pred, positions, kind), len(table_ids))
 
 
+def _probe(rule: _Rule, table, first: int) -> lifted._Plan:
+    """The probe of the plan of rule seeded at body atom `first`: the same
+    steps over the same index tables, each head variable tested, where it is
+    bound, against a pseudo-constant slot after the rule's slots, which the
+    goal atom fills (`_pinned`). It has no `known`, so no head cut-off and
+    no cap, and its first completion raises `_Stop` with the binding of the
+    rule's slots."""
+    # a pseudo-constant's term holds a space, which no PDDL name does
+    pins = {v: f"= {v}" for v in dict.fromkeys(a for a in rule.head[1] if _is_var(a))}
+    slots = dict(rule.slots)
+    slots.update((pin, len(rule.slots) + i) for i, pin in enumerate(pins.values()))
+    eqs = rule.eqs + tuple((v, pin, True) for v, pin in pins.items())
+    return lifted._join_steps(rule.body, eqs, slots, {a for a in slots if not _is_var(a)}, table,
+                              rule.head, None, (), f"raise _Stop({{binding}}[:{len(rule.slots)}])",
+                              first)
+
+
+def _pinned(rule: _Rule, pred: str, ids: tuple, index: dict):
+    """The values of rule's head variables, in order of first appearance, in
+    the atom pred(ids) of object ids, or None if the head does not unify
+    with it."""
+    if rule.head[0] != pred:
+        return None
+    values: dict = {}
+    for a, i in zip(rule.head[1], ids):
+        want = values.setdefault(a, i) if _is_var(a) else index[a]
+        if want != i:
+            return None
+    return tuple(values.values())
+
+
 @lru_cache(maxsize=64)
 def _written(schemas: tuple, preds: tuple, loops: int) -> tuple:
-    """The schema rules of a program, with their join plans; its index
-    tables' ids by (predicate, key positions, kind); and its two compiled
-    fills. The plans' texts depend only on the schemas, the predicates by
-    id, `preds`, and `loops`, the loops per function, so the tasks of a
-    domain share them and write them once.
+    """The schema rules of a program, with their join plans; their probes,
+    one list per rule; its index tables' ids by (predicate, key positions,
+    kind); and its two compiled fills. The texts depend only on the
+    schemas, the predicates by id, `preds`, and `loops`, the loops per
+    function, so the tasks of a domain share them and write them once.
 
     A live rule gets one plan per seed position: step 0 binds the seed atom
     from the atoms new in the previous layer, the later steps the other
     body atoms in the order of `lifted._join_steps`; then the opening plan,
-    with every body atom from the atoms older than the previous layer."""
+    with every body atom from the atoms older than the previous layer. Each
+    plan has its probe (`_probe`), which looks up the plan's tables."""
     pid = {pred: i for i, pred in enumerate(preds)}
     table_ids: dict = {}
-    rules = []
+    rules, probes = [], []
     for schema in schemas:
         body = _query_body(schema)
         for add in schema.add:
             rule = _Rule(add, body, schema.equalities, schema)
-            if rule.live:
-                key = (str(pid[add.pred]), _key_weights(len(preds), len(add.args)))
-                rule.plans = [rule.plan(partial(_table, table_ids, k), key, _PLAN_ARGS, _DERIVE,
-                                        first=k) for k in range(len(rule.body) + 1)]
+            seeds = range(len(rule.body) + 1) if rule.live else ()
+            key = (str(pid[add.pred]), _key_weights(len(preds), len(add.args)))
+            rule.plans = [rule.plan(partial(_table, table_ids, k), key, _PLAN_ARGS, _DERIVE,
+                                    first=k) for k in seeds]
             rules.append(rule)
+            probes.append([_probe(rule, partial(_table, table_ids, k), k) for k in seeds])
     # the fill of the _ALL and _DELTA tables, and that of the _OLD tables
     fills = [lifted._define(_fill_source((table, tid) for table, tid in table_ids.items()
                                          if (table[2] == _OLD) == old), "index fill", "fill")
              for old in (False, True)]
-    return (rules, table_ids, *fills)
+    return (rules, probes, table_ids, *fills)
 
 
 class EmptyActionSet(Exception):
@@ -319,7 +356,7 @@ class DatalogProgram:
     def __init__(self, task: Task):
         self.task = task
         self.numbering = keys = Numbering(task)
-        rules, self._table_ids, self._fill_new, self._fill_old = _written(
+        rules, probes, self._table_ids, self._fill_new, self._fill_old = _written(
             task.schemas, keys.preds, lifted._LOOPS_PER_FUNCTION)
         goal = _Rule((GOAL, ()), [task.atom(g) for g in sorted(task.goal)], (), None)
         self.rules: list[_Rule] = rules + [goal]
@@ -335,13 +372,22 @@ class DatalogProgram:
             run.append((rule, tuple(None if v is None else index[v] for v in rule.template), head))
         # no layer runs the goal rule: once every goal key is reached,
         # `@goal` is recorded with the goal rule's binding as its achiever
-        self._goal = [keys.atoms[i][0] for i in sorted(task.goal)]
         self._goal_achiever = (goal, tuple(index[c] for c in goal.template))
-        # the rules with the plans that each kind of layer runs: seed 0 at
-        # layer 1, every plan at an opening layer, all but the opening plan
-        # at a later one
+        # the rules with the plans that each kind of layer runs
         self._runs = [[entry + (plans,) for entry in run if (plans := entry[0].plans[cut])]
-                      for cut in (slice(1), slice(None), slice(-1))]
+                      for cut in _CUTS]
+        # per kind of layer, each goal key's probes, with their bindings and
+        # rules: the probes of the plans that the kind runs, of each rule
+        # whose head unifies with the goal atom, rules in program order and
+        # plans in seed order; a probe's binding is the rule's template and
+        # then the goal atom's values of the head variables
+        goal_atoms = [keys.atoms[i] for i in sorted(task.goal)]
+        self._goal = [key for key, _ in goal_atoms]
+        self._probes = [{key: [(probe, template + values, rule)
+                               for (rule, template, _), rule_probes in zip(run, probes)
+                               if (values := _pinned(rule, *pair, index)) is not None
+                               for probe in rule_probes[cut]]
+                         for key, pair in goal_atoms} for cut in _CUTS]
 
         static = [keys.atoms[i] for i in sorted(task.static_atoms)]
         self.base_facts: list[tuple] = [pair for _, pair in static]
@@ -370,9 +416,11 @@ class DatalogProgram:
     def _fixpoint(self, state: State, chosen=None, full=False) -> ReachResult:
         """Layers and achievers of the program from state; `chosen` is None or
         the action set B of the restriction transform, all applicable in
-        state. Once every goal atom is reached, before layer 1, by a
-        completion or by the adds of B, `@goal` is recorded at the next
-        layer; unless `full` asks for every layer, the fixpoint stops there."""
+        state. Once every goal atom is reached, before layer 1, by a rule or
+        by the adds of B, `@goal` is recorded at the next layer. Unless
+        `full` asks for every layer, the fixpoint stops there, and probes
+        each layer before it runs: if every goal atom not yet reached has
+        an achiever in it, they are recorded and the layer does not run."""
         keys = self.numbering
         layers = dict(self._base_layers)
         achievers: dict = {}
@@ -398,20 +446,15 @@ class DatalogProgram:
             layers[key] = 0
             fresh.append(pair)
 
-        # the goal keys not yet reached, which each head derived leaves: the
-        # completion that takes out the last one raises `_Stop`. Under
-        # `full` the set keeps None, which is no key, so no completion
-        # empties it, and `@goal` is recorded after the run that leaves
-        # only None
-        reached = {None} if full else set()
-        goals = {key for key in self._goal if key not in layers} | reached
+        # the goal keys not yet reached
+        goals = [key for key in self._goal if key not in layers]
 
         def record():
             goals.clear()
             layers[GOAL_KEY] = layer + 1
             achievers[GOAL_KEY] = self._goal_achiever
 
-        if goals == reached:
+        if not goals:
             record()
             if not full:
                 return ReachResult(layers, achievers)
@@ -420,33 +463,38 @@ class DatalogProgram:
         n = keys.n
         # the first layer of the schema rules; with B, it opens them
         first = 1 if chosen is None else 2 if chosen else INF
-        first_layer, opening, later = self._runs
         while True:
             layer += 1
             new = []
-            runs = (() if layer < first else first_layer if layer == 1
-                    else opening if layer == first else later)
+            kind = None if layer < first else 0 if layer == 1 else 1 if layer == first else 2
+            runs = () if kind is None else self._runs[kind]
+            if goals and runs and not full:
+                # if the layer reaches every goal atom, its probes find each
+                # one's first achiever, and it does not run
+                goals[:] = [key for key in goals if key not in layers]
+                found = self._first_achievers(self._probes[kind], goals, tables)
+                if found is not None:
+                    for key, achiever in found:
+                        layers[key] = layer
+                        achievers[key] = achiever
+                    record()
+                    return ReachResult(layers, achievers)
             for rule, template, head, plans in runs:
                 if head is None or head not in layers:
                     for plan in plans:
-                        try:
-                            # skip a plan whose first table is empty (a plan
-                            # without steps has none); a plan is True only
-                            # once it has derived a ground head
-                            if ((plan.table is None or tables[plan.table])
-                                    and plan.run(tables, template, layers, achievers, new,
-                                                 layer, rule, n, goals)):
-                                break
-                        except _Stop:
-                            # a completion reached the last goal atom
-                            record()
-                            return ReachResult(layers, achievers)
-                    if goals == reached:
-                        # under `full`: the rule reached the last goal atom
+                        # skip a plan whose first table is empty (a plan
+                        # without steps has none); a plan is True only once
+                        # it has derived a ground head
+                        if ((plan.table is None or tables[plan.table])
+                                and plan.run(tables, template, layers, achievers, new, layer,
+                                             rule, n)):
+                            break
+                    if full and goals and all(map(layers.__contains__, goals)):
+                        # the rule reached the last goal atom
                         record()
             if layer == 1 and chosen:
                 # B is applicable in the state: each action fires here only,
-                # and B[0] opens the gate after its adds; the stop waits for
+                # and B[0] opens the gate after its adds; the goal waits for
                 # the end of B
                 for action in chosen:
                     for head, pair in keys.adds_of(action) + _OPEN:
@@ -454,8 +502,7 @@ class DatalogProgram:
                             layers[head] = layer
                             achievers[head] = (action, None)
                             new.append(pair)
-                            goals.discard(head)
-                if goals == reached:
+                if goals and all(map(layers.__contains__, goals)):
                     record()
                     if not full:
                         return ReachResult(layers, achievers)
@@ -467,6 +514,24 @@ class DatalogProgram:
                 tables[tid] = {}
             fresh = new
             self._fill_new(fresh, tables)
+
+    @staticmethod
+    def _first_achievers(probes: dict, goals: list, tables: list):
+        """The first achiever in the layer about to run of each goal key in
+        goals, as (key, achiever) pairs, from its probes in order; None once
+        a goal key has none."""
+        found = []
+        for key in goals:
+            for probe, b, rule in probes[key]:
+                if probe.table is None or tables[probe.table]:
+                    try:
+                        probe.run(tables, b)
+                    except _Stop as stop:
+                        found.append((key, (rule, stop.args[0])))
+                        break
+            else:
+                return None
+        return found
 
     # -- heuristic values -----------------------------------------------------
 

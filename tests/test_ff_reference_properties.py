@@ -12,7 +12,9 @@ order, without and with B: a join plan may skip a binding only where it
 would derive no head that is not already known, as the cap on a variable
 that only inequalities read does (`lifted._join_steps`), and a skip that
 moved an achiever that extraction never visits, or the commit order, would
-leave h alone."""
+leave h alone. The heuristic paths' fixpoint, which probes the layer that
+reaches the last goal atom instead of running it, gives each goal atom the
+full fixpoint's layer and achiever."""
 
 import random
 import re
@@ -161,6 +163,17 @@ def check_reach(program, state, actions=None) -> None:
     assert list(got_achievers.items()) == list(achievers.items())
 
 
+def check_goal_atoms(program, state, actions=None) -> None:
+    """The heuristic paths' fixpoint from state, with B = actions if given,
+    gives each goal atom and `@goal` the layer and achiever of the full
+    fixpoint, which `check_reach` judges."""
+    cut = program._fixpoint(state, actions)
+    full = program.relaxed_reach(state, actions)
+    for key in program._goal + [GOAL_KEY]:
+        assert cut.key_layers.get(key) == full.key_layers.get(key)
+        assert cut.key_achievers.get(key) == full.key_achievers.get(key)
+
+
 @settings(SETTINGS, max_examples=200)
 @given(st.data())
 def test_reach_equals_the_reference_on_random_tasks(data):
@@ -170,8 +183,11 @@ def test_reach_equals_the_reference_on_random_tasks(data):
     state = task.initial_state
     for _ in range(data.draw(st.integers(0, 3)) + 1):
         check_reach(program, state)
+        check_goal_atoms(program, state)
         for rho in children(task, state, ROOT):
-            check_reach(program, state, list(instantiations(task, state, rho)))
+            actions = list(instantiations(task, state, rho))
+            check_reach(program, state, actions)
+            check_goal_atoms(program, state, actions)
         actions = list(instantiations(task, state, ROOT))
         if not actions:
             break
@@ -195,4 +211,8 @@ def test_reach_equals_the_reference_on_warehouse_walks(stacks, marked, seed, che
             check_reach(program, state)
             rho = rng.choice(children(task, state, ROOT))
             check_reach(program, state, list(instantiations(task, state, rho)))
+        # the goal atoms at every step, with B of one child of the root
+        kids = children(task, state, ROOT)
+        check_goal_atoms(program, state)
+        check_goal_atoms(program, state, list(instantiations(task, state, kids[step % len(kids)])))
         state = _apply_effects(task, state, rng.choice(list(instantiations(task, state, ROOT))))

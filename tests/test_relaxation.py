@@ -89,9 +89,9 @@ class TestCompiledPlans:
         checked = []
 
         def spy(run):
-            def join(tables, b, known, achievers, new, layer, rule, n, goals):
+            def join(tables, b, known, achievers, new, layer, rule, n):
                 start = len(new)
-                result = run(tables, b, known, achievers, new, layer, rule, n, goals)
+                result = run(tables, b, known, achievers, new, layer, rule, n)
                 for pred, ids in new[start:]:
                     h = program.numbering.key(pred, ids)
                     source, binding = achievers[h]
@@ -112,8 +112,8 @@ class TestCompiledPlans:
 
     def test_a_second_task_of_a_domain_compiles_nothing(self, monkeypatch):
         # compiling is per domain: once one blocksworld task has written and
-        # compiled its join plans and index fills, a task of another size
-        # reuses them all, and writes no plan
+        # compiled its join plans, probes and index fills, a task of another
+        # size reuses them all, and writes no plan
         import pslift.lifted as lifted
         import pslift.relaxation as relaxation
 
@@ -140,6 +140,12 @@ class TestCompiledPlans:
             for program in (plain.program, restricted.program):
                 for plan in (plan for rule in program.rules for plan in rule.plans):
                     assert plan.run is not None
+            # every probe of the domain, whether or not a goal atom unifies
+            # with its head
+            _, probes, *_ = relaxation._written(task.schemas, plain.program.numbering.preds,
+                                                 lifted._LOOPS_PER_FUNCTION)
+            for probe in (probe for rule_probes in probes for probe in rule_probes):
+                assert probe.run is not None
 
         lifted._query.cache_clear()
         relaxation._written.cache_clear()
@@ -491,33 +497,25 @@ class TestHFFRestricted:
                 ("holding", ("a",)), (EPSILON, ()), ("holding", ("b",))]
 
 
-def derived_by(reach, key) -> tuple:
-    """(layer, rule) of the run of the fixpoint that derived key: the
-    layer-0 atoms are one run, and so are the adds of B and the gate."""
-    layer = reach.key_layers[key]
-    if layer == 0:
-        return 0, None
-    source, binding = reach.key_achievers[key]
-    return layer, source if binding is not None else "B"
-
-
 class TestGoalCut:
-    """The heuristic values stop the fixpoint at the completion, or after
-    the adds of B, that gives the last goal atom its achiever."""
+    """The heuristic values stop the fixpoint at the layer L that gives the
+    last goal atom its achiever, answered by probes without running it, or
+    after the adds of B at layer 1, or before layer 1 in a goal state."""
 
     def check_cut(self, program, monkeypatch, state, chosen, h_of):
         """h_of() evaluates an h path of program at state, with B = chosen
         if given. Its fixpoint holds the full fixpoint's atoms, layers and
-        achievers up to and including the last goal atom, in the same
-        order, and then only `@goal`, one layer up; the layer-0 atoms, and
-        the adds of B with the gate, each stay one run. No plan runs after
-        the run that reached the last goal atom."""
+        achievers of every layer below L, in the same order, then each goal
+        atom not among them at L, in the goal rule's order, with the full
+        fixpoint's achiever, and then only `@goal`, at L + 1; the layer-0
+        atoms, and the adds of B with the gate, each stay one run. No plan
+        of layer L runs. A dead end equals the full fixpoint."""
         runs, cuts = [], []
 
         def spy(run):
-            def join(tables, b, known, achievers, new, layer, rule, n, goals):
-                runs.append((layer, rule))
-                return run(tables, b, known, achievers, new, layer, rule, n, goals)
+            def join(tables, b, known, achievers, new, layer, rule, n):
+                runs.append(layer)
+                return run(tables, b, known, achievers, new, layer, rule, n)
             return join
 
         with monkeypatch.context() as patch:
@@ -534,25 +532,26 @@ class TestGoalCut:
             assert cut.key_layers == full.key_layers
             assert cut.key_achievers == full.key_achievers
             return
-        order = list(full.key_layers)
+        top = full.key_layers[GOAL_KEY]
+        stop = top - 1
         numbering, index = program.numbering, program.task.object_index
         goal = [numbering.key(pred, [index[a] for a in args]) for pred, args in program.rules[-1].body]
-        last = max(goal, key=order.index) if goal else None
-        by = derived_by(full, last) if goal else (0, None)
-        if by[1] in (None, "B"):
-            end = max(i for i, key in enumerate(order) if key != GOAL_KEY and derived_by(full, key) == by)
+        if stop == 0 or chosen and stop == 1:
+            # the state or the adds of B reached the last goal atom, each
+            # kept as one run: no rule runs at layer 1 with B
+            kept = [key for key, layer in full.key_layers.items()
+                    if layer <= stop and key != GOAL_KEY]
         else:
-            end = order.index(last)
-        kept = order[:end + 1] + [GOAL_KEY]
+            kept = [key for key, layer in full.key_layers.items() if layer < stop]
+            kept += [key for key in goal if key not in kept]
+            assert all(full.key_layers[key] <= stop for key in goal)
+        kept.append(GOAL_KEY)
         assert list(cut.key_layers.items()) == [(key, full.key_layers[key]) for key in kept]
         assert cut.key_achievers == {key: full.key_achievers[key] for key in kept
                                      if key in full.key_achievers}
-        top = by[0] + 1
         assert [key for key, layer in cut.key_layers.items() if layer >= top] == [GOAL_KEY]
         assert cut.key_layers[GOAL_KEY] == top
-        rank = {rule: i for i, rule in enumerate(program.rules)}
-        stop = (by[0], rank.get(by[1], -1))
-        assert all((layer, rank[rule]) <= stop for layer, rule in runs)
+        assert all(layer < stop for layer in runs)
 
     @pytest.mark.parametrize("family, params", [
         ("blocksworld", dict(blocks=4)),
@@ -588,6 +587,34 @@ class TestGoalCut:
         self.check_cut(program, monkeypatch, holding, chosen,
                        lambda: program.h_ff_restricted(holding, chosen))
         assert program.h_ff_restricted(holding, chosen) == 1
+
+    def test_probes_find_the_first_binding_of_the_first_plan_of_the_first_rule(self):
+        # g(o) has achievers at layer 2 from fin-a(a1,o), seeded at Δp(?x);
+        # from fin-a(a2,o), a later binding of the same plan; from
+        # fin-a(b,o), seeded at Δq(?x); and from fin-b(c,o), a later rule.
+        # ?y is bound last, so no branch ends at a completion. Only the
+        # first needs two actions below it, so a probe that keeps a later
+        # binding, or runs the plans or the rules in another order, gives
+        # h = 2, not 3
+        from pslift.pddl import load_task
+        task = load_task("""(define (domain d)
+            (:predicates (s1 ?x) (s2 ?x) (t ?x) (w ?x) (k ?y) (p ?x) (q ?x) (r ?x) (g ?y))
+            (:action pa :parameters (?x) :precondition (s1 ?x) :effect (p ?x))
+            (:action pb :parameters (?x) :precondition (s2 ?x) :effect (p ?x))
+            (:action mq :parameters (?x) :precondition (t ?x) :effect (q ?x))
+            (:action mr :parameters (?x) :precondition (w ?x) :effect (r ?x))
+            (:action fin-a :parameters (?x ?y) :precondition (and (p ?x) (q ?x) (k ?y))
+             :effect (g ?y))
+            (:action fin-b :parameters (?x ?y) :precondition (and (r ?x) (k ?y))
+             :effect (g ?y)))""",
+            """(define (problem e) (:domain d) (:objects a1 a2 b c o)
+            (:init (s1 a1) (t a1) (s2 a2) (q a2) (p b) (t b) (w c) (k o)) (:goal (g o)))""")
+        program, state = DatalogProgram(task), task.initial_state
+        for reach in (program._fixpoint(state), program.relaxed_reach(state)):
+            assert oracles.named_layers(program, reach)[("g", ("o",))] == 2
+            rule, binding = oracles.named_achievers(program, reach)[("g", ("o",))]
+            assert rule.action_of(binding) == ("fin-a", ("a1", "o"))
+        assert program.h_ff(state) == oracles.ff_reference(task, state) == 3
 
 
 def random_reachable_states(task, rng, count):

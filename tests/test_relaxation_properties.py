@@ -5,14 +5,15 @@ fixpoint of `relaxed_reach`, and are inf exactly on the oracle's relaxed
 dead ends. The restricted value is checked at each child of the root of
 the partial action tree and at each of their children, so that B ranges
 from every action of a schema down to a few, and reaches the stop after B
-at layer 1 as well as the stop after a schema rule. Restricted
+at layer 1 as well as the stop at a layer that the probes answer. Restricted
 reachability with an action set B matches the grounded fixpoint of the
 materialised restricted task. The program's compiled index fills, and the
 successor query's, build the tables that the reference fill of `oracles`
-builds."""
+builds, and the probes add no table."""
 
 import math
 import random
+import re
 
 import pytest
 
@@ -20,8 +21,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from pslift import lifted  # noqa: E402
-from pslift.generators import generate_task  # noqa: E402
+from pslift import lifted, relaxation  # noqa: E402
+from pslift.generators import FAMILIES, generate_task  # noqa: E402
 from pslift.lifted import ROOT, _apply_effects, children, instantiations  # noqa: E402
 from pslift.relaxation import _OLD, DatalogProgram, RestrictedFFHeuristic  # noqa: E402
 
@@ -65,9 +66,9 @@ def test_cut_h_equals_full_fixpoint_h(data):
 def test_cut_h_on_generator_walks(family, params):
     """Generator tasks reach the goal well before the last layer, which the
     small random tasks above never do: there the h paths stop only in goal
-    states. The walks mostly stop after a schema rule with rules of its
-    layer left to run; the one-car ferry, whose B often adds the last goal
-    atom, reaches the stop after all of B most often of the four."""
+    states. The walks mostly stop at a layer that the probes answer, with
+    none of its rules run; the one-car ferry, whose B often adds the last
+    goal atom, reaches the stop after all of B most often of the four."""
     for seed in range(2):
         task = generate_task(family, seed=seed, **params)
         program = DatalogProgram(task)
@@ -133,6 +134,41 @@ def check_fills(program, state, actions=None) -> None:
             fill(by_layer[layer], compiled)
             oracles.fill_tables(by_layer[layer], tables_of, reference)
             assert compiled == reference
+
+
+def check_probes(task) -> None:
+    """The program's probes add no index table: written with and without
+    them, its table ids and both compiled fills are the same. Each probe
+    takes only the tables and its binding, with no `known`, and has its
+    plan's steps: the same lookups and loops, in the same order."""
+    args = (task.schemas, DatalogProgram(task).numbering.preds, lifted._LOOPS_PER_FUNCTION)
+    rules, probes, table_ids, *fills = relaxation._written.__wrapped__(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relaxation, "_probe", lambda *_: None)
+        _, _, bare_ids, *bare_fills = relaxation._written.__wrapped__(*args)
+    assert list(table_ids.items()) == list(bare_ids.items())
+    for fill, bare in zip(fills, bare_fills):
+        assert fill.__code__.co_filename == bare.__code__.co_filename
+        assert fill.__code__.co_code == bare.__code__.co_code
+    steps = re.compile(r" *(for .* in m\d+:|m\d+ = t\d+\.get\(.*\))$", re.M)
+    for rule, rule_probes in zip(rules, probes):
+        assert len(rule_probes) == len(rule.plans)
+        for plan, probe in zip(rule.plans, rule_probes):
+            assert probe.source.startswith("def join(tables, b):\n")
+            assert "known" not in probe.source
+            assert steps.findall(probe.source) == steps.findall(plan.source)
+            assert probe.table == plan.table
+
+
+@settings(SETTINGS)
+@given(st.data())
+def test_probes_add_no_index_table_on_random_tasks(data):
+    check_probes(random_strips_task(data))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_probes_add_no_index_table_on_generator_domains(family):
+    check_probes(generate_task(family, seed=0))
 
 
 def check_successor_index(task, state) -> None:
