@@ -279,7 +279,7 @@ def _probe(rule: _Rule, table, first: int) -> lifted._Plan:
     no cap, and its first completion raises `_Stop` with the binding of the
     rule's slots."""
     # a pseudo-constant's term holds a space, which no PDDL name does
-    pins = {v: f"= {v}" for v in dict.fromkeys(a for a in rule.head[1] if _is_var(a))}
+    pins = {v: f"= {v}" for v in rule.head[1] if _is_var(v)}
     slots = dict(rule.slots)
     slots.update((pin, len(rule.slots) + i) for i, pin in enumerate(pins.values()))
     eqs = rule.eqs + tuple((v, pin, True) for v, pin in pins.items())
@@ -376,18 +376,20 @@ class DatalogProgram:
         # the rules with the plans that each kind of layer runs
         self._runs = [[entry + (plans,) for entry in run if (plans := entry[0].plans[cut])]
                       for cut in _CUTS]
-        # per kind of layer, each goal key's probes, with their bindings and
-        # rules: the probes of the plans that the kind runs, of each rule
-        # whose head unifies with the goal atom, rules in program order and
-        # plans in seed order; a probe's binding is the rule's template and
-        # then the goal atom's values of the head variables
+        # per goal key, each rule whose head unifies with the goal atom, in
+        # program order, with its probes and their binding: the rule's
+        # template and then the goal atom's values of the head variables;
+        # per kind of layer, each goal key's probes of the plans that the
+        # kind runs, rules in program order and plans in seed order
         goal_atoms = [keys.atoms[i] for i in sorted(task.goal)]
         self._goal = [key for key, _ in goal_atoms]
-        self._probes = [{key: [(probe, template + values, rule)
-                               for (rule, template, _), rule_probes in zip(run, probes)
-                               if (values := _pinned(rule, *pair, index)) is not None
+        pinned = [[(rule, template + values, rule_probes)
+                   for (rule, template, _), rule_probes in zip(run, probes)
+                   if (values := _pinned(rule, *pair, index)) is not None]
+                  for _, pair in goal_atoms]
+        self._probes = [{key: [(probe, b, rule) for rule, b, rule_probes in entries
                                for probe in rule_probes[cut]]
-                         for key, pair in goal_atoms} for cut in _CUTS]
+                         for key, entries in zip(self._goal, pinned)} for cut in _CUTS]
 
         static = [keys.atoms[i] for i in sorted(task.static_atoms)]
         self.base_facts: list[tuple] = [pair for _, pair in static]
